@@ -67,45 +67,45 @@ std::vector<Path> flow_disjoint_paths(const Graph& g, NodeId s, NodeId t,
                                       std::pair<NodeId, NodeId> forbidden_edge) {
   // Vertex-split network: v_in = 2v, v_out = 2v+1; unit in->out arcs except
   // at the terminals; unit arcs u_out -> v_in per direction of each edge.
-  Dinic dinic(2 * g.num_nodes());
+  const NodeId n = g.num_nodes();
+  Dinic dinic(2 * n);
+  dinic.reserve_arcs(std::size_t{n} + g.row_offsets().back());
   constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max() / 2;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  for (NodeId v = 0; v < n; ++v) {
     dinic.add_arc(2 * v, 2 * v + 1, (v == s || v == t) ? kInf : 1);
   }
   auto is_forbidden = [&](NodeId a, NodeId b) {
     auto [x, y] = forbidden_edge;
     return (a == x && b == y) || (a == y && b == x);
   };
-  // Remember, per vertex, the arc indices leaving v_out so we can walk the
-  // flow decomposition afterwards.
-  std::vector<std::vector<std::uint32_t>> out_arcs(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+  // The edge arcs leaving u_out are added in one contiguous run; cursor[u]
+  // starts one past the last of them (arc ids step by 2 over the residual
+  // twins), and the decomposition below only ever moves it down.
+  std::vector<std::uint32_t> cursor(n);
+  for (NodeId u = 0; u < n; ++u) {
     for (NodeId v : g.neighbors(u)) {
-      if (is_forbidden(u, v)) continue;
-      out_arcs[u].push_back(dinic.add_arc(2 * u + 1, 2 * v, 1));
+      if (!is_forbidden(u, v)) dinic.add_arc(2 * u + 1, 2 * v, 1);
     }
+    cursor[u] = static_cast<std::uint32_t>(2 * dinic.num_arcs());
   }
   std::int64_t limit =
       static_cast<std::int64_t>(std::min(g.degree(s), g.degree(t))) + 1;
   std::int64_t flow = dinic.max_flow(2 * s + 1, 2 * t, limit);
 
-  // Decompose: from s, repeatedly follow saturated arcs, consuming them.
-  std::vector<std::vector<std::uint32_t>> flow_out(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (std::uint32_t arc : out_arcs[u]) {
-      if (dinic.flow_on(arc) > 0) {
-        flow_out[u].push_back(arc);
-      }
-    }
-  }
+  // Decompose: from s, repeatedly follow saturated arcs, consuming them
+  // last-added first.
   std::vector<Path> paths;
+  paths.reserve(static_cast<std::size_t>(flow));
   for (std::int64_t k = 0; k < flow; ++k) {
     Path p{s};
     NodeId cur = s;
     while (cur != t) {
-      // Follow and consume one unit of flow out of cur.
-      std::uint32_t arc = flow_out[cur].back();
-      flow_out[cur].pop_back();
+      // Flow conservation guarantees a saturated arc below the cursor.
+      std::uint32_t arc = cursor[cur];
+      do {
+        arc -= 2;
+      } while (dinic.flow_on(arc) <= 0);
+      cursor[cur] = arc;             // consume it
       cur = dinic.arc_to(arc) / 2;  // v_in -> vertex id
       p.push_back(cur);
     }

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "sim/hb_route.hpp"
 #include "topology/ccc.hpp"
 
 namespace hbnet {
@@ -118,11 +119,19 @@ class HyperButterflySim final : public SimTopology {
     return static_cast<std::uint32_t>(hb_.num_nodes());
   }
   [[nodiscard]] unsigned degree_hint() const override { return hb_.degree(); }
+  /// The Section-3 route walked in closed form by HbImplicitRouter: the
+  /// same node sequence as HyperButterfly::route on every pair (tested).
   [[nodiscard]] std::vector<std::uint32_t> route(
       std::uint32_t src, std::uint32_t dst) const override {
+    const sim::HbImplicitRouter router(hb_);
+    HbNode cur = hb_.node_at(src);
+    sim::HbRouteState st = router.plan(cur, hb_.node_at(dst));
     std::vector<std::uint32_t> out;
-    for (const HbNode& v : hb_.route(hb_.node_at(src), hb_.node_at(dst))) {
-      out.push_back(static_cast<std::uint32_t>(hb_.index_of(v)));
+    out.reserve(st.hops_remaining() + 1);
+    out.push_back(src);
+    while (!st.done()) {
+      cur = router.next_hop(cur, st).next;
+      out.push_back(static_cast<std::uint32_t>(hb_.index_of(cur)));
     }
     return out;
   }

@@ -1,31 +1,41 @@
 #include "sim/wormhole.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <stdexcept>
-#include <unordered_map>
+#include <type_traits>
 #include <unordered_set>
 
 #include "check/check.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 
-// Datapath layout (rewritten for single-thread speed; cycle-exact with the
-// original full-scan implementation -- same seed => same WormholeStats,
-// tested):
+// Datapath layout (single-threaded; cycle-exact with the original
+// full-scan implementation -- same seed => same WormholeStats, pinned in
+// tests/test_wormhole_determinism.cpp):
 //
-//  * Every packet's per-hop channel ids are resolved once at injection
-//    (PktState::chan), so the advance loop never touches the channel hash
-//    map.
+//  * A packet is a plain record (PktState): endpoints, hop count, stream
+//    cursor, flags, and an offset into two append-only *route arenas* local
+//    to the run -- one channel id and one VC class per hop. Routes are
+//    resolved to channel ids once, at injection, so the advance loop never
+//    looks a channel up; the node a hop enters is chan_ends[c].second.
+//  * The online fault re-planner never edits a route in place: it copies
+//    the kept prefix plus the escape suffix to the arena tail and repoints
+//    the packet's offset. Every in-flight flit names its hop by index, and
+//    the prefix keeps its indices, so no flit has to be rewritten.
+//  * Channel ids come from a dense table of degree_hint() (dst, id) slots
+//    per source node, filled in first-registration order (injection order,
+//    then re-plan order), which is also the advance loop's scan order. A
+//    route leaving a node over more distinct links than degree_hint() is a
+//    topology bug and throws std::logic_error.
 //  * VC buffers are fixed-capacity (buffer_depth) ring buffers carved out
 //    of one flat arena: slot (c, q, i) lives at ((c*vcs + q)*depth + i).
-//    No per-flit allocation, no deque churn; the arena only grows when a
-//    new channel is first registered -- at injection, or when the online
-//    fault re-planner splices a detour into a packet's route. The advance
-//    loop therefore works through indices (vi, c) that stay valid across
-//    growth and re-resolves the downstream channel after any re-plan
-//    instead of holding references into the arrays.
+//    No per-flit allocation; the arena only grows when a channel is first
+//    registered. The advance loop therefore works through indices (vi, c)
+//    that stay valid across growth and re-resolves the downstream channel
+//    after any re-plan instead of holding references into the arrays.
 //  * The advance loop walks an *active-channel worklist* instead of every
 //    channel: a channel is listed iff it holds at least one flit. The list
 //    is kept sorted ascending (the scan order of the original full sweep),
@@ -39,6 +49,8 @@
 //    cycle, so a Sink-enabled run costs O(1) extra per flit movement plus
 //    O(1) per cycle -- the end-of-cycle sampling semantics of the original
 //    sweep are reproduced exactly (tested via the occupancy-sum invariant).
+//  * Conservation is checked at the end of every run, Release included:
+//    packets created = delivered + killed + still in flight.
 
 namespace hbnet {
 namespace {
@@ -46,7 +58,7 @@ namespace {
 struct Flit {
   std::uint32_t pkt;
   std::uint16_t index;      // 0 = head, F-1 = tail
-  std::uint16_t hop;        // channel position in the packet's path
+  std::uint16_t hop;        // channel position in the packet's route
   std::uint64_t last_move;  // cycle stamp to avoid double moves
 };
 
@@ -57,28 +69,43 @@ struct VcState {
   std::uint32_t count = 0;   // buffered flits
 };
 
+/// One packet. Hop h of its route uses channel route_chan[route + h] in VC
+/// class route_cls[route + h] (the run's route arenas).
 struct PktState {
-  std::vector<std::uint32_t> path;  // node sequence, path.size() >= 2
-  std::vector<std::uint32_t> chan;  // channel id per hop (size-1 entries)
-  std::vector<std::uint8_t> cls;    // VC class per hop
   std::uint64_t injected_at = 0;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint32_t route = 0;      // arena offset of hop 0
+  std::uint16_t hops = 0;       // route length, >= 1
   std::uint16_t next_flit = 0;  // flits not yet streamed into hop 0
   unsigned replans = 0;         // online fault re-plans consumed
   bool measured = false;
   bool dead = false;  // killed as unroutable; buffered flits drain in place
 };
+static_assert(std::is_trivially_copyable_v<PktState>);
 
-/// Per-hop VC classes from the ring structure: direction of a hop is the
-/// +-1 movement of (id % arity); a direction reversal starts a new
-/// monotone segment; crossing the wrap edge bumps the within-segment
-/// dateline bit. Non-ring hops (cube edges: level unchanged) keep the
-/// current class and do not end a segment. kFaultAdaptive uses the same
-/// six segment-dateline base classes; its seventh (escape) class is never
-/// assigned here -- only the online re-planner places hops there.
-std::vector<std::uint8_t> hop_classes(const std::vector<std::uint32_t>& path,
-                                      unsigned arity, VcPolicy policy) {
-  std::vector<std::uint8_t> cls(path.size() - 1, 0);
-  if (policy == VcPolicy::kAnyFree || arity == 0) return cls;
+/// One entry of the dense channel table; dst == kNoChan marks a free slot.
+struct ChanSlot {
+  std::uint32_t dst;
+  std::uint32_t id;
+};
+constexpr std::uint32_t kNoChan = std::numeric_limits<std::uint32_t>::max();
+
+/// Appends the per-hop VC classes of `path` to `cls`, from the ring
+/// structure: direction of a hop is the +-1 movement of (id % arity); a
+/// direction reversal starts a new monotone segment; crossing the wrap edge
+/// bumps the within-segment dateline bit. Non-ring hops (cube edges: level
+/// unchanged) keep the current class and do not end a segment.
+/// kFaultAdaptive uses the same six segment-dateline base classes; its
+/// seventh (escape) class is never assigned here -- only the online
+/// re-planner places hops there.
+void append_hop_classes(const std::vector<std::uint32_t>& path,
+                        unsigned arity, VcPolicy policy,
+                        std::vector<std::uint8_t>& cls) {
+  if (policy == VcPolicy::kAnyFree || arity == 0) {
+    cls.insert(cls.end(), path.size() - 1, 0);
+    return;
+  }
   int last_dir = 0;       // 0 = none yet
   unsigned segment = 0;   // monotone segment index (0..2 for our routers)
   unsigned wrapped = 0;   // crossed wrap within this segment
@@ -101,15 +128,13 @@ std::vector<std::uint8_t> hop_classes(const std::vector<std::uint32_t>& path,
       last_dir = dir;
     }
     if (policy == VcPolicy::kDateline) {
-      cls[h] = static_cast<std::uint8_t>(wrapped ? 1 : 0);
-      if (wrap) wrapped = 1;
+      cls.push_back(static_cast<std::uint8_t>(wrapped ? 1 : 0));
     } else {  // kSegmentDateline / kFaultAdaptive base classes
       unsigned seg_capped = segment > 2 ? 2 : segment;
-      cls[h] = static_cast<std::uint8_t>(2 * seg_capped + wrapped);
-      if (wrap) wrapped = 1;
+      cls.push_back(static_cast<std::uint8_t>(2 * seg_capped + wrapped));
     }
+    if (wrap) wrapped = 1;
   }
-  return cls;
 }
 
 }  // namespace
@@ -133,6 +158,12 @@ std::string validate_wormhole_config(const WormholeConfig& config) {
       config.buffer_depth < 1) {
     return "wormhole config: vcs, flits_per_packet, and buffer_depth must "
            "all be at least 1";
+  }
+  constexpr unsigned kMaxFlits = std::numeric_limits<std::uint16_t>::max();
+  if (config.flits_per_packet > kMaxFlits) {
+    return "wormhole config: flits_per_packet must be at most " +
+           std::to_string(kMaxFlits) + " (flit indices are 16-bit), got " +
+           std::to_string(config.flits_per_packet);
   }
   const unsigned need = vc_classes(config.policy);
   if (config.vcs < need) {
@@ -223,16 +254,20 @@ WormholeStats run_wormhole(const SimTopology& topo,
   std::uint64_t cycle = 0;
 
   // -- channel storage -----------------------------------------------------
-  // The id map is consulted only when a packet is injected; the advance loop
-  // works off precomputed per-packet channel ids. All per-channel state is
-  // in flat arrays indexed by channel id (and vi = c*vcs + q per VC).
-  std::unordered_map<std::uint64_t, std::uint32_t> chan_id;
+  // The channel table is consulted only when a route is resolved (injection
+  // and re-plan); the advance loop works off the route arenas' channel ids.
+  // All per-channel state is in flat arrays indexed by channel id (and
+  // vi = c*vcs + q per VC).
+  const unsigned slots = topo.degree_hint();
+  std::vector<ChanSlot> chan_table(std::size_t{n} * slots,
+                                   ChanSlot{kNoChan, 0});
   std::uint32_t num_chans = 0;
   std::vector<VcState> vc;          // num_chans * vcs
   std::vector<Flit> arena;          // num_chans * vcs * depth ring slots
   std::vector<unsigned> rr;         // round-robin arbiter position per chan
   std::vector<std::uint32_t> chan_flits;  // total buffered flits per chan
   std::vector<std::pair<std::uint32_t, std::uint32_t>> chan_ends;
+  std::vector<std::uint8_t> chan_blocked;  // static fault on (u, v)
   // Active-channel worklist: `active` holds (sorted ascending) every channel
   // with chan_flits > 0 as of the start of the cycle; channels gaining their
   // first flit mid-cycle collect in `newly` and are merged at end of cycle.
@@ -245,9 +280,11 @@ WormholeStats run_wormhole(const SimTopology& topo,
                                                    // integrated, per VC
 
   auto channel = [&](std::uint32_t u, std::uint32_t v) -> std::uint32_t {
-    std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-    auto [it, fresh] = chan_id.emplace(key, num_chans);
-    if (fresh) {
+    ChanSlot* row = chan_table.data() + std::size_t{u} * slots;
+    for (unsigned k = 0; k < slots; ++k) {
+      if (row[k].dst == v) return row[k].id;
+      if (row[k].dst != kNoChan) continue;
+      row[k] = {v, num_chans};
       ++num_chans;
       vc.resize(std::size_t{num_chans} * vcs);
       arena.resize(std::size_t{num_chans} * vcs * depth);
@@ -255,13 +292,43 @@ WormholeStats run_wormhole(const SimTopology& topo,
       chan_flits.push_back(0);
       in_active.push_back(0);
       chan_ends.emplace_back(u, v);
+      chan_blocked.push_back(have_faults && edge_blocked(u, v) ? 1 : 0);
       if (sink != nullptr) {
         link_forwarded.push_back(0);
         occ_integral.resize(std::size_t{num_chans} * vcs, 0);
         occ_since.resize(std::size_t{num_chans} * vcs, 0);
       }
+      return row[k].id;
     }
-    return it->second;
+    throw std::logic_error("run_wormhole: routes leave node " +
+                           std::to_string(u) + " over more than " +
+                           std::to_string(slots) +
+                           " (degree_hint()) distinct links");
+  };
+
+  // -- route arenas ----------------------------------------------------------
+  // Append-only, one entry per hop of every route ever planned in this run.
+  std::vector<std::uint32_t> route_chan;
+  std::vector<std::uint8_t> route_cls;
+  // Appends the channels of `path` to route_chan; returns the hop count.
+  auto append_channels = [&](const std::vector<std::uint32_t>& path) {
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      route_chan.push_back(channel(path[h], path[h + 1]));
+    }
+    return path.size() - 1;
+  };
+  // Narrows an arena offset / hop count to the PktState field widths (hop
+  // indices are 16-bit in every flit).
+  auto arena_offset = [](std::size_t at) {
+    HBNET_CHECK(at <= std::numeric_limits<std::uint32_t>::max());
+    return static_cast<std::uint32_t>(at);
+  };
+  auto hop_count = [](std::size_t hops) {
+    if (hops > std::numeric_limits<std::uint16_t>::max()) {
+      throw std::logic_error("run_wormhole: a route of " +
+                             std::to_string(hops) + " hops exceeds 65535");
+    }
+    return static_cast<std::uint16_t>(hops);
   };
 
   // Integrates a VC's occupancy up to (but not including) the current
@@ -326,14 +393,16 @@ WormholeStats run_wormhole(const SimTopology& topo,
   }
 
   // VC q belongs to class q * classes / vcs (classes partition the range).
-  auto vc_allowed = [&](const PktState& p, std::uint16_t hop, unsigned q) {
+  auto vc_allowed = [&](const PktState& p, std::size_t hop, unsigned q) {
     unsigned cls_of_q = q * classes / vcs;
-    return cls_of_q == p.cls[hop];
+    return cls_of_q == route_cls[p.route + hop];
   };
 
   // Per-cycle move counter, hoisted so the fault helpers below can count
   // kills as progress; reset at the top of every cycle.
   std::uint64_t moves = 0;
+  // Packets delivered tail-complete, measured or not (for conservation).
+  std::uint64_t delivered_all = 0;
 
   // Declares a worm unroutable: drop it from the stats, unblock its source
   // queue if it was still streaming, and mark it dead so any buffered flits
@@ -348,11 +417,10 @@ WormholeStats run_wormhole(const SimTopology& topo,
     if (p.next_flit < flits) {
       // Still streaming: the packet is by construction the front of its
       // source queue; advance past it so later packets are not wedged.
-      const std::uint32_t src = p.path.front();
       p.next_flit = flits;
-      if (++inject_head[src] == inject_q[src].size()) {
-        inject_q[src].clear();
-        inject_head[src] = 0;
+      if (++inject_head[p.src] == inject_q[p.src].size()) {
+        inject_q[p.src].clear();
+        inject_head[p.src] = 0;
       }
     }
     // Killing is progress: a cycle that only killed worms must not trip
@@ -364,35 +432,38 @@ WormholeStats run_wormhole(const SimTopology& topo,
   // passed as banned first hops so one re-plan clears them all at once
   // (re-banning one link at a time could ping-pong).
   std::vector<std::uint32_t> banned_scratch;
-  // Re-plans packet p from p.path[keep] to its destination around the
-  // static faults via the Theorem-5 alternatives; the replanned suffix runs
-  // entirely in the reserved escape class. May register new channels
-  // (growing the flat per-channel arrays), so callers re-resolve any
-  // downstream channel index afterwards. Returns false when the packet
-  // exhausted its misroute budget or no fault-free alternative exists; the
-  // caller then kills the worm.
+  // Re-plans packet p from the node its hop `keep` leaves to its
+  // destination around the static faults via the Theorem-5 alternatives;
+  // the replanned suffix runs entirely in the reserved escape class. The
+  // kept hops [0, keep) and the suffix are written to the arena tail and
+  // p.route repointed there, so every in-flight flit's hop index stays
+  // valid. May register new channels (growing the flat per-channel
+  // arrays), so callers re-resolve any downstream channel index
+  // afterwards. Returns false when the packet exhausted its misroute budget
+  // or no fault-free alternative exists; the caller then kills the worm.
   auto replan = [&](PktState& p, std::size_t keep) -> bool {
     if (p.replans >= config.misroute_limit) return false;
-    const std::uint32_t cur = p.path[keep];
-    const std::uint32_t dst = p.path.back();
+    const std::uint32_t cur =
+        keep == 0 ? p.src : chan_ends[route_chan[p.route + keep - 1]].second;
     banned_scratch.clear();
     for (const auto& [lu, lv] : faults->links) {
       if (lu == cur) banned_scratch.push_back(lv);
     }
     const SimFaultRoute r =
-        topo.route_avoiding(cur, dst, node_fault, banned_scratch);
+        topo.route_avoiding(cur, p.dst, node_fault, banned_scratch);
     if (!r.ok() || r.path.size() < 2) return false;
     ++p.replans;
     ++stats.misroutes;
     stats.escape_hops += r.path.size() - 1;
-    p.path.resize(keep + 1);
-    p.chan.resize(keep);
-    p.cls.resize(keep);
-    for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
-      p.path.push_back(r.path[i + 1]);
-      p.chan.push_back(channel(r.path[i], r.path[i + 1]));
-      p.cls.push_back(escape_cls);
-    }
+    const std::size_t at = route_chan.size();
+    route_chan.resize(at + keep);
+    route_cls.resize(at + keep);
+    std::copy_n(route_chan.begin() + p.route, keep, route_chan.begin() + at);
+    std::copy_n(route_cls.begin() + p.route, keep, route_cls.begin() + at);
+    const std::size_t suffix = append_channels(r.path);
+    route_cls.insert(route_cls.end(), suffix, escape_cls);
+    p.route = arena_offset(at);
+    p.hops = hop_count(keep + suffix);
     return true;
   };
 
@@ -414,19 +485,19 @@ WormholeStats run_wormhole(const SimTopology& topo,
         if (coin(rng) >= config.injection_rate) continue;
         std::uint32_t dst = traffic.destination(src);
         if (have_faults && node_dead(dst)) continue;  // dead destination
+        const std::vector<std::uint32_t> path = topo.route(src, dst);
+        if (path.size() < 2) continue;
         PktState p;
-        p.path = topo.route(src, dst);
-        if (p.path.size() < 2) continue;
         p.injected_at = cycle;
+        p.src = src;
+        p.dst = dst;
         p.measured = measuring;
-        p.cls = hop_classes(p.path, ring_arity, config.policy);
-        p.chan.resize(p.path.size() - 1);
-        for (std::size_t h = 0; h + 1 < p.path.size(); ++h) {
-          p.chan[h] = channel(p.path[h], p.path[h + 1]);
-        }
+        p.route = arena_offset(route_chan.size());
+        p.hops = hop_count(append_channels(path));
+        append_hop_classes(path, ring_arity, config.policy, route_cls);
         if (p.measured) stats.packets.record_injection();
         if (inject_ts != nullptr) inject_ts->bump(cycle);
-        pkts.push_back(std::move(p));
+        pkts.push_back(p);
         inject_q[src].push_back(static_cast<std::uint32_t>(pkts.size() - 1));
         ++in_flight;
       }
@@ -438,7 +509,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
       std::uint32_t pid = inject_q[src][inject_head[src]];
       PktState& p = pkts[pid];
       if (have_faults && p.next_flit == 0 &&
-          edge_blocked(p.path[0], p.path[1])) {
+          chan_blocked[route_chan[p.route]] != 0) {
         // Online discovery at hop-0 VC allocation: re-plan before the head
         // flit ever enters the network, or kill the packet unrouted (no
         // flits exist yet, so the kill only advances the queue).
@@ -447,7 +518,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
           continue;
         }
       }
-      const std::uint32_t c0 = p.chan[0];
+      const std::uint32_t c0 = route_chan[p.route];
       const std::size_t base0 = std::size_t{c0} * vcs;
       int vc_idx = -1;
       for (unsigned q = 0; q < vcs; ++q) {
@@ -505,7 +576,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
           rr[c] = (q + 1) % vcs;
           break;
         }
-        const bool last_hop = (f.hop + 2u == p.path.size());
+        const bool last_hop = (f.hop + 1u == p.hops);
         if (last_hop) {
           pop_flit(c, vi);
           --buffered;
@@ -514,23 +585,24 @@ WormholeStats run_wormhole(const SimTopology& topo,
             vc[vi].owner = -1;
             HBNET_DCHECK(in_flight > 0);
             --in_flight;
+            ++delivered_all;
             if (p.measured) {
               stats.packets.record_delivery(cycle + 1 - p.injected_at,
-                                            p.path.size() - 1);
+                                            p.hops);
             }
             if (deliver_ts != nullptr) deliver_ts->bump(cycle);
-            HBNET_TRACE_COMPLETE(sink, "packet", "pkt", 0, p.path.front(),
+            HBNET_TRACE_COMPLETE(sink, "packet", "pkt", 0, p.src,
                                  p.injected_at, cycle + 1 - p.injected_at,
                                  {{"pkt", f.pkt},
-                                  {"src", p.path.front()},
-                                  {"dst", p.path.back()},
-                                  {"hops", p.path.size() - 1}});
+                                  {"src", p.src},
+                                  {"dst", p.dst},
+                                  {"hops", p.hops}});
           }
           ++moves;
           rr[c] = (q + 1) % vcs;
           break;
         }
-        std::uint32_t c2 = p.chan[f.hop + 1];
+        std::uint32_t c2 = route_chan[p.route + f.hop + 1];
         std::size_t base2 = std::size_t{c2} * vcs;
         int vc2 = -1;
         for (unsigned r = 0; r < vcs; ++r) {
@@ -540,16 +612,15 @@ WormholeStats run_wormhole(const SimTopology& topo,
           }
         }
         if (vc2 < 0 && f.index == 0) {
-          if (have_faults &&
-              edge_blocked(p.path[f.hop + 1], p.path[f.hop + 2])) {
+          if (have_faults && chan_blocked[c2] != 0) {
             // Online fault discovery at VC allocation: the head sits at
-            // p.path[f.hop + 1] and its planned next hop is faulted.
-            if (replan(p, f.hop + 1)) {
-              // The re-plan kept p.chan[0 .. f.hop] (this flit's channel
+            // the end of channel c and its planned next hop c2 is faulted.
+            if (replan(p, f.hop + 1u)) {
+              // The re-plan kept hops 0 .. f.hop (this flit's channel
               // included) and spliced a fresh escape-class suffix; it may
               // have grown the VC arrays, so re-resolve the downstream
               // channel before allocating.
-              c2 = p.chan[f.hop + 1];
+              c2 = route_chan[p.route + f.hop + 1];
               base2 = std::size_t{c2} * vcs;
             } else {
               kill_worm(p);
@@ -562,7 +633,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
           }
           for (unsigned r = 0; r < vcs; ++r) {
             if (vc[base2 + r].owner == -1 &&
-                vc_allowed(p, static_cast<std::uint16_t>(f.hop + 1), r)) {
+                vc_allowed(p, f.hop + 1u, r)) {
               vc[base2 + r].owner = f.pkt;
               vc2 = static_cast<int>(r);
               break;
@@ -634,6 +705,12 @@ WormholeStats run_wormhole(const SimTopology& topo,
     }
   }
   stats.cycles = cycle;
+  HBNET_CHECK_MSG(
+      pkts.size() == delivered_all + stats.unroutable + in_flight,
+      "run_wormhole: created " + std::to_string(pkts.size()) +
+          " != delivered " + std::to_string(delivered_all) + " + killed " +
+          std::to_string(stats.unroutable) + " + in flight " +
+          std::to_string(in_flight));
 
   // End-of-run export: link table, registry counters, latency histogram.
   if (sink != nullptr) {

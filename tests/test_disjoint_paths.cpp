@@ -7,6 +7,7 @@
 #include "core/hyper_butterfly.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
+#include "topology/butterfly.hpp"
 
 namespace hbnet {
 namespace {
@@ -125,6 +126,45 @@ TEST(DisjointPaths, PathLengthsAreBounded) {
                 2u * (hb.cube_dimension() + 2u * hb.butterfly_dimension() + 4));
     }
   }
+}
+
+/// FNV-1a digest of flow_disjoint_paths over every ordered pair of B(n):
+/// family size, then each path's length and vertices, in output order.
+/// With `forbid`, each pair's flow avoids the first edge out of s.
+std::uint64_t flow_family_digest(unsigned n, bool forbid) {
+  const Graph g = Butterfly(n).to_graph();
+  std::uint64_t h = 1469598103934665603ull;
+  auto add = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      if (s == t) continue;
+      std::pair<NodeId, NodeId> banned{kInvalidNode, kInvalidNode};
+      if (forbid) banned = {s, g.neighbors(s).front()};
+      const std::vector<Path> family = flow_disjoint_paths(g, s, t, banned);
+      add(family.size());
+      for (const Path& p : family) {
+        add(p.size());
+        for (NodeId v : p) add(v);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(FlowDisjointPaths, FamiliesMatchPinnedDigests) {
+  // The butterfly half of every Theorem-5 family comes from this flow, so
+  // which paths it returns, and in which order, decides the routes of the
+  // fault router. Pinned on B(3) and B(4), with and without a forbidden
+  // edge.
+  EXPECT_EQ(flow_family_digest(3, false), 0x9d3bd08bbc84240aull);
+  EXPECT_EQ(flow_family_digest(3, true), 0x9254fd35acfcaea6ull);
+  EXPECT_EQ(flow_family_digest(4, false), 0x5aa1bd88a2ce7e94ull);
+  EXPECT_EQ(flow_family_digest(4, true), 0x5c53cb1fc7db5546ull);
 }
 
 TEST(Corollary1, VertexConnectivityIsMPlus4) {

@@ -2,8 +2,10 @@
 // behavior, determinism and fault handling.
 #include <gtest/gtest.h>
 
+#include "core/hyper_butterfly.hpp"
 #include "graph/bfs.hpp"
 #include "sim/simulator.hpp"
+#include "sim/topology.hpp"
 
 namespace hbnet {
 namespace {
@@ -15,6 +17,26 @@ SimConfig light_config() {
   cfg.measure_cycles = 300;
   cfg.drain_cycles = 5000;
   return cfg;
+}
+
+TEST(SimTopology, HyperButterflyRouteEqualsCoreRouteOnEveryPair) {
+  // The adapter walks the closed-form HbImplicitRouter; it must emit the
+  // exact node sequence of the Section-3 two-phase route, pair by pair.
+  for (auto [m, n] : {std::pair{1u, 3u}, std::pair{2u, 4u}}) {
+    const HyperButterfly hb(m, n);
+    auto topo = make_hyper_butterfly_sim(m, n);
+    const auto nodes = static_cast<std::uint32_t>(hb.num_nodes());
+    for (std::uint32_t src = 0; src < nodes; ++src) {
+      for (std::uint32_t dst = 0; dst < nodes; ++dst) {
+        std::vector<std::uint32_t> want;
+        for (const HbNode& v : hb.route(hb.node_at(src), hb.node_at(dst))) {
+          want.push_back(static_cast<std::uint32_t>(hb.index_of(v)));
+        }
+        ASSERT_EQ(topo->route(src, dst), want)
+            << "HB(" << m << "," << n << ") " << src << " -> " << dst;
+      }
+    }
+  }
 }
 
 TEST(Simulator, ConservationNoFaults) {

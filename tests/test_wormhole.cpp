@@ -5,6 +5,9 @@
 // 6-class segment-dateline is deadlock free.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/wormhole.hpp"
 
 namespace hbnet {
@@ -65,6 +68,59 @@ TEST(Wormhole, RejectsDegenerateConfigs) {
   cfg.vcs = 4;
   cfg.policy = VcPolicy::kSegmentDateline;  // needs 6
   EXPECT_THROW((void)run_wormhole(*topo, cfg), std::invalid_argument);
+}
+
+TEST(Wormhole, RejectsFlitCountsBeyondSixteenBits) {
+  // Flit indices are 16-bit: a larger flits_per_packet must be rejected,
+  // not truncated (65536 used to become 0-flit worms and a false deadlock,
+  // 65540 silently simulated 4-flit worms).
+  auto topo = make_hyper_butterfly_sim(1, 3);
+  WormholeConfig cfg = gentle();
+  cfg.measure_cycles = 20;
+  for (unsigned flits : {65536u, 65540u}) {
+    cfg.flits_per_packet = flits;
+    const std::string err = validate_wormhole_config(cfg);
+    EXPECT_NE(err.find("at most 65535"), std::string::npos) << err;
+    EXPECT_NE(err.find("got " + std::to_string(flits)), std::string::npos)
+        << err;
+    EXPECT_THROW((void)run_wormhole(*topo, cfg, 3), std::invalid_argument);
+  }
+  cfg.flits_per_packet = 65535;
+  EXPECT_TRUE(validate_wormhole_config(cfg).empty());
+}
+
+/// K4 with direct routes: every node sends over three distinct links, while
+/// degree_hint() claims `hint` of them.
+class CompleteGraphK4 final : public SimTopology {
+ public:
+  explicit CompleteGraphK4(unsigned hint) : hint_(hint) {}
+  [[nodiscard]] std::string name() const override { return "K4"; }
+  [[nodiscard]] std::uint32_t num_nodes() const override { return 4; }
+  [[nodiscard]] unsigned degree_hint() const override { return hint_; }
+  [[nodiscard]] std::vector<std::uint32_t> route(
+      std::uint32_t src, std::uint32_t dst) const override {
+    if (src == dst) return {src};
+    return {src, dst};
+  }
+
+ private:
+  unsigned hint_;
+};
+
+TEST(Wormhole, RoutesBeyondDegreeHintThrowLogicError) {
+  // The channel table holds degree_hint() links per node; a topology whose
+  // routes use more must fail loudly, never overflow into a neighbor's row.
+  WormholeConfig cfg;
+  cfg.vcs = 1;
+  cfg.policy = VcPolicy::kAnyFree;
+  cfg.injection_rate = 0.5;
+  cfg.measure_cycles = 50;
+  EXPECT_THROW((void)run_wormhole(CompleteGraphK4(2), cfg),
+               std::logic_error);
+  const WormholeStats s = run_wormhole(CompleteGraphK4(3), cfg);
+  EXPECT_FALSE(s.deadlocked);
+  EXPECT_GT(s.packets.delivered(), 0u);
+  EXPECT_EQ(s.packets.delivered(), s.packets.injected());
 }
 
 TEST(Wormhole, ValidatorNamesTheMinimumForThePolicy) {

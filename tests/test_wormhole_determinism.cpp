@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -196,6 +197,90 @@ TEST(WormholeDeterminism, FaultGridByteIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(artifacts[0], artifacts[1]);
   EXPECT_EQ(artifacts[0], artifacts[2]);
+}
+
+WormholeConfig adaptive_config(double rate) {
+  WormholeConfig cfg = moderate_config(42);
+  cfg.vcs = vc_classes(VcPolicy::kFaultAdaptive);
+  cfg.policy = VcPolicy::kFaultAdaptive;
+  cfg.injection_rate = rate;
+  return cfg;
+}
+
+TEST(WormholeDeterminism, MatchesPinnedParentStats) {
+  // Cycle-exact contract of the flat datapath (POD packets, route arenas,
+  // dense channel table): each case reproduces, field for field, the stats
+  // the per-packet-vector datapath it replaced produced. Covers every VC
+  // policy, native and escape-class routes, node and link faults, and worm
+  // kills past the Theorem-5 guarantee.
+  {
+    auto topo = make_butterfly_sim(4);
+    const std::pair<VcPolicy, StatsSnapshot> pins[] = {
+        {VcPolicy::kAnyFree,
+         {1535, 1535, 370, 11, 31, 51, 12.458631921824104,
+          3.3726384364820845, false, 0, 0, 0}},
+        {VcPolicy::kDateline,
+         {1535, 1535, 370, 11, 31, 51, 12.348534201954397,
+          3.3726384364820845, false, 0, 0, 0}},
+        {VcPolicy::kSegmentDateline,
+         {1535, 1535, 418, 13, 116, 164, 20.461237785016287,
+          3.3726384364820845, false, 0, 0, 0}},
+    };
+    for (const auto& [policy, pin] : pins) {
+      WormholeConfig cfg = moderate_config(42);
+      cfg.policy = policy;
+      EXPECT_EQ(snapshot(run_wormhole(*topo, cfg, 4)), pin)
+          << "B(4) " << vc_policy_name(policy);
+    }
+  }
+  {
+    auto topo = make_hyper_butterfly_sim(2, 3);
+    const StatsSnapshot pin{2305, 2305, 366, 10, 33, 67, 10.919739696312364,
+                            3.3084598698481562, false, 0, 0, 0};
+    EXPECT_EQ(snapshot(run_wormhole(*topo, moderate_config(42), 3)), pin)
+        << "HB(2,3) segment";
+  }
+  {
+    // m+3 = 6 node faults on HB(3,5): every worm is re-planned around them.
+    auto topo = make_hyper_butterfly_sim(3, 5);
+    WormholeFaults wf;
+    wf.nodes.assign(topo->num_nodes(), 0);
+    for (std::uint32_t v : {7u, 100u, 333u, 512u, 901u, 1200u}) {
+      wf.nodes[v] = 1;
+    }
+    WormholeConfig cfg = adaptive_config(0.03);
+    cfg.measure_cycles = 200;
+    const StatsSnapshot pin{7620, 7620, 269, 11, 23, 38, 11.993175853018373,
+                            5.8532808398950129, false, 219, 1113, 0};
+    EXPECT_EQ(snapshot(run_wormhole(*topo, cfg, 5, &wf)), pin)
+        << "HB(3,5) adaptive, m+3 node faults";
+  }
+  {
+    auto topo = make_hyper_butterfly_sim(2, 3);
+    WormholeFaults wf;
+    for (std::uint32_t src : {0u, 9u, 22u, 63u}) {
+      wf.links.emplace_back(src, topo->neighbors(src).front());
+      wf.links.emplace_back(src, topo->neighbors(src).back());
+    }
+    const StatsSnapshot pin{1145, 1145, 359, 8, 16, 21, 8.444541484716158,
+                            3.3510917030567686, false, 96, 317, 0};
+    EXPECT_EQ(snapshot(run_wormhole(*topo, adaptive_config(0.04), 3, &wf)),
+              pin)
+        << "HB(2,3) adaptive, link faults";
+  }
+  {
+    // m+4 = 5 faults isolate node 0 of HB(1,3): worms to or from it have no
+    // route left and are killed, some with flits already in the network.
+    auto topo = make_hyper_butterfly_sim(1, 3);
+    WormholeFaults wf;
+    wf.nodes.assign(topo->num_nodes(), 0);
+    for (std::uint32_t nb : topo->neighbors(0)) wf.nodes[nb] = 1;
+    const StatsSnapshot pin{580, 545, 355, 8, 16, 26, 8.0935779816513769,
+                            2.8183486238532112, false, 61, 211, 39};
+    EXPECT_EQ(snapshot(run_wormhole(*topo, adaptive_config(0.05), 3, &wf)),
+              pin)
+        << "HB(1,3) adaptive, m+4 faults";
+  }
 }
 
 TEST(WormholeDeterminism, DrainedRunDeliversEverything) {
