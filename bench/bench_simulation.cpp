@@ -107,12 +107,13 @@ void BM_SimulateHb(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateHb)->Unit(benchmark::kMillisecond);
 
-// Serial vs sharded datapath at equal node count -- HB(2,8), 8192 nodes,
-// identical load and horizon. The single-thread pair is the headline
-// number in docs/performance.md (the sharded engine's dense sweep +
-// implicit routing vs the serial engine's deque queues + materialized
-// route vectors); the 2- and 4-thread variants show shard-parallel scaling
-// on top.
+// Path router vs implicit HB router on the one store-and-forward engine at
+// equal node count -- HB(2,8), 8192 nodes, identical load and horizon.
+// BM_SimSerialHb28 (the name predates the single engine) runs
+// run_simulation: one shard, each packet carrying the node vector that
+// SimTopology::route materializes. BM_SimShardedHb28/1 runs
+// the closed-form HbImplicitRouter with no per-packet allocation; the 2-
+// and 4-thread variants show shard-parallel scaling on top.
 hbnet::SimConfig matched_cfg() {
   hbnet::SimConfig cfg;
   cfg.injection_rate = 0.05;

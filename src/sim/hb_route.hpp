@@ -1,7 +1,8 @@
-// Implicit per-hop routing for HB(m,n) (the sharded engine's datapath).
+// Implicit per-hop routing for HB(m,n) (the store-and-forward engine's HB
+// router, sim/sharded.hpp).
 //
-// The serial store-and-forward simulator materializes every packet's full
-// route as a std::vector of node ids -- a heap allocation per packet and
+// The engine's generic path router materializes every packet's full route
+// as a std::vector of node ids -- a heap allocation per packet and
 // O(diameter) memory each. But HB routes have closed form: the cube phase is
 // LSB-first bit correction of the cube-word difference, and the butterfly
 // phase is a minimum covering walk, which plan_covering_walk() returns as

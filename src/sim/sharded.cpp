@@ -1,7 +1,13 @@
+// The store-and-forward engine: one synchronous cycle loop, generic over a
+// router, behind all three entry points -- run_simulation_sharded
+// (sharded.hpp), run_simulation and run_simulation_with_fault_events
+// (simulator.hpp). sharded.hpp describes the datapath and its determinism
+// contract; simulator.hpp states the model and the fault rule.
 #include "sim/sharded.hpp"
 
 #include <algorithm>
 #include <bit>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -11,29 +17,226 @@
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
 #include "sim/hb_route.hpp"
+#include "sim/simulator.hpp"
+#include "sim/topology.hpp"
 #include "sim/traffic.hpp"
 
 namespace hbnet {
 namespace {
 
-/// A resident packet: one fixed-size arena slot, no owned memory. The
-/// current position is stored pre-split as (wc = (cube << n) | word, level)
-/// so the hot sweep derives the dense id with one multiply (wc * n + level)
-/// and never divides.
-struct ShardPacket {
-  std::uint32_t wc = 0;           // (cube << n) | word of the current node
-  std::uint32_t src = 0;          // dense id (telemetry only)
-  std::uint32_t dst = 0;          // final destination (Valiant re-plan)
+constexpr std::uint8_t kMeasured = 1;
+constexpr std::uint8_t kRevisit = 2;  // HB Valiant phase 1: re-plan on arrival
+
+/// What planning or servicing one packet did. The last three drop it: the
+/// faults cut the pair off, the topology has no fault routing, or the node
+/// holding the packet died.
+enum class Hop { kMoved, kDelivered, kNoPath, kUnsupported, kLost };
+
+/// (src << 32 | dst, packets moved): one directed link's tally.
+using LinkCount = std::pair<std::uint64_t, std::uint64_t>;
+
+// A router is the per-packet half of the engine:
+//   Packet        src, dst, injected_at, hops and flags plus the router's
+//                 position and route state; the engine only moves it;
+//   Tally         run-wide link counters (sink runs only); shards write
+//                 disjoint entries;
+//   kFaults       whether it takes faults; such a router keeps run-wide
+//                 state and runs as one shard on the calling thread;
+//   node / tally / inject / advance / collect_links, as used below.
+
+/// A packet on an HB implicit route: one 32-byte arena slot, no owned
+/// memory. The current node is stored pre-split as (wc = (cube << n) |
+/// word, level), so the sweep derives its dense id with one multiply and
+/// never divides.
+struct HbPacket {
+  std::uint32_t wc = 0;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
   std::uint32_t injected_at = 0;
   sim::HbRouteState route;
   std::uint16_t hops = 0;
-  std::uint8_t level = 0;         // butterfly level of the current node
+  std::uint8_t level = 0;
   std::uint8_t flags = 0;
 };
-constexpr std::uint8_t kMeasured = 1;
-constexpr std::uint8_t kRevisit = 2;  // Valiant phase 1: re-plan on arrival
+static_assert(sizeof(HbPacket) == 32, "arena slots should stay compact");
 
-static_assert(sizeof(ShardPacket) == 32, "arena slots should stay compact");
+/// HB(m,n) routes in closed form: each hop is O(1) bit math on the 12-byte
+/// HbRouteState. Stateless, so it runs at any shard count. Fault free.
+class HbRouter {
+ public:
+  using Packet = HbPacket;
+  using Tally = std::vector<std::uint64_t>;  // node x generator
+  static constexpr bool kFaults = false;
+
+  HbRouter(const HyperButterfly& hb, RoutingMode routing)
+      : hb_(hb),
+        router_(hb),
+        bdim_(hb.butterfly_dimension()),
+        word_mask_((std::uint32_t{1} << bdim_) - 1),
+        degree_(hb.degree()),
+        valiant_(routing == RoutingMode::kValiant) {}
+
+  [[nodiscard]] std::uint32_t node(const Packet& p) const {
+    return p.wc * bdim_ + p.level;
+  }
+  [[nodiscard]] Tally tally(std::uint32_t n) const {
+    return Tally(static_cast<std::size_t>(n) * degree_, 0);
+  }
+
+  Hop inject(const StatelessTraffic::CycleView& tv, Packet& pkt) const {
+    pkt.wc = pkt.src / bdim_;
+    pkt.level = static_cast<std::uint8_t>(pkt.src % bdim_);
+    // Valiant aims at the intermediate w first, unless w is an endpoint.
+    const std::uint32_t w = valiant_ ? tv.intermediate(pkt.src) : pkt.dst;
+    const bool two_phase = w != pkt.src && w != pkt.dst;
+    if (two_phase) pkt.flags |= kRevisit;
+    pkt.route = router_.plan(hb_node(pkt.wc, pkt.level),
+                             hb_.node_at(two_phase ? w : pkt.dst));
+    return Hop::kMoved;
+  }
+
+  Hop advance(Packet& pkt, std::uint32_t at, Tally* links) const {
+    const HbNode cur = hb_node(pkt.wc, pkt.level);
+    if (pkt.route.done()) {
+      // Valiant intermediate reached last cycle: aim at the destination.
+      HBNET_DCHECK_MSG((pkt.flags & kRevisit) != 0, "stuck packet");
+      pkt.flags &= static_cast<std::uint8_t>(~kRevisit);
+      pkt.route = router_.plan(cur, hb_.node_at(pkt.dst));
+    }
+    const sim::HbHop hop = router_.next_hop(cur, pkt.route);
+    ++pkt.hops;
+    if (links != nullptr) {
+      ++(*links)[static_cast<std::size_t>(at) * degree_ + hop.gen];
+    }
+    if (pkt.route.done() && (pkt.flags & kRevisit) == 0) {
+      return Hop::kDelivered;
+    }
+    pkt.wc = static_cast<std::uint32_t>((hop.next.cube << bdim_) |
+                                        hop.next.bfly.word);
+    pkt.level = static_cast<std::uint8_t>(hop.next.bfly.level);
+    return Hop::kMoved;
+  }
+
+  /// Expands (node, generator) tallies into directed (src, dst) records.
+  void collect_links(const Tally& t, std::vector<LinkCount>& out) const {
+    const std::vector<HbGen> gens = hb_.generators();
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (t[i] == 0) continue;
+      const auto u = static_cast<std::uint32_t>(i / degree_);
+      const HbNode next = hb_.apply(hb_.node_at(u), gens[i % degree_]);
+      out.emplace_back(
+          (std::uint64_t{u} << 32) | static_cast<std::uint32_t>(
+                                         hb_.index_of(next)),
+          t[i]);
+    }
+  }
+
+ private:
+  [[nodiscard]] HbNode hb_node(std::uint32_t wc, std::uint32_t level) const {
+    return {static_cast<CubeWord>(wc >> bdim_), {wc & word_mask_, level}};
+  }
+
+  const HyperButterfly& hb_;
+  sim::HbImplicitRouter router_;
+  unsigned bdim_;
+  std::uint32_t word_mask_;
+  unsigned degree_;
+  bool valiant_;
+};
+
+/// A source-routed packet. It owns its node sequence, so route memory is
+/// bounded by the packets in flight.
+struct PathPacket {
+  std::vector<std::uint32_t> path;
+  std::uint32_t pos = 0;  // index of the current node in `path`
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint32_t injected_at = 0;
+  std::uint32_t hops = 0;
+  std::uint8_t flags = 0;
+};
+
+/// Any SimTopology, source-routed at injection with the network's own
+/// algorithm. A packet whose next hop has died re-plans from where it is.
+/// The fault set and the link tally are run-wide, so this router runs as
+/// one shard.
+class PathRouter {
+ public:
+  using Packet = PathPacket;
+  using Tally = std::unordered_map<std::uint64_t, std::uint64_t>;
+  static constexpr bool kFaults = true;
+
+  PathRouter(const SimTopology& topo, RoutingMode routing)
+      : topo_(topo), valiant_(routing == RoutingMode::kValiant) {}
+
+  [[nodiscard]] std::uint32_t node(const Packet& p) const {
+    return p.path[p.pos];
+  }
+  [[nodiscard]] Tally tally(std::uint32_t) const { return {}; }
+
+  [[nodiscard]] bool alive(std::uint32_t v) const {
+    return faulty_.empty() || faulty_[v] == 0;
+  }
+  /// Marks `v` dead; false when it already was.
+  bool kill(std::uint32_t v) {
+    if (faulty_.empty()) faulty_.assign(topo_.num_nodes(), 0);
+    if (faulty_[v] != 0) return false;
+    faulty_[v] = 1;
+    return true;
+  }
+
+  Hop inject(const StatelessTraffic::CycleView& tv, Packet& pkt) const {
+    if (!faulty_.empty()) return detour(pkt, pkt.src);
+    // Valiant: src -> w -> dst, two concatenated routes (w not an endpoint).
+    const std::uint32_t w = valiant_ ? tv.intermediate(pkt.src) : pkt.dst;
+    pkt.path = topo_.route(pkt.src, w == pkt.src ? pkt.dst : w);
+    if (pkt.path.back() != pkt.dst) {
+      const std::vector<std::uint32_t> tail = topo_.route(w, pkt.dst);
+      pkt.path.insert(pkt.path.end(), tail.begin() + 1, tail.end());
+    }
+    return Hop::kMoved;
+  }
+
+  Hop advance(Packet& pkt, std::uint32_t, Tally* links) const {
+    if (!alive(pkt.path[pkt.pos + 1])) {
+      const Hop planned = detour(pkt, node(pkt));
+      if (planned != Hop::kMoved) return planned;
+    }
+    const std::uint32_t from = node(pkt);
+    ++pkt.pos;
+    ++pkt.hops;
+    if (links != nullptr) ++(*links)[(std::uint64_t{from} << 32) | node(pkt)];
+    return pkt.pos + 1 < pkt.path.size() ? Hop::kMoved : Hop::kDelivered;
+  }
+
+  void collect_links(const Tally& t, std::vector<LinkCount>& out) const {
+    out.insert(out.end(), t.begin(), t.end());
+  }
+
+ private:
+  /// Plans `pkt` from `from` around the faults. A dead destination is
+  /// unroutable by design.
+  Hop detour(Packet& pkt, std::uint32_t from) const {
+    if (!alive(pkt.dst)) return Hop::kNoPath;
+    SimFaultRoute r = topo_.route_avoiding(from, pkt.dst, faulty_);
+    if (!r.ok()) {
+      return r.status == FaultRouteStatus::kUnsupported ? Hop::kUnsupported
+                                                        : Hop::kNoPath;
+    }
+    pkt.path = std::move(r.path);
+    pkt.pos = 0;
+    return Hop::kMoved;
+  }
+
+  const SimTopology& topo_;
+  bool valiant_;
+  std::vector<char> faulty_;  // empty while every node is healthy
+};
+
+/// A delivered packet's trace span, held until the cycle's barrier.
+struct Span {
+  std::uint32_t node, src, dst, injected_at, hops;
+};
 
 /// Per-shard state. Only the owning worker touches it between barriers.
 ///
@@ -50,48 +253,50 @@ static_assert(sizeof(ShardPacket) == 32, "arena slots should stay compact");
 /// nodes in ascending order. That restores the canonical ascending-sender
 /// emission order no matter where the sweep encountered each packet, which
 /// is what keeps results byte-identical across every shard count.
+template <class Router>
 struct Shard {
+  using Packet = typename Router::Packet;
+
   std::uint32_t begin = 0, end = 0;  // global node range [begin, end)
 
-  std::vector<ShardPacket> cur, nxt;  // double-buffered resident arena
+  std::vector<Packet> cur, nxt;  // double-buffered resident arena
   // Bitset over local nodes serviced this cycle (cleared lazily by the
   // emission pass, so drain-phase cycles with few packets stay O(packets)).
   std::vector<std::uint64_t> frontier;
-  std::vector<std::uint8_t> served;   // services consumed this cycle
-  std::vector<std::uint8_t> moved;    // move slots filled this cycle
-  std::vector<ShardPacket> slots;     // local_count * service_rate
+  std::vector<std::uint8_t> served;  // services consumed this cycle
+  std::vector<std::uint8_t> moved;   // move slots filled this cycle
+  std::vector<Packet> slots;         // (end - begin) * service_rate
 
-  SimStats stats;
-  std::uint64_t delivered = 0;  // cumulative (progress display)
+  SimStats stats;  // measured packets
+  // Every packet, measured or not: conservation and progress.
+  std::uint64_t created = 0, delivered = 0, dropped = 0;
+  std::uint64_t unroutable = 0, unsupported = 0;  // measured, by cause
+  std::vector<Span> spans;  // this cycle's deliveries, tracing runs only
 
-  // Telemetry accumulators (allocated only when a sink is attached).
-  std::vector<std::uint64_t> gen_moves;  // local node x generator
-  std::vector<std::uint64_t> inject_buckets, deliver_buckets;
-  std::vector<std::uint64_t> node_occ;   // per local node queue integral
-
-  [[nodiscard]] std::uint32_t local_count() const { return end - begin; }
+  void drop(const Packet& p, Hop why) {
+    ++dropped;
+    if ((p.flags & kMeasured) == 0) return;
+    stats.record_drop();
+    unroutable += why == Hop::kNoPath ? 1 : 0;
+    unsupported += why == Hop::kUnsupported ? 1 : 0;
+  }
 };
 
-}  // namespace
-
-SimStats run_simulation_sharded(const HyperButterfly& hb,
-                                const SimConfig& config, unsigned shards,
-                                unsigned threads, obs::Sink* sink,
-                                obs::ProgressBoard* progress) {
-  const HbIndex num_nodes64 = hb.num_nodes();
-  HBNET_CHECK_MSG(num_nodes64 < 0xffffffffu,
-                  "run_simulation_sharded: instance exceeds 32-bit id space");
-  const auto n = static_cast<std::uint32_t>(num_nodes64);
-  const std::uint64_t horizon =
-      config.warmup_cycles + config.measure_cycles + config.drain_cycles;
-  HBNET_CHECK_MSG(horizon < 0xffffffffu,
-                  "run_simulation_sharded: horizon exceeds 32-bit cycles");
+template <class Router>
+SimStats run_store_forward(Router& router, std::uint32_t n,
+                           const SimConfig& config, unsigned shards,
+                           unsigned threads, std::vector<FaultEvent> events,
+                           obs::Sink* sink, obs::ProgressBoard* progress) {
+  using Packet = typename Router::Packet;
+  const std::uint64_t inject_end = config.warmup_cycles + config.measure_cycles;
+  const std::uint64_t horizon = inject_end + config.drain_cycles;
+  HBNET_CHECK_MSG(inject_end >= config.warmup_cycles && horizon >= inject_end &&
+                      horizon <= 0xffffffffu,
+                  "store-and-forward: warmup + measure + drain cycles must "
+                  "be < 2^32");
   HBNET_CHECK_MSG(config.service_rate >= 1 && config.service_rate <= 255,
-                  "run_simulation_sharded: service_rate must be in [1, 255]");
+                  "store-and-forward: service_rate must be in [1, 255]");
   const std::uint32_t sr = config.service_rate;
-
-  const unsigned bdim = hb.butterfly_dimension();
-  const std::uint32_t word_mask = (std::uint32_t{1} << bdim) - 1;
 
   const unsigned workers = par::resolve_threads(threads);
   // Auto-sharding targets ~16K nodes per shard: small enough that a shard's
@@ -100,76 +305,79 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
   // the cross-shard traffic), while never dropping below one shard per
   // worker.
   const unsigned num_shards =
-      shards != 0 ? shards
-                  : std::max<unsigned>(workers, (n + 16383) / 16384);
+      shards != 0 ? shards : std::max<unsigned>(workers, (n + 16383) / 16384);
   const sync::ShardPlan plan(n, num_shards);
-  const unsigned degree = hb.degree();
-  const sim::HbImplicitRouter router(hb);
+  if constexpr (Router::kFaults) {
+    HBNET_CHECK_MSG(plan.shards() == 1 && workers == 1,
+                    "store-and-forward: a fault-tolerant router runs as one "
+                    "shard on the calling thread");
+  }
   const StatelessTraffic traffic(config.pattern, n,
                                  config.seed ^ 0x9e3779b97f4a7c15ull,
                                  config.injection_rate);
-  const bool valiant = config.routing == RoutingMode::kValiant;
+  const bool tracing = HBNET_TRACE_ACTIVE(sink);
 
-  const std::uint64_t ts_bucket = std::max<std::uint64_t>(
-      1, (config.warmup_cycles + config.measure_cycles) / 64);
-  const std::size_t ts_size =
-      static_cast<std::size_t>(horizon / ts_bucket) + 1;
-
-  std::vector<Shard> shard(plan.shards());
+  std::vector<Shard<Router>> shard(plan.shards());
   for (unsigned s = 0; s < plan.shards(); ++s) {
-    Shard& sh = shard[s];
+    Shard<Router>& sh = shard[s];
     sh.begin = static_cast<std::uint32_t>(plan.begin(s));
     sh.end = static_cast<std::uint32_t>(plan.end(s));
-    const std::uint32_t local = sh.local_count();
+    const std::uint32_t local = sh.end - sh.begin;
     sh.frontier.assign((local + 63) / 64, 0);
     sh.served.assign(local, 0);
     sh.moved.assign(local, 0);
     sh.slots.resize(static_cast<std::size_t>(local) * sr);
-    if (sink != nullptr) {
-      sh.gen_moves.assign(static_cast<std::size_t>(local) * degree, 0);
-      sh.inject_buckets.assign(ts_size, 0);
-      sh.deliver_buckets.assign(ts_size, 0);
-      sh.node_occ.assign(local, 0);
-    }
   }
+  // Sink runs only: link tallies and per-node queue-length integrals.
+  typename Router::Tally links = router.tally(sink != nullptr ? n : 0);
+  std::vector<std::uint64_t> node_occ(sink != nullptr ? n : 0, 0);
 
-  sync::Exchange<ShardPacket> exchange(plan.shards());
+  sync::Exchange<Packet> exchange(plan.shards());
   par::ThreadPool pool(workers);
 
-  obs::ProgressBoard::Slot* prog_cycle = nullptr;
-  obs::ProgressBoard::Slot* prog_in_flight = nullptr;
-  obs::ProgressBoard::Slot* prog_delivered = nullptr;
-  if (progress != nullptr) {
-    prog_cycle = &progress->slot("sim.cycle");
-    prog_in_flight = &progress->slot("sim.in_flight_packets");
-    prog_delivered = &progress->slot("sim.delivered");
-  }
+  obs::ProgressBoard::Slot* const prog_cycle =
+      progress != nullptr ? &progress->slot("sim.cycle") : nullptr;
+  obs::ProgressBoard::Slot* const prog_in_flight =
+      progress != nullptr ? &progress->slot("sim.in_flight_packets") : nullptr;
+  obs::ProgressBoard::Slot* const prog_delivered =
+      progress != nullptr ? &progress->slot("sim.delivered") : nullptr;
+  const std::uint64_t ts_bucket = std::max<std::uint64_t>(1, inject_end / 64);
+  obs::TimeSeries* const inject_ts =
+      sink != nullptr ? &sink->time_series("sim.injected", ts_bucket) : nullptr;
+  obs::TimeSeries* const deliver_ts =
+      sink != nullptr ? &sink->time_series("sim.delivered", ts_bucket)
+                      : nullptr;
 
-  // Plans the route for a fresh packet at `src` -> `dst_id`, applying
-  // Valiant's random-intermediate phase when configured.
-  auto plan_packet = [&](const StatelessTraffic::CycleView& tv,
-                         std::uint32_t src_id, HbNode src,
-                         std::uint32_t dst_id, ShardPacket& pkt) {
-    pkt.src = src_id;
-    pkt.dst = dst_id;
-    if (valiant) {
-      const std::uint32_t w = tv.intermediate(src_id);
-      if (w != src_id && w != dst_id) {
-        pkt.route = router.plan(src, hb.node_at(w));
-        pkt.flags |= kRevisit;
-        return;
-      }
-    }
-    pkt.route = router.plan(src, hb.node_at(dst_id));
-  };
+  std::stable_sort(events.begin(), events.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     return a.cycle < b.cycle;
+                   });
+  std::size_t next_event = 0;
 
   std::uint64_t cycle = 0;
-  std::uint64_t global_in_flight = 0;
+  std::uint64_t in_flight = 0, created = 0, delivered = 0;  // every packet
   for (; cycle < horizon; ++cycle) {
-    const bool injecting =
-        cycle < config.warmup_cycles + config.measure_cycles;
+    if constexpr (Router::kFaults) {
+      // Fault arrivals: the node dies and the packets queued there are lost.
+      for (; next_event < events.size() && events[next_event].cycle <= cycle;
+           ++next_event) {
+        const std::uint32_t dead = events[next_event].node;
+        if (!router.kill(dead)) continue;
+        [[maybe_unused]] std::uint64_t lost = 0;
+        for (Shard<Router>& sh : shard) {
+          lost += std::erase_if(sh.cur, [&](const Packet& p) {
+            if (router.node(p) != dead) return false;
+            sh.drop(p, Hop::kLost);
+            return true;
+          });
+        }
+        HBNET_TRACE_INSTANT(sink, "fault", "node_death", 0, dead, cycle,
+                            {{"node", dead}, {"lost_packets", lost}});
+      }
+    }
+
+    const bool injecting = cycle < inject_end;
     const bool measuring = cycle >= config.warmup_cycles && injecting;
-    const std::size_t ts_idx = static_cast<std::size_t>(cycle / ts_bucket);
     const StatelessTraffic::CycleView tv = traffic.at(cycle);
 
     // Compute phase: inject, sweep, emit -- all moves into the exchange.
@@ -177,33 +385,31 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
                                                    std::uint64_t s_end) {
       for (std::uint64_t si = s_begin; si < s_end; ++si) {
         const auto s = static_cast<unsigned>(si);
-        Shard& sh = shard[s];
+        Shard<Router>& sh = shard[s];
+        typename Router::Tally* const tally =
+            sink != nullptr ? &links : nullptr;
 
         // Injection: fresh packets append behind every resident one, in
-        // ascending node order. Node coordinates advance incrementally --
-        // the only divisions are these two, once per shard per cycle.
+        // ascending node order.
         if (injecting) {
-          std::uint32_t wc = sh.begin / bdim;
-          std::uint32_t level = sh.begin % bdim;
           for (std::uint32_t id = sh.begin; id < sh.end; ++id) {
-            if (tv.injects(id)) {
-              ShardPacket pkt;
-              pkt.wc = wc;
-              pkt.level = static_cast<std::uint8_t>(level);
-              pkt.injected_at = static_cast<std::uint32_t>(cycle);
-              if (measuring) {
-                pkt.flags |= kMeasured;
-                sh.stats.record_injection();
-              }
-              if (!sh.inject_buckets.empty()) ++sh.inject_buckets[ts_idx];
-              const HbNode src{static_cast<CubeWord>(wc >> bdim),
-                               {wc & word_mask, level}};
-              plan_packet(tv, id, src, tv.destination(id), pkt);
-              sh.cur.push_back(pkt);
+            if (!tv.injects(id)) continue;
+            Packet pkt;
+            pkt.src = id;
+            pkt.dst = tv.destination(id);
+            if (pkt.dst == id) continue;  // a one-node network has no traffic
+            if constexpr (Router::kFaults) {
+              if (!router.alive(id) || !router.alive(pkt.dst)) continue;
             }
-            if (++level == bdim) {
-              level = 0;
-              ++wc;
+            pkt.injected_at = static_cast<std::uint32_t>(cycle);
+            pkt.flags = measuring ? kMeasured : 0;
+            ++sh.created;
+            if (measuring) sh.stats.record_injection();
+            const Hop planned = router.inject(tv, pkt);
+            if (planned == Hop::kMoved) {
+              sh.cur.push_back(std::move(pkt));
+            } else {
+              sh.drop(pkt, planned);
             }
           }
         }
@@ -211,11 +417,12 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
         // Sweep: one sequential pass over the resident arena. Per-node
         // FIFO order == arena order, so the first service_rate packets
         // seen for a node are serviced; the rest become keepers.
-        for (ShardPacket& pkt : sh.cur) {
-          const std::uint32_t local = pkt.wc * bdim + pkt.level - sh.begin;
+        for (Packet& pkt : sh.cur) {
+          const std::uint32_t node = router.node(pkt);
+          const std::uint32_t local = node - sh.begin;
           if (sh.served[local] >= sr) {
-            if (!sh.node_occ.empty()) ++sh.node_occ[local];
-            sh.nxt.push_back(pkt);
+            if (!node_occ.empty()) ++node_occ[node];
+            sh.nxt.push_back(std::move(pkt));
             continue;
           }
           if (sh.served[local] == 0) {
@@ -223,36 +430,22 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
           }
           ++sh.served[local];
 
-          const HbNode cur_node{static_cast<CubeWord>(pkt.wc >> bdim),
-                                {pkt.wc & word_mask, pkt.level}};
-          if (pkt.route.done()) {
-            // Valiant intermediate reached last cycle: aim at the real
-            // destination now (same queueing delay the serial engine's
-            // concatenated path incurs).
-            HBNET_DCHECK_MSG((pkt.flags & kRevisit) != 0, "stuck packet");
-            pkt.flags &= static_cast<std::uint8_t>(~kRevisit);
-            pkt.route = router.plan(cur_node, hb.node_at(pkt.dst));
-          }
-          const sim::HbHop hop = router.next_hop(cur_node, pkt.route);
-          ++pkt.hops;
-          if (!sh.gen_moves.empty()) {
-            ++sh.gen_moves[static_cast<std::size_t>(local) * degree +
-                           hop.gen];
-          }
-          if (pkt.route.done() && (pkt.flags & kRevisit) == 0) {
-            // Delivered at the hop target.
+          const Hop hop = router.advance(pkt, node, tally);
+          if (hop == Hop::kMoved) {
+            sh.slots[static_cast<std::size_t>(local) * sr +
+                     sh.moved[local]++] = std::move(pkt);
+          } else if (hop == Hop::kDelivered) {
             if (pkt.flags & kMeasured) {
               sh.stats.record_delivery(cycle + 1 - pkt.injected_at,
                                        pkt.hops);
             }
             ++sh.delivered;
-            if (!sh.deliver_buckets.empty()) ++sh.deliver_buckets[ts_idx];
+            if (tracing) {
+              sh.spans.push_back(
+                  {node, pkt.src, pkt.dst, pkt.injected_at, pkt.hops});
+            }
           } else {
-            pkt.wc = static_cast<std::uint32_t>(
-                (hop.next.cube << bdim) | hop.next.bfly.word);
-            pkt.level = static_cast<std::uint8_t>(hop.next.bfly.level);
-            sh.slots[static_cast<std::size_t>(local) * sr +
-                     sh.moved[local]++] = pkt;
+            sh.drop(pkt, hop);
           }
         }
         sh.cur.clear();
@@ -273,10 +466,9 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
             sh.served[local] = 0;
             sh.moved[local] = 0;
             for (unsigned k = 0; k < nmoves; ++k) {
-              ShardPacket& p =
-                  sh.slots[static_cast<std::size_t>(local) * sr + k];
-              const std::uint32_t to = p.wc * bdim + p.level;
-              exchange.push(s, plan.shard_of(to), p);
+              Packet& p = sh.slots[static_cast<std::size_t>(local) * sr + k];
+              const unsigned to = plan.shard_of(router.node(p));
+              exchange.push(s, to, std::move(p));
             }
           }
         }
@@ -292,101 +484,137 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
                                                    std::uint64_t s_end) {
       for (std::uint64_t si = s_begin; si < s_end; ++si) {
         const auto s = static_cast<unsigned>(si);
-        Shard& sh = shard[s];
+        Shard<Router>& sh = shard[s];
         std::swap(sh.cur, sh.nxt);
-        exchange.drain(s, [&sh, bdim](ShardPacket& p) {
-          if (!sh.node_occ.empty()) {
-            ++sh.node_occ[p.wc * bdim + p.level - sh.begin];
-          }
-          sh.cur.push_back(p);
+        exchange.drain(s, [&sh, &router, &node_occ](Packet& p) {
+          if (!node_occ.empty()) ++node_occ[router.node(p)];
+          sh.cur.push_back(std::move(p));
         });
       }
     });
 
-    global_in_flight = 0;
-    std::uint64_t delivered_total = 0;
-    for (const Shard& sh : shard) {
-      global_in_flight += sh.cur.size();
-      delivered_total += sh.delivered;
+    const std::uint64_t was_created = created, was_delivered = delivered;
+    in_flight = created = delivered = 0;
+    for (const Shard<Router>& sh : shard) {
+      in_flight += sh.cur.size();
+      created += sh.created;
+      delivered += sh.delivered;
     }
-    if (prog_cycle != nullptr) {
+    if (sink != nullptr) {
+      inject_ts->bump(cycle, created - was_created);
+      deliver_ts->bump(cycle, delivered - was_delivered);
+    }
+    if (progress != nullptr) {
       prog_cycle->set(cycle);
-      prog_in_flight->set(global_in_flight);
-      prog_delivered->set(delivered_total);
+      prog_in_flight->set(in_flight);
+      prog_delivered->set(delivered);
     }
-    HBNET_TRACE_COUNTER(sink, "in_flight_packets", 0, cycle, global_in_flight);
-    if (!injecting && global_in_flight == 0) break;
+    if (tracing) {
+      // A stable sort by node keeps each node's FIFO order, and shards are
+      // ascending contiguous ranges: spans leave in global (node, FIFO)
+      // order whatever the thread and shard counts.
+      for (Shard<Router>& sh : shard) {
+        std::stable_sort(
+            sh.spans.begin(), sh.spans.end(),
+            [](const Span& a, const Span& b) { return a.node < b.node; });
+        for ([[maybe_unused]] const Span& sp : sh.spans) {
+          HBNET_TRACE_COMPLETE(sink, "packet", "pkt", 0, sp.src,
+                               sp.injected_at, cycle + 1 - sp.injected_at,
+                               {{"src", sp.src},
+                                {"dst", sp.dst},
+                                {"hops", sp.hops}});
+        }
+        sh.spans.clear();
+      }
+    }
+    HBNET_TRACE_COUNTER(sink, "in_flight_packets", 0, cycle, in_flight);
+    if (!injecting && in_flight == 0) break;
   }
 
   // Merge phase (serial, shard-ascending => shard-count independent).
   SimStats stats;
-  for (const Shard& sh : shard) stats.merge(sh.stats);
-
-  if (sink != nullptr) {
-    const std::uint64_t cycles = std::min(cycle + 1, horizon);
-    sink->set_run_cycles(cycles);
-
-    obs::TimeSeries& inject_ts = sink->time_series("sim.injected", ts_bucket);
-    obs::TimeSeries& deliver_ts = sink->time_series("sim.delivered", ts_bucket);
-    for (const Shard& sh : shard) {
-      for (std::size_t b = 0; b < ts_size; ++b) {
-        if (sh.inject_buckets[b] != 0) {
-          inject_ts.bump(b * ts_bucket, sh.inject_buckets[b]);
-        }
-        if (sh.deliver_buckets[b] != 0) {
-          deliver_ts.bump(b * ts_bucket, sh.deliver_buckets[b]);
-        }
-      }
-    }
-
-    // Link table: expand (node, generator) tallies into directed (src, dst)
-    // records, canonically ordered by the packed key exactly like the
-    // serial engine's export.
-    const std::vector<HbGen> gens = hb.generators();
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> by_key;
-    for (const Shard& sh : shard) {
-      for (std::uint32_t local = 0; local < sh.local_count(); ++local) {
-        const HbNode u = hb.node_at(sh.begin + local);
-        for (unsigned gi = 0; gi < degree; ++gi) {
-          const std::uint64_t count =
-              sh.gen_moves[static_cast<std::size_t>(local) * degree + gi];
-          if (count == 0) continue;
-          const auto dst =
-              static_cast<std::uint32_t>(hb.index_of(hb.apply(u, gens[gi])));
-          by_key.emplace_back(
-              (static_cast<std::uint64_t>(sh.begin + local) << 32) | dst,
-              count);
-        }
-      }
-    }
-    std::sort(by_key.begin(), by_key.end());
-    std::uint64_t moves_total = 0;
-    sink->links().reserve(sink->links().size() + by_key.size());
-    for (const auto& [key, count] : by_key) {
-      obs::LinkStats link;
-      link.src = static_cast<std::uint32_t>(key >> 32);
-      link.dst = static_cast<std::uint32_t>(key & 0xffffffffu);
-      link.forwarded = count;
-      moves_total += count;
-      sink->links().push_back(std::move(link));
-    }
-
-    std::vector<std::uint64_t> node_occ(n, 0);
-    for (const Shard& sh : shard) {
-      std::copy(sh.node_occ.begin(), sh.node_occ.end(),
-                node_occ.begin() + sh.begin);
-    }
-    sink->node_occupancy() = std::move(node_occ);
-
-    obs::MetricsRegistry& reg = sink->metrics();
-    reg.counter("sim.injected").inc(stats.injected());
-    reg.counter("sim.delivered").inc(stats.delivered());
-    reg.counter("sim.dropped").inc(stats.dropped());
-    reg.counter("sim.packet_moves").inc(moves_total);
-    reg.counter("sim.cycles").inc(cycles);
-    reg.histogram("sim.packet_latency").merge(stats.latency_histogram());
+  std::uint64_t dropped = 0, unroutable = 0, unsupported = 0;
+  for (const Shard<Router>& sh : shard) {
+    stats.merge(sh.stats);
+    dropped += sh.dropped;
+    unroutable += sh.unroutable;
+    unsupported += sh.unsupported;
   }
+  HBNET_CHECK_MSG(created == delivered + dropped + in_flight,
+                  "store-and-forward: packet conservation violated "
+                  "(created != delivered + dropped + in flight)");
+  if (sink == nullptr) return stats;
+
+  const std::uint64_t cycles = std::min(cycle + 1, horizon);
+  sink->set_run_cycles(cycles);
+
+  sink->node_occupancy() = std::move(node_occ);
+
+  // The link table is ordered by (src, dst) -- the packed key -- so the
+  // export is canonical whatever the router's tally order.
+  std::vector<LinkCount> by_key;
+  router.collect_links(links, by_key);
+  std::sort(by_key.begin(), by_key.end());
+  std::uint64_t moves_total = 0;
+  sink->links().reserve(sink->links().size() + by_key.size());
+  for (const auto& [key, count] : by_key) {
+    sink->links().push_back({static_cast<std::uint32_t>(key >> 32),
+                             static_cast<std::uint32_t>(key), count, {}});
+    moves_total += count;
+  }
+
+  obs::MetricsRegistry& reg = sink->metrics();
+  reg.counter("sim.injected").inc(stats.injected());
+  reg.counter("sim.delivered").inc(stats.delivered());
+  reg.counter("sim.dropped").inc(stats.dropped());
+  reg.counter("sim.dropped_unroutable").inc(unroutable);
+  reg.counter("sim.dropped_unsupported").inc(unsupported);
+  reg.counter("sim.packet_moves").inc(moves_total);
+  reg.counter("sim.cycles").inc(cycles);
+  reg.histogram("sim.packet_latency").merge(stats.latency_histogram());
   return stats;
+}
+
+}  // namespace
+
+SimStats run_simulation_sharded(const HyperButterfly& hb,
+                                const SimConfig& config, unsigned shards,
+                                unsigned threads, obs::Sink* sink,
+                                obs::ProgressBoard* progress) {
+  HBNET_CHECK_MSG(hb.num_nodes() < 0xffffffffu,
+                  "run_simulation_sharded: instance exceeds 32-bit id space");
+  HbRouter router(hb, config.routing);
+  return run_store_forward(router, static_cast<std::uint32_t>(hb.num_nodes()),
+                           config, shards, threads, {}, sink, progress);
+}
+
+SimStats run_simulation(const SimTopology& topo, const SimConfig& config,
+                        const std::vector<char>& faulty, obs::Sink* sink,
+                        obs::ProgressBoard* progress) {
+  HBNET_CHECK_MSG(faulty.empty() || faulty.size() == topo.num_nodes(),
+                  "run_simulation: fault mask must be empty or num_nodes()");
+  // The static mask is the fault set at cycle 0.
+  std::vector<FaultEvent> at_start;
+  for (std::uint32_t v = 0; v < faulty.size(); ++v) {
+    if (faulty[v] != 0) at_start.push_back({0, v});
+  }
+  return run_simulation_with_fault_events(topo, config, std::move(at_start),
+                                          sink, progress);
+}
+
+SimStats run_simulation_with_fault_events(const SimTopology& topo,
+                                          const SimConfig& config,
+                                          std::vector<FaultEvent> events,
+                                          obs::Sink* sink,
+                                          obs::ProgressBoard* progress) {
+  for (const FaultEvent& ev : events) {
+    HBNET_CHECK_MSG(ev.node < topo.num_nodes(),
+                    "run_simulation_with_fault_events: event node out of "
+                    "range");
+  }
+  PathRouter router(topo, config.routing);
+  return run_store_forward(router, topo.num_nodes(), config, 1, 1,
+                           std::move(events), sink, progress);
 }
 
 }  // namespace hbnet

@@ -1,14 +1,15 @@
-// Sharded synchronous store-and-forward engine for HB(m,n) -- the
-// million-node datapath.
+// Sharded synchronous store-and-forward engine -- the one packet datapath
+// behind run_simulation_sharded, run_simulation and
+// run_simulation_with_fault_events.
 //
-// The serial simulator (simulator.hpp) walks one std::deque<Packet> per node
-// and heap-allocates each packet's full source route; fine up to ~10^5
-// nodes, hopeless at 10^6+. This engine rebuilds that datapath around three
-// ideas:
+// The cycle loop is generic over a router, and is built around three ideas:
 //
-//  * Implicit routing (sim/hb_route.hpp): HB routes have closed form, so a
-//    packet carries a 12-byte HbRouteState instead of a vector of node ids
-//    and each hop is O(1) bit math -- no per-packet allocation, ever.
+//  * Routers. The HB router (sim/hb_route.hpp) walks HB routes in closed
+//    form: a packet carries a 12-byte HbRouteState instead of a vector of
+//    node ids and each hop is O(1) bit math -- no per-packet allocation,
+//    ever. The path router serves any SimTopology: it source-routes at
+//    injection with the topology's own algorithm, and each packet owns its
+//    node vector, so route memory is bounded by the packets in flight.
 //  * Per-shard dense arenas: nodes are partitioned into contiguous shards
 //    (sync::ShardPlan); each shard keeps its resident packets in a dense
 //    double-buffered vector swept sequentially once per cycle -- per-node
@@ -23,16 +24,18 @@
 //
 // Determinism contract: traffic is counter-based (StatelessTraffic -- a
 // pure hash of seed/cycle/node), shards are contiguous, and delivery order
-// is the global ascending-sender-id order, so stats, metrics JSON, and
-// links CSV are byte-identical for every --threads x --shards combination
-// (tools/test_sim_determinism.sh pins 1/2/8 x 1/4). Results are NOT
-// bit-equal to the serial engine at equal seeds: the serial engine's
-// order-dependent mt19937_64 draws cannot survive sharding, which is the
-// point of the stateless generator.
+// is the global ascending-sender-id order, so stats, metrics JSON, links
+// CSV and packet trace spans are byte-identical for every --threads x
+// --shards combination (tools/test_sim_determinism.sh pins 1/2/8 x
+// 1/4/auto).
+// On HB(m,n) both routers walk the same HbImplicitRouter hops, so
+// run_simulation on make_hyper_butterfly_sim(m, n) and a fault-free
+// run_simulation_sharded agree byte for byte.
 //
-// Scope: fault-free runs under kNative/kValiant routing on a HyperButterfly
-// instance. Fault injection and non-HB topologies stay on the serial
-// engine, whose route_avoiding machinery is inherently source-routed.
+// Scope: the HB router is fault free and runs at any shard count. Faults
+// (static masks and mid-run events, the rule in simulator.hpp) run on the
+// path router, whose fault set and link tally are run-wide: it runs as one
+// shard on the calling thread, so campaigns keep one trial per pool worker.
 #pragma once
 
 #include <cstdint>
@@ -48,12 +51,12 @@ namespace obs {
 class ProgressBoard;
 }
 
-/// Runs `config` on HB `hb` over `shards` contiguous node shards using
-/// `threads` pool workers (0 = one shard per resolved worker / the --threads
-/// default). Reports through `sink` and `progress` exactly like
-/// run_simulation: same metric names, link table, node occupancy integrals,
-/// and time series; per-packet trace spans are not emitted (at this scale
-/// they would dwarf the run).
+/// Runs `config` fault free on HB `hb` over `shards` contiguous node shards
+/// using `threads` pool workers (0 = the --threads default). `shards` = 0
+/// picks ~16K nodes per shard and at least one shard per worker. Reports
+/// through `sink` and `progress` exactly like run_simulation: same metric
+/// names, link table, node occupancy integrals, time series and, when the
+/// sink traces, packet spans.
 [[nodiscard]] SimStats run_simulation_sharded(
     const HyperButterfly& hb, const SimConfig& config, unsigned shards = 0,
     unsigned threads = 0, obs::Sink* sink = nullptr,

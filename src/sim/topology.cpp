@@ -135,7 +135,6 @@ class HyperButterflySim final : public SimTopology {
     }
     return out;
   }
-  [[nodiscard]] bool has_fault_routing() const override { return true; }
   [[nodiscard]] std::vector<std::uint32_t> neighbors(
       std::uint32_t v) const override {
     std::vector<std::uint32_t> out;

@@ -40,10 +40,11 @@ enum class TrafficPattern {
 }
 
 /// Counter-based (stateless) traffic: every decision is a pure hash of
-/// (seed, cycle, node, stream), so the sharded engine can evaluate nodes in
-/// any order -- across shards, threads, or reruns -- and draw identical
-/// traffic. Contrast TrafficGenerator below, whose mt19937_64 stream makes
-/// draws order-dependent (fine for the serial engine, fatal for sharding).
+/// (seed, cycle, node, stream), so the store-and-forward engine can
+/// evaluate nodes in any order -- across shards, threads, or reruns -- and
+/// draw identical traffic. Contrast TrafficGenerator below, whose
+/// mt19937_64 stream makes draws order-dependent (the wormhole simulator
+/// draws from it in one fixed order; sharding could not).
 ///
 /// Random draws differ from TrafficGenerator's at equal seeds (different
 /// RNG); the bit-permutation patterns and the dst==src avoidance rule

@@ -701,6 +701,13 @@ TEST(ObsSink, StoreAndForwardLinksAndNodes) {
   EXPECT_EQ(inj_sum, del_sum);  // no faults: everything injected arrives
   EXPECT_GE(inj_sum, s.delivered());
 
+#if HBNET_TRACE
+  std::size_t packet_spans = 0;
+  for (const obs::TraceEvent& ev : sink.trace()->events()) {
+    if (ev.ph == 'X' && ev.cat == "packet") ++packet_spans;
+  }
+  EXPECT_GT(packet_spans, 0u);
+#endif
   std::ostringstream trace_os;
   sink.trace()->write_json(trace_os);
   validate_trace(trace_os.str(), sink.trace()->size());

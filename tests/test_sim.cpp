@@ -2,8 +2,13 @@
 // behavior, determinism and fault handling.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/hyper_butterfly.hpp"
 #include "graph/bfs.hpp"
+#include "obs/sink.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 
@@ -35,6 +40,53 @@ TEST(SimTopology, HyperButterflyRouteEqualsCoreRouteOnEveryPair) {
         ASSERT_EQ(topo->route(src, dst), want)
             << "HB(" << m << "," << n << ") " << src << " -> " << dst;
       }
+    }
+  }
+}
+
+/// Everything a store-and-forward run exports, as text.
+struct Exported {
+  std::string stats, metrics_json, links_csv, trace_json;
+};
+
+Exported exported(const SimStats& s, const obs::Sink& sink) {
+  std::ostringstream stats, metrics, links, trace;
+  stats << s.summary() << " injected=" << s.injected()
+        << " dropped=" << s.dropped() << " max=" << s.max_latency();
+  sink.write_metrics_json(metrics);
+  sink.write_links_csv(links);
+  sink.trace()->write_json(trace);
+  return {stats.str(), metrics.str(), links.str(), trace.str()};
+}
+
+TEST(Simulator, HbAdapterMatchesImplicitRouter) {
+  // The HB adapter's route() walks the same HbImplicitRouter hops, so the
+  // path router on make_hyper_butterfly_sim and the HB router must agree
+  // byte for byte: stats, metrics, links and trace spans.
+  for (auto [m, n] : {std::pair{2u, 3u}, std::pair{1u, 4u}}) {
+    for (const RoutingMode mode :
+         {RoutingMode::kNative, RoutingMode::kValiant}) {
+      SimConfig cfg = light_config();
+      cfg.injection_rate = 0.08;
+      cfg.routing = mode;
+      obs::Sink path_sink, hb_sink;
+      path_sink.enable_trace();
+      hb_sink.enable_trace();
+      const SimStats path =
+          run_simulation(*make_hyper_butterfly_sim(m, n), cfg, {}, &path_sink);
+      const SimStats hb =
+          run_simulation_sharded(HyperButterfly(m, n), cfg, 1, 1, &hb_sink);
+      ASSERT_GT(path.delivered(), 0u);
+      const Exported a = exported(path, path_sink);
+      const Exported b = exported(hb, hb_sink);
+      const std::string what = "HB(" + std::to_string(m) + "," +
+                               std::to_string(n) + ") " +
+                               (mode == RoutingMode::kValiant ? "valiant"
+                                                              : "native");
+      EXPECT_EQ(a.stats, b.stats) << what;
+      EXPECT_EQ(a.metrics_json, b.metrics_json) << what;
+      EXPECT_EQ(a.links_csv, b.links_csv) << what;
+      EXPECT_EQ(a.trace_json, b.trace_json) << what;
     }
   }
 }
@@ -156,6 +208,68 @@ TEST(Simulator, DynamicFaultsOnDeadDestinationDrop) {
   }
   SimStats stats = run_simulation_with_fault_events(*topo, cfg, events);
   EXPECT_EQ(stats.delivered() + stats.dropped(), stats.injected());
+}
+
+TEST(Simulator, FaultEventLosesPacketsQueuedAtDyingNode) {
+  // Heavy load builds queues; the node that dies mid-run takes its queue
+  // with it. With no warmup every packet is measured, so the drops are
+  // exactly the lost packets plus the routing drops.
+  auto topo = make_hyper_butterfly_sim(1, 3);
+  SimConfig cfg = light_config();
+  cfg.warmup_cycles = 0;
+  cfg.injection_rate = 0.3;
+  obs::Sink sink;
+  sink.enable_trace();
+  const SimStats stats = run_simulation_with_fault_events(
+      *topo, cfg, {{100, 5}, {140, 30}}, &sink);
+  EXPECT_EQ(stats.delivered() + stats.dropped(), stats.injected());
+#if HBNET_TRACE
+  std::uint64_t lost = 0, deaths = 0;
+  for (const obs::TraceEvent& ev : sink.trace()->events()) {
+    if (ev.name != "node_death") continue;
+    ++deaths;
+    for (const auto& [key, value] : ev.args) {
+      if (key == "lost_packets") lost += value;
+    }
+  }
+  EXPECT_EQ(deaths, 2u);
+  EXPECT_GT(lost, 0u);
+  const auto counter = [&](const char* name) {
+    const obs::Counter* c = sink.metrics().find_counter(name);
+    return c == nullptr ? std::uint64_t{0} : c->value();
+  };
+  EXPECT_EQ(stats.dropped(), lost + counter("sim.dropped_unroutable") +
+                                 counter("sim.dropped_unsupported"));
+#endif
+}
+
+TEST(Simulator, FaultEventsWithoutFtRoutingDropAtInjection) {
+  // Once a node dies on a topology without fault routing, every later
+  // injection fails its plan and is counted as unsupported -- never routed
+  // natively into the fault. The death comes at cycle 50 of 300, so most
+  // packets are dropped.
+  auto topo = make_hypercube_sim(4);
+  SimConfig cfg = light_config();
+  cfg.warmup_cycles = 0;
+  obs::Sink sink;
+  const SimStats stats =
+      run_simulation_with_fault_events(*topo, cfg, {{50, 3}}, &sink);
+  const obs::Counter* unsupported =
+      sink.metrics().find_counter("sim.dropped_unsupported");
+  ASSERT_NE(unsupported, nullptr);
+  EXPECT_GT(unsupported->value(), stats.injected() / 2);
+  EXPECT_LT(stats.delivered() * 2, stats.injected());
+  EXPECT_EQ(stats.delivered() + stats.dropped(), stats.injected());
+}
+
+TEST(Simulator, ValiantOnHyperDeBruijnConserves) {
+  auto topo = make_hyper_debruijn_sim(2, 3);
+  SimConfig cfg = light_config();
+  cfg.routing = RoutingMode::kValiant;
+  const SimStats stats = run_simulation(*topo, cfg);
+  EXPECT_GT(stats.injected(), 0u);
+  EXPECT_EQ(stats.dropped(), 0u);
+  EXPECT_EQ(stats.delivered(), stats.injected());
 }
 
 TEST(Simulator, ValiantModeConservesAndStretches) {

@@ -2,9 +2,9 @@
 // metrics/links artifacts are a pure function of (topology, config) --
 // byte-identical across repeated runs -- and the per-link table is emitted
 // in canonical (src, dst) order rather than hash or registration order.
-// Guards the sorted-extraction fixes in sim/simulator.cpp (link_moves was
-// iterated in unordered_map order) and sim/wormhole.cpp (channel
-// registration order).
+// Guards the sorted-extraction fixes in the store-and-forward engine
+// (sim/sharded.cpp: the path router tallies links in an unordered_map) and
+// sim/wormhole.cpp (channel registration order).
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -20,10 +20,12 @@
 //   hbnet_cli sim <m> <n> [sim options]
 //   hbnet_cli campaign <m> <n> [campaign options]
 //
-// Sim options (wormhole/sim): --rate R --cycles C --vcs V --flits F
-//   --pattern uniform|complement|reversal|shuffle|hotspot
-//   --policy any|dateline|segment (wormhole) --valiant (sim) --seed S
-//   --threads N --trace-out FILE --metrics-out FILE --links-csv FILE
+// Sim options (wormhole/sim): --rate R --cycles C --warmup W --drain D
+//   --pattern uniform|complement|reversal|shuffle|hotspot --seed S
+//   --threads N --trace-out FILE --metrics-out FILE --links-csv FILE;
+//   wormhole only: --vcs V --flits F --policy P --faults K --link-faults K;
+//   sim only: --valiant --shards S. A flag of the other command is
+//   rejected, not ignored.
 //
 // Live telemetry (campaign, analyze --exact-connectivity, wormhole, sim):
 //   --stream-out FILE writes an NDJSON snapshot stream plus a Prometheus
@@ -108,22 +110,28 @@ int usage() {
          "  sim <m> <n> [options]          store-and-forward run on HB(m,n)\n"
          "  campaign <m> <n> [options]     deterministic fault-injection\n"
          "                                 campaign over the thread pool\n"
-         "options for wormhole/sim:\n"
-         "  --rate R --cycles C --warmup W --drain D --vcs V --flits F\n"
+         "options for wormhole and sim:\n"
+         "  --rate R            injection rate in (0,1] (default 0.05)\n"
+         "  --cycles C --warmup W --drain D\n"
+         "                      run phases; their sum must fit 64 bits,\n"
+         "                      and stay below 2^32 for sim\n"
          "  --seed S --threads N\n"
          "  --pattern uniform|complement|reversal|shuffle|hotspot\n"
-         "  --policy any|dateline|segment|adaptive   --valiant\n"
-         "  --faults K          wormhole only: K static node faults derived\n"
-         "                      from the seed (requires --policy adaptive)\n"
-         "  --link-faults K     wormhole only: K static directed link faults\n"
-         "                      (requires --policy adaptive)\n"
-         "  --shards S          sim only: run the sharded synchronous\n"
-         "                      engine (counter-based traffic; 0 = one\n"
-         "                      shard per worker). Results are identical\n"
-         "                      for every --threads x --shards choice\n"
          "  --trace-out FILE    Chrome trace JSON (chrome://tracing, Perfetto)\n"
          "  --metrics-out FILE  metrics/links/timeseries JSON\n"
          "  --links-csv FILE    per-link utilization CSV\n"
+         "wormhole only:\n"
+         "  --vcs V --flits F\n"
+         "  --policy any|dateline|segment|adaptive\n"
+         "  --faults K          K static node faults derived from the seed\n"
+         "                      (requires --policy adaptive)\n"
+         "  --link-faults K     K static directed link faults\n"
+         "                      (requires --policy adaptive)\n"
+         "sim only:\n"
+         "  --valiant           route through a random intermediate\n"
+         "  --shards S          shard count of the store-and-forward engine\n"
+         "                      (0 = auto). Results are identical for every\n"
+         "                      --threads x --shards choice\n"
          "live telemetry (campaign / analyze --exact-connectivity /\n"
          "wormhole / sim; results stay byte-identical with it on or off):\n"
          "  --stream-out FILE   append-only NDJSON snapshot stream; also\n"
@@ -181,19 +189,41 @@ bool parse_flag_double(const char* flag, const char* v, double& out) {
   return true;
 }
 
-/// Sentinel for "flag not given, keep the engine's default".
-constexpr std::uint64_t kFlagUnset = ~std::uint64_t{0};
+/// Injection rates must lie in (0, 1], as campaign --rates enforces.
+bool check_rate(double rate) {
+  if (rate > 0.0 && rate <= 1.0) return true;
+  std::cerr << "--rate: injection rate must lie in (0, 1], got " << rate
+            << "\n";
+  return false;
+}
+
+/// warmup + cycles + drain must not overflow 64 bits, and the
+/// store-and-forward engine counts cycles in 32 bits.
+bool check_horizon(std::uint64_t warmup, std::uint64_t cycles,
+                   std::uint64_t drain, bool store_forward) {
+  const std::uint64_t limit =
+      store_forward ? 0xffffffffu : ~std::uint64_t{0};
+  if (warmup <= limit && cycles <= limit - warmup &&
+      drain <= limit - warmup - cycles) {
+    return true;
+  }
+  std::cerr << "warmup " << warmup << " + cycles " << cycles << " + drain "
+            << drain
+            << (store_forward
+                    ? " must be < 2^32 for the store-and-forward engine\n"
+                    : " overflows 64 bits\n");
+  return false;
+}
 
 /// Shared flags for the telemetry-producing commands.
 struct SimFlags {
   double rate = 0.05;
   std::uint64_t cycles = 400;
-  std::uint64_t warmup = kFlagUnset;
-  std::uint64_t drain = kFlagUnset;
+  std::optional<std::uint64_t> warmup;  // unset: the engine's default
+  std::optional<std::uint64_t> drain;
   unsigned vcs = 6;
   unsigned flits = 4;
-  unsigned shards = 0;   // 0 = one shard per pool worker
-  bool sharded = false;  // --shards given: use the sharded engine
+  unsigned shards = 0;  // 0 = auto
   std::uint64_t seed = 42;
   hbnet::TrafficPattern pattern = hbnet::TrafficPattern::kUniform;
   hbnet::VcPolicy policy = hbnet::VcPolicy::kSegmentDateline;
@@ -209,9 +239,20 @@ struct SimFlags {
   bool progress = false;
 };
 
-bool parse_sim_flags(int argc, char** argv, int first, SimFlags& f) {
+/// Parses the flags of `wormhole` (wormhole = true) or `sim`.
+bool parse_sim_flags(int argc, char** argv, int first, bool wormhole,
+                     SimFlags& f) {
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
+    const bool sim_only = a == "--valiant" || a == "--shards";
+    const bool wormhole_only = a == "--vcs" || a == "--flits" ||
+                               a == "--policy" || a == "--faults" ||
+                               a == "--link-faults";
+    if (wormhole ? sim_only : wormhole_only) {
+      std::cerr << a << ": not an option of "
+                << (wormhole ? "wormhole" : "sim") << "\n";
+      return false;
+    }
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
         std::cerr << flag << " needs a value\n";
@@ -239,20 +280,26 @@ bool parse_sim_flags(int argc, char** argv, int first, SimFlags& f) {
       }
     } else if (a == "--rate") {
       const char* v = next("--rate");
-      if (!v || !parse_flag_double("--rate", v, f.rate)) return false;
+      if (!v || !parse_flag_double("--rate", v, f.rate) ||
+          !check_rate(f.rate)) {
+        return false;
+      }
     } else if (a == "--cycles") {
       const char* v = next("--cycles");
       if (!v || !parse_flag_u64("--cycles", v, f.cycles)) return false;
     } else if (a == "--warmup") {
       const char* v = next("--warmup");
-      if (!v || !parse_flag_u64("--warmup", v, f.warmup)) return false;
+      std::uint64_t warmup = 0;
+      if (!v || !parse_flag_u64("--warmup", v, warmup)) return false;
+      f.warmup = warmup;
     } else if (a == "--drain") {
       const char* v = next("--drain");
-      if (!v || !parse_flag_u64("--drain", v, f.drain)) return false;
+      std::uint64_t drain = 0;
+      if (!v || !parse_flag_u64("--drain", v, drain)) return false;
+      f.drain = drain;
     } else if (a == "--shards") {
       const char* v = next("--shards");
       if (!v || !parse_flag_unsigned("--shards", v, f.shards)) return false;
-      f.sharded = true;
     } else if (a == "--vcs") {
       const char* v = next("--vcs");
       if (!v || !parse_flag_unsigned("--vcs", v, f.vcs)) return false;
@@ -326,7 +373,14 @@ bool parse_sim_flags(int argc, char** argv, int first, SimFlags& f) {
       return false;
     }
   }
-  return true;
+  if (wormhole) {
+    const hbnet::WormholeConfig defaults;
+    return check_horizon(f.warmup.value_or(defaults.warmup_cycles), f.cycles,
+                         f.drain.value_or(defaults.drain_cycles), false);
+  }
+  const hbnet::SimConfig defaults;
+  return check_horizon(f.warmup.value_or(defaults.warmup_cycles), f.cycles,
+                       f.drain.value_or(defaults.drain_cycles), true);
 }
 
 /// Single rewriting status line on stderr, sampling a ProgressBoard at
@@ -803,7 +857,9 @@ int run(int argc, char** argv) {
   }
   if (cmd == "wormhole" || cmd == "sim") {
     SimFlags flags;
-    if (!parse_sim_flags(argc, argv, 4, flags)) return usage();
+    if (!parse_sim_flags(argc, argv, 4, cmd == "wormhole", flags)) {
+      return usage();
+    }
     hbnet::obs::Sink sink;
     if (!flags.trace_out.empty()) sink.enable_trace();
 
@@ -814,8 +870,8 @@ int run(int argc, char** argv) {
       cfg.flits_per_packet = flags.flits;
       cfg.injection_rate = flags.rate;
       cfg.measure_cycles = flags.cycles;
-      if (flags.warmup != kFlagUnset) cfg.warmup_cycles = flags.warmup;
-      if (flags.drain != kFlagUnset) cfg.drain_cycles = flags.drain;
+      cfg.warmup_cycles = flags.warmup.value_or(cfg.warmup_cycles);
+      cfg.drain_cycles = flags.drain.value_or(cfg.drain_cycles);
       cfg.seed = flags.seed;
       cfg.pattern = flags.pattern;
       cfg.policy = flags.policy;
@@ -884,8 +940,8 @@ int run(int argc, char** argv) {
     hbnet::SimConfig cfg;
     cfg.injection_rate = flags.rate;
     cfg.measure_cycles = flags.cycles;
-    if (flags.warmup != kFlagUnset) cfg.warmup_cycles = flags.warmup;
-    if (flags.drain != kFlagUnset) cfg.drain_cycles = flags.drain;
+    cfg.warmup_cycles = flags.warmup.value_or(cfg.warmup_cycles);
+    cfg.drain_cycles = flags.drain.value_or(cfg.drain_cycles);
     cfg.seed = flags.seed;
     cfg.pattern = flags.pattern;
     cfg.routing = flags.valiant ? hbnet::RoutingMode::kValiant
@@ -900,15 +956,8 @@ int run(int argc, char** argv) {
                                      : nullptr;
     Streaming streaming;
     streaming.start(flags, "sim");
-    hbnet::SimStats s;
-    if (flags.sharded) {
-      s = hbnet::run_simulation_sharded(hb, cfg, flags.shards, 0, sink_ptr,
-                                        streaming.board_or_null());
-    } else {
-      auto topo = hbnet::make_hyper_butterfly_sim(m, n);
-      s = hbnet::run_simulation(*topo, cfg, {}, sink_ptr,
-                                streaming.board_or_null());
-    }
+    const hbnet::SimStats s = hbnet::run_simulation_sharded(
+        hb, cfg, flags.shards, 0, sink_ptr, streaming.board_or_null());
     streaming.stop();
     std::cout << "sim HB(" << m << "," << n << ") " << hb.num_nodes()
               << " nodes, rate " << flags.rate << "\n  " << s.summary()
@@ -1006,6 +1055,14 @@ int run(int argc, char** argv) {
         std::cerr << "unknown option " << a << "\n";
         return usage();
       }
+    }
+    const bool sf = cfg.engine == camp::Engine::kStoreForward;
+    if (sf ? !check_horizon(cfg.sim.warmup_cycles, cfg.sim.measure_cycles,
+                            cfg.sim.drain_cycles, true)
+           : !check_horizon(cfg.wormhole.warmup_cycles,
+                            cfg.wormhole.measure_cycles,
+                            cfg.wormhole.drain_cycles, false)) {
+      return usage();
     }
     Streaming streaming;
     streaming.start(stream_flags, "campaign");

@@ -56,9 +56,45 @@ expect_reject "bad wormhole fault count" wormhole 2 3 --faults 3x
 expect_reject "wormhole faults without adaptive policy" wormhole 2 3 --faults 2
 expect_reject "wormhole link faults without adaptive policy" wormhole 2 3 --link-faults 2
 
+# Run horizons: warmup + cycles + drain must fit 64 bits, and 32 bits on
+# the store-and-forward engine; 2^64 - 1 is an ordinary value, not "unset".
+expect_reject "sim horizon at 2^32" sim 1 3 --shards 1 --cycles 4294967296
+expect_reject "sim horizon at 2^32 without warmup or drain" sim 1 3 --warmup 0 --drain 0 --cycles 4294967296
+expect_reject "sim warmup at 2^64 - 1" sim 1 3 --warmup 18446744073709551615
+expect_reject "wormhole horizon wrapping 64 bits" wormhole 1 3 --cycles 18446744073709551615 --warmup 10 --drain 0
+expect_reject "wormhole warmup at 2^64 - 1" wormhole 1 3 --warmup 18446744073709551615
+expect_reject "sf campaign horizon at 2^32" campaign 1 3 --cycles 4294967296
+expect_reject "wormhole campaign horizon wrapping 64 bits" campaign 1 3 --engine wormhole --cycles 18446744073709551615
+
+# Injection rates must lie in (0, 1], as campaign --rates enforces.
+expect_reject "sim rate above 1" sim 1 3 --rate 1.5
+expect_reject "sim negative rate" sim 1 3 --rate -0.5
+expect_reject "sim zero rate" sim 1 3 --rate 0
+expect_reject "wormhole rate above 1" wormhole 1 3 --rate 1.5
+expect_reject "wormhole negative rate" wormhole 1 3 --rate -0.5
+
+# A flag of the other subcommand is rejected, not silently ignored.
+expect_reject "sim with --faults" sim 1 3 --faults 3
+expect_reject "sim with --link-faults" sim 1 3 --link-faults 2
+expect_reject "sim with --policy" sim 1 3 --policy adaptive
+expect_reject "sim with --vcs" sim 1 3 --vcs 6
+expect_reject "sim with --flits" sim 1 3 --flits 4
+expect_reject "wormhole with --shards" wormhole 1 3 --shards 2
+expect_reject "wormhole with --valiant" wormhole 1 3 --valiant
+
 # Well-formed commands must still pass.
 if ! "$cli" info 2 3 >/dev/null; then
   echo "FAIL: well-formed 'info 2 3' should succeed" >&2
+  fails=$((fails + 1))
+fi
+
+# The ends of the accepted ranges still run.
+if ! "$cli" sim 1 3 --rate 1 --warmup 0 --cycles 20 --drain 200 >/dev/null; then
+  echo "FAIL: 'sim --rate 1' should succeed" >&2
+  fails=$((fails + 1))
+fi
+if ! "$cli" wormhole 1 3 --rate 1 --warmup 0 --cycles 20 >/dev/null; then
+  echo "FAIL: 'wormhole --rate 1' should succeed" >&2
   fails=$((fails + 1))
 fi
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Sharded-engine determinism contract, enforced end to end through the CLI:
-# `hbnet_cli sim --shards` must produce byte-identical results for every
-# --threads x --shards combination. Metrics JSON, the per-link CSV, and the
-# stdout summary are compared byte-for-byte across threads {1, 2, 8} x
-# shards {1, 4} against the single-threaded single-shard baseline, for both
-# the native and Valiant routing modes.
+# Store-and-forward determinism contract, enforced end to end through the
+# CLI: `hbnet_cli sim` must produce byte-identical results for every
+# --threads x --shards combination, including no --shards at all (auto).
+# Metrics JSON, the per-link CSV, and the stdout summary are compared
+# byte-for-byte across threads {1, 2, 8} x shards {1, 4, auto} against the
+# single-threaded single-shard baseline, for both the native and Valiant
+# routing modes.
 #
 # Usage: test_sim_determinism.sh <path-to-hbnet_cli>
 set -eu
@@ -13,13 +14,16 @@ cli=$1
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+# run_sim <threads> <shards|auto> <tag> [flags]: "auto" omits --shards.
 run_sim() {
   threads=$1
   shards=$2
   tag=$3
   shift 3
+  shard_flag=""
+  [ "$shards" = auto ] || shard_flag="--shards $shards"
   "$cli" sim 2 4 --cycles 200 --rate 0.08 \
-    --threads "$threads" --shards "$shards" \
+    --threads "$threads" $shard_flag \
     --metrics-out "$work/m$tag.json" --links-csv "$work/l$tag.csv" "$@" \
     2>/dev/null | grep -v -e '^metrics:' -e '^links:' > "$work/t$tag.txt"
 }
@@ -28,7 +32,7 @@ for mode in "" "--valiant"; do
   suffix=${mode:+v}
   run_sim 1 1 "base$suffix" $mode
   for threads in 1 2 8; do
-    for shards in 1 4; do
+    for shards in 1 4 auto; do
       tag="$threads-$shards$suffix"
       run_sim "$threads" "$shards" "$tag" $mode
       for kind in m l t; do
@@ -49,4 +53,4 @@ grep -q '"sim.delivered"' "$work/mbase.json" || {
 grep -q ',' "$work/lbase.csv" || {
   echo "FAIL: links CSV is empty" >&2; exit 1; }
 
-echo "sharded sim results are byte-identical across threads x shards"
+echo "sim results are byte-identical across threads x shards"
