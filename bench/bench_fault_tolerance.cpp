@@ -5,8 +5,10 @@
 
 #include <iostream>
 #include <random>
+#include <vector>
 
 #include "core/fault_routing.hpp"
+#include "sim/topology.hpp"
 
 namespace {
 
@@ -74,6 +76,65 @@ void BM_FaultRoute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FaultRoute)->Arg(0)->Arg(3)->Arg(6)->Unit(benchmark::kMicrosecond);
+
+// Fault routing through the simulator adapter (HyperButterflySim::
+// route_avoiding) around m+3 random node faults. Args: m, n, warm. Warm:
+// every relative position is already planned, so a call replays stored
+// generator bytes. Cold: every call plans a new relative position (one
+// Theorem-5 construction, with max flow on the B_n layer).
+void BM_RouteAvoiding(benchmark::State& state) {
+  const auto m = static_cast<unsigned>(state.range(0));
+  const auto n = static_cast<unsigned>(state.range(1));
+  const bool warm = state.range(2) != 0;
+  auto topo = hbnet::make_hyper_butterfly_sim(m, n);
+  const std::uint32_t num = topo->num_nodes();
+  std::mt19937_64 rng(5);
+  std::vector<char> mask(num, 0);
+  for (unsigned k = 0; k < m + 3;) {
+    const auto f = static_cast<std::uint32_t>(rng() % num);
+    if (mask[f] == 0) {
+      mask[f] = 1;
+      ++k;
+    }
+  }
+  std::vector<std::uint32_t> healthy;
+  for (std::uint32_t v = 0; v < num; ++v) {
+    if (mask[v] == 0) healthy.push_back(v);
+  }
+  // From one source, distinct targets are distinct relative positions.
+  const std::uint32_t src = healthy.front();
+  const std::vector<std::uint32_t> dsts(healthy.begin() + 1, healthy.end());
+  std::size_t next = 0;
+  if (warm) {
+    for (const std::uint32_t v : dsts) (void)topo->route_avoiding(src, v, mask);
+  } else {
+    (void)topo->route_avoiding(src, dsts[next++], mask);  // layer graph
+  }
+  for (auto _ : state) {
+    std::uint32_t u = src, v = 0;
+    if (warm) {
+      u = healthy[rng() % healthy.size()];
+      v = healthy[rng() % healthy.size()];
+    } else {
+      if (next == dsts.size()) {
+        state.PauseTiming();
+        topo = hbnet::make_hyper_butterfly_sim(m, n);
+        next = 0;
+        (void)topo->route_avoiding(src, dsts[next++], mask);
+        state.ResumeTiming();
+      }
+      v = dsts[next++];
+    }
+    benchmark::DoNotOptimize(topo->route_avoiding(u, v, mask));
+  }
+}
+BENCHMARK(BM_RouteAvoiding)
+    ->Args({2, 4, 0})
+    ->Args({2, 4, 1})
+    ->Args({3, 5, 0})
+    ->Args({3, 5, 1})
+    ->ArgNames({"m", "n", "warm"})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

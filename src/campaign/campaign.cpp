@@ -193,17 +193,35 @@ std::uint64_t split_seed(std::uint64_t seed, std::uint64_t index,
 std::vector<std::uint32_t> derived_fault_nodes(std::uint64_t fault_seed,
                                                std::uint32_t num_nodes,
                                                unsigned count) {
-  HBNET_DCHECK(count < num_nodes);
-  std::vector<std::uint32_t> ids(num_nodes);
-  std::iota(ids.begin(), ids.end(), 0u);
+  HBNET_CHECK(count < num_nodes);
+  // A partial Fisher-Yates shuffle of the ids 0..num_nodes-1, kept sparse:
+  // position i holds i unless it appears in `displaced` as (i, value).
+  // Step e swaps positions e and j >= e and never reads position e again,
+  // so only the value moved to j has to be remembered.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> displaced;
+  auto at = [&](std::uint32_t i) {
+    for (const auto& [pos, value] : displaced) {
+      if (pos == i) return value;
+    }
+    return i;
+  };
+  std::vector<std::uint32_t> picked;
+  picked.reserve(count);
   for (unsigned e = 0; e < count; ++e) {
     const std::uint64_t r = split_seed(fault_seed, e, kStreamShuffle);
     const std::uint32_t j =
         e + static_cast<std::uint32_t>(r % (num_nodes - e));
-    std::swap(ids[e], ids[j]);
+    const std::uint32_t moved = at(e);
+    picked.push_back(at(j));
+    auto it = std::find_if(displaced.begin(), displaced.end(),
+                           [&](const auto& d) { return d.first == j; });
+    if (it != displaced.end()) {
+      it->second = moved;
+    } else {
+      displaced.emplace_back(j, moved);
+    }
   }
-  ids.resize(count);
-  return ids;
+  return picked;
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> derived_fault_links(
@@ -381,9 +399,10 @@ CampaignResult run_campaign(const CampaignConfig& config,
   }
 
   par::ThreadPool pool(config.threads);
-  // One topology adapter per worker: HyperButterfly lazily materializes
-  // its butterfly-layer graph under route_around_faults, so adapters must
-  // not be shared across threads.
+  // One topology adapter per worker: route_avoiding fills the adapter's
+  // Theorem-5 planner memo and lazily materializes the butterfly-layer
+  // graph, so adapters must not be shared across threads. Memo contents
+  // never change a result, so the per-worker warm-up order is invisible.
   std::vector<std::unique_ptr<SimTopology>> topos;
   topos.reserve(pool.size());
   for (unsigned w = 0; w < pool.size(); ++w) {

@@ -145,8 +145,11 @@ struct CampaignResult {
 /// `count` distinct node ids derived from `fault_seed`: a partial
 /// Fisher-Yates shuffle whose swap indices come straight from the
 /// splittable counter (portable across standard libraries, unlike
-/// std::uniform_int_distribution). Public so the CLI wormhole command
-/// derives standalone fault sets exactly the way campaign trials do.
+/// std::uniform_int_distribution). The shuffle is kept sparse, so the cost
+/// is O(count^2) time and O(count) memory, independent of num_nodes.
+/// Requires count < num_nodes (always checked). Public so the CLI wormhole
+/// command derives standalone fault sets exactly the way campaign trials
+/// do.
 [[nodiscard]] std::vector<std::uint32_t> derived_fault_nodes(
     std::uint64_t fault_seed, std::uint32_t num_nodes, unsigned count);
 

@@ -33,6 +33,18 @@
 // y is not on the relevant butterfly path. Cases 1 and 2 (one coordinate
 // equal) follow the paper directly. All families are revalidated in tests
 // via graph/disjoint_paths.hpp on exhaustive small sweeps.
+//
+// Translation. HB(m,n) is a Cayley graph (Theorem 1), so left translation
+// by u, x -> u·x = (h_u ^ h, (w_u ^ rotl_n(w, l_u), (l + l_u) mod n)), is
+// an automorphism that keeps every generator label and maps the identity
+// e = (0, (0, 0)) to u. The construction above runs only from e:
+// disjoint_paths(u, v) is the translate by u of the family from e to the
+// relative position u^-1·v. Pairs with the same relative position therefore
+// get the same family as generator sequences, which is what lets the
+// fault planner (core/fault_routing.hpp) plan each relative position once
+// and replay it from any source. The members are listed in construction
+// order (Case 1-3 order above); the fault router inspects them by
+// (length, construction index).
 
 #include <atomic>
 #include <mutex>
@@ -81,29 +93,29 @@ std::vector<std::vector<BflyNode>> butterfly_disjoint_paths(
   return out;
 }
 
-}  // namespace
-
-std::vector<std::vector<HbNode>> HyperButterfly::disjoint_paths(
-    HbNode u, HbNode v) const {
-  if (u == v) {
-    throw std::invalid_argument("HyperButterfly::disjoint_paths: u == v");
-  }
+/// The Case 1-3 family from the identity e = (0, (0, 0)) to v != e, in
+/// construction order.
+std::vector<HbPath> family_from_identity(const HyperButterfly& hb, HbNode v) {
+  const Hypercube& cube = hb.hypercube();
+  const Butterfly& bfly = hb.butterfly();
+  const unsigned m = hb.cube_dimension();
+  const HbNode u{};  // the identity e
   const CubeWord h = u.cube, h2 = v.cube;
   const BflyNode b = u.bfly, b2 = v.bfly;
   std::vector<HbPath> paths;
-  paths.reserve(m_ + 4);
+  paths.reserve(m + 4);
 
   if (b == b2) {
     // Case 1: same butterfly part. m cube paths inside layer b, plus 4
     // paths detouring through the butterfly neighbors of b.
-    for (const auto& p : cube_.disjoint_paths(h, h2)) {
+    for (const auto& p : cube.disjoint_paths(h, h2)) {
       HbPath lifted;
       lifted.reserve(p.size());
       for (CubeWord x : p) lifted.push_back({x, b});
       paths.push_back(std::move(lifted));
     }
-    const std::vector<CubeWord> cube_route = cube_.route(h, h2);
-    for (BflyNode nb : bfly_.neighbors(b)) {
+    const std::vector<CubeWord> cube_route = cube.route(h, h2);
+    for (BflyNode nb : bfly.neighbors(b)) {
       HbPath p{u};
       for (CubeWord x : cube_route) p.push_back({x, nb});
       p.push_back(v);
@@ -115,16 +127,16 @@ std::vector<std::vector<HbNode>> HyperButterfly::disjoint_paths(
   if (h == h2) {
     // Case 2: same hypercube part. m paths detouring through the cube
     // neighbors of h, plus the 4 butterfly-disjoint paths inside layer h.
-    const std::vector<BflyNode> bfly_route = bfly_.route_nodes(b, b2);
-    for (unsigned i = 0; i < m_; ++i) {
+    const std::vector<BflyNode> bfly_route = bfly.route_nodes(b, b2);
+    for (unsigned i = 0; i < m; ++i) {
       CubeWord hn = h ^ (CubeWord{1} << i);
       HbPath p{u};
       for (BflyNode z : bfly_route) p.push_back({hn, z});
       p.push_back(v);
       paths.push_back(std::move(p));
     }
-    for (const auto& q : butterfly_disjoint_paths(bfly_, butterfly_graph(), b,
-                                                  b2)) {
+    for (const auto& q : butterfly_disjoint_paths(bfly, hb.butterfly_graph(),
+                                                  b, b2)) {
       HbPath lifted;
       lifted.reserve(q.size());
       for (BflyNode z : q) lifted.push_back({h, z});
@@ -134,8 +146,8 @@ std::vector<std::vector<HbNode>> HyperButterfly::disjoint_paths(
   }
 
   // Case 3: both parts differ.
-  const auto P = cube_.disjoint_paths(h, h2);
-  const auto Q = butterfly_disjoint_paths(bfly_, butterfly_graph(), b, b2);
+  const auto P = cube.disjoint_paths(h, h2);
+  const auto Q = butterfly_disjoint_paths(bfly, hb.butterfly_graph(), b, b2);
   // Spines: the direct edge (length-1 path) when present, else index 0.
   std::size_t i0 = 0, j0 = 0;
   for (std::size_t i = 0; i < P.size(); ++i) {
@@ -174,6 +186,20 @@ std::vector<std::vector<HbNode>> HyperButterfly::disjoint_paths(
       for (std::size_t z = 2; z < Q[j].size(); ++z) p.push_back({h2, Q[j][z]});
     }
     paths.push_back(std::move(p));
+  }
+  return paths;
+}
+
+}  // namespace
+
+std::vector<std::vector<HbNode>> HyperButterfly::disjoint_paths(
+    HbNode u, HbNode v) const {
+  if (u == v) {
+    throw std::invalid_argument("HyperButterfly::disjoint_paths: u == v");
+  }
+  std::vector<HbPath> paths = family_from_identity(*this, relative(u, v));
+  for (HbPath& p : paths) {
+    for (HbNode& x : p) x = translate(u, x);
   }
   return paths;
 }

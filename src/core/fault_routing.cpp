@@ -1,7 +1,9 @@
 #include "core/fault_routing.hpp"
 
 #include <algorithm>
+#include <numeric>
 
+#include "check/check.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
 
@@ -28,6 +30,29 @@ void report(obs::Sink* sink, const HyperButterfly& hb, HbNode u, HbNode v,
        {"hops", r.path.empty() ? 0 : r.path.size() - 1}});
 }
 
+/// The generator byte of the edge x -> y.
+std::uint8_t generator_byte(const HyperButterfly& hb, HbNode x, HbNode y) {
+  for (unsigned s = 0; s < hb.degree(); ++s) {
+    const auto gen = static_cast<std::uint8_t>(s);
+    if (HbFaultPlanner::step(hb, x, gen) == y) return gen;
+  }
+  HBNET_CHECK_MSG(false, "generator_byte: x and y are not adjacent");
+  return HbFaultPlanner::kEnd;
+}
+
+/// Materializes a selection as a node path from u.
+FaultRouteResult to_result(const HyperButterfly& hb, HbNode u,
+                           const HbFaultPlanner::Choice& c) {
+  FaultRouteResult out;
+  out.paths_tried = c.paths_tried;
+  if (c.found) {
+    out.path.push_back(u);
+    HbFaultPlanner::walk(hb, u, c.member,
+                         [&](HbNode x) { out.path.push_back(x); });
+  }
+  return out;
+}
+
 /// Shared core of both route_around_faults overloads. `banned_first` may be
 /// null (no link bans); when set, the BFS fallback is unavailable because the
 /// reference search cannot honor per-edge bans.
@@ -35,41 +60,23 @@ FaultRouteResult route_around_faults_impl(const HyperButterfly& hb, HbNode u,
                                           HbNode v, const HbFaultSet& faults,
                                           const std::vector<HbNode>* banned_first,
                                           bool bfs_fallback, obs::Sink* sink) {
-  FaultRouteResult r;
-  if (faults.contains(hb, u) || faults.contains(hb, v)) {
-    report(sink, hb, u, v, r);
-    return r;
-  }
-  if (u == v) {
-    r.path = {u};
-    report(sink, hb, u, v, r);
-    return r;
-  }
-  std::vector<std::vector<HbNode>> family = hb.disjoint_paths(u, v);
-  // Prefer short paths: inspect the family in increasing length order.
-  std::sort(family.begin(), family.end(),
-            [](const auto& a, const auto& b) { return a.size() < b.size(); });
-  for (const auto& path : family) {
-    ++r.paths_tried;
-    bool clean = true;
-    if (banned_first != nullptr && path.size() > 1) {
-      for (const HbNode& b : *banned_first) {
-        if (path[1] == b) {
-          clean = false;
-          break;
-        }
-      }
-    }
-    for (std::size_t i = 1; clean && i + 1 < path.size(); ++i) {
-      if (faults.contains(hb, path[i])) clean = false;
-    }
-    if (clean) {
-      r.path = path;
-      report(sink, hb, u, v, r);
-      return r;
-    }
-  }
-  if (bfs_fallback) {
+  // One-shot planning: the family of this one relative position.
+  std::vector<std::uint8_t> family;
+  FaultRouteResult r = to_result(
+      hb, u,
+      HbFaultPlanner::select(
+          hb, u, v, [&](HbNode x) { return faults.contains(hb, x); },
+          [&](HbNode x) {
+            return banned_first != nullptr &&
+                   std::find(banned_first->begin(), banned_first->end(), x) !=
+                       banned_first->end();
+          },
+          [&](HbNode rel) {
+            HbFaultPlanner::plan(hb, rel, family);
+            return family.data();
+          }));
+  if (!r.ok() && bfs_fallback && !faults.contains(hb, u) &&
+      !faults.contains(hb, v)) {
     if (auto p = hb_bfs_path(hb, u, v, &faults)) {
       r.path = std::move(*p);
       r.used_fallback = true;
@@ -80,6 +87,54 @@ FaultRouteResult route_around_faults_impl(const HyperButterfly& hb, HbNode u,
 }
 
 }  // namespace
+
+void HbFaultPlanner::plan(const HyperButterfly& hb, HbNode r,
+                          std::vector<std::uint8_t>& out) {
+  const std::vector<std::vector<HbNode>> family =
+      hb.disjoint_paths(HbNode{}, r);
+  std::vector<std::size_t> order(family.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return family[a].size() < family[b].size();
+                   });
+  for (const std::size_t k : order) {
+    const std::vector<HbNode>& path = family[k];
+    for (std::size_t i = 1; i < path.size(); ++i) {
+      out.push_back(generator_byte(hb, path[i - 1], path[i]));
+    }
+    out.push_back(kEnd);
+  }
+}
+
+const std::uint8_t* HbFaultPlanner::family(HbNode r) {
+  if (offset_.empty()) offset_.assign(hb_->num_nodes(), kUnplanned);
+  std::uint32_t& at = offset_[hb_->index_of(r)];
+  if (at == kUnplanned) {
+    const auto start = static_cast<std::uint32_t>(arena_.size());
+    plan(*hb_, r, arena_);
+    at = start;
+  }
+  return arena_.data() + at;
+}
+
+FaultRouteResult HbFaultPlanner::route(
+    HbNode u, HbNode v, const std::vector<char>& faulty,
+    const std::vector<std::uint32_t>& banned_first) {
+  const HyperButterfly& hb = *hb_;
+  return to_result(hb, u, select(
+      hb, u, v,
+      [&](HbNode x) {
+        const HbIndex id = hb.index_of(x);
+        return id < faulty.size() && faulty[id] != 0;
+      },
+      [&](HbNode x) {
+        const HbIndex id = hb.index_of(x);
+        return std::find(banned_first.begin(), banned_first.end(), id) !=
+               banned_first.end();
+      },
+      [this](HbNode r) { return family(r); }));
+}
 
 FaultRouteResult route_around_faults(const HyperButterfly& hb, HbNode u,
                                      HbNode v, const HbFaultSet& faults,

@@ -97,9 +97,34 @@ class HyperButterfly {
   /// Same route as a generator sequence.
   [[nodiscard]] std::vector<HbGen> route_generators(HbNode u, HbNode v) const;
 
-  /// Theorem 5: m+4 internally vertex-disjoint u-v paths (u != v).
-  /// Implemented in core/disjoint_paths.cpp; see that file for the
-  /// construction and its degenerate-case handling.
+  /// Left translation by u, x -> u·x (Theorem 1): (h, (w, l)) maps to
+  /// (h_u ^ h, (w_u ^ rotl_n(w, l_u), (l + l_u) mod n)). It is an
+  /// automorphism that keeps every generator label (x·s maps to (u·x)·s),
+  /// and it sends the identity (0, (0, 0)) to u.
+  [[nodiscard]] HbNode translate(HbNode u, HbNode x) const {
+    const std::uint32_t lu = u.bfly.level;
+    const std::uint32_t rot =
+        lu == 0 ? x.bfly.word
+                : ((x.bfly.word << lu) | (x.bfly.word >> (n_ - lu))) &
+                      ((1u << n_) - 1);
+    return {u.cube ^ x.cube,
+            {u.bfly.word ^ rot, (x.bfly.level + lu) % n_}};
+  }
+  /// The relative position u^-1·v: the node whose translate by u is v.
+  [[nodiscard]] HbNode relative(HbNode u, HbNode v) const {
+    const std::uint32_t lu = u.bfly.level;
+    const std::uint32_t w = u.bfly.word ^ v.bfly.word;
+    const std::uint32_t rot =
+        lu == 0 ? w : ((w >> lu) | (w << (n_ - lu))) & ((1u << n_) - 1);
+    return {u.cube ^ v.cube, {rot, (v.bfly.level + n_ - lu) % n_}};
+  }
+
+  /// Theorem 5: m+4 internally vertex-disjoint u-v paths (u != v), listed
+  /// in construction order. Defined as the left translate by u of the
+  /// family from the identity to u^-1·v, so families of pairs with the same
+  /// relative position agree generator by generator. Implemented in
+  /// core/disjoint_paths.cpp; see that file for the construction and its
+  /// degenerate-case handling.
   [[nodiscard]] std::vector<std::vector<HbNode>> disjoint_paths(
       HbNode u, HbNode v) const;
 

@@ -144,26 +144,12 @@ class HyperButterflySim final : public SimTopology {
     return out;
   }
   using SimTopology::route_avoiding;
+  /// The Theorem-5 family through the adapter's memoized planner.
   [[nodiscard]] SimFaultRoute route_avoiding(
       std::uint32_t src, std::uint32_t dst, const std::vector<char>& faulty,
       const std::vector<std::uint32_t>& banned_first_hops) const override {
-    HbFaultSet faults;
-    for (std::uint32_t id = 0; id < faulty.size(); ++id) {
-      if (faulty[id]) faults.add(hb_, hb_.node_at(id));
-    }
-    FaultRouteResult r;
-    if (banned_first_hops.empty()) {
-      r = route_around_faults(hb_, hb_.node_at(src), hb_.node_at(dst), faults,
-                              /*bfs_fallback=*/false);
-    } else {
-      std::vector<HbNode> banned;
-      banned.reserve(banned_first_hops.size());
-      for (std::uint32_t id : banned_first_hops) {
-        banned.push_back(hb_.node_at(id));
-      }
-      r = route_around_faults(hb_, hb_.node_at(src), hb_.node_at(dst), faults,
-                              banned);
-    }
+    const FaultRouteResult r = planner_.route(
+        hb_.node_at(src), hb_.node_at(dst), faulty, banned_first_hops);
     SimFaultRoute out;
     out.status = r.ok() ? FaultRouteStatus::kOk : FaultRouteStatus::kNoPath;
     out.path.reserve(r.path.size());
@@ -175,6 +161,7 @@ class HyperButterflySim final : public SimTopology {
 
  private:
   HyperButterfly hb_;
+  mutable HbFaultPlanner planner_{hb_};
 };
 
 }  // namespace

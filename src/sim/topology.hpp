@@ -94,7 +94,11 @@ class SimTopology {
                                                                    unsigned n);
 
 /// Hyper-butterfly HB(m,n) with the paper's two-phase optimal routing and
-/// Theorem-5-based fault-tolerant routing.
+/// Theorem-5-based fault-tolerant routing. route_avoiding plans each
+/// relative position once into the adapter's HbFaultPlanner (and the first
+/// call materializes the butterfly layer graph), so one adapter must not
+/// serve concurrent route_avoiding calls; campaigns keep one adapter per
+/// pool worker.
 [[nodiscard]] std::unique_ptr<SimTopology> make_hyper_butterfly_sim(
     unsigned m, unsigned n);
 

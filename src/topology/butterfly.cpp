@@ -192,23 +192,6 @@ Butterfly::Butterfly(unsigned n) : n_(n) {
   }
 }
 
-BflyNode Butterfly::apply(BflyNode v, BflyGen gen) const {
-  const unsigned n = n_;
-  switch (gen) {
-    case BflyGen::kG:
-      return {v.word, (v.level + 1) % n};
-    case BflyGen::kF:
-      return {v.word ^ (1u << v.level), (v.level + 1) % n};
-    case BflyGen::kGInv:
-      return {v.word, (v.level + n - 1) % n};
-    case BflyGen::kFInv: {
-      unsigned down = (v.level + n - 1) % n;
-      return {v.word ^ (1u << down), down};
-    }
-  }
-  return v;  // unreachable
-}
-
 std::vector<BflyNode> Butterfly::neighbors(BflyNode v) const {
   return {apply(v, BflyGen::kG), apply(v, BflyGen::kF),
           apply(v, BflyGen::kGInv), apply(v, BflyGen::kFInv)};

@@ -118,8 +118,23 @@ class Butterfly {
   /// ceil(3n/2); tests pin the measured value, see EXPERIMENTS.md.)
   [[nodiscard]] unsigned diameter_formula() const { return 3 * n_ / 2; }
 
-  /// Applies a generator to a vertex.
-  [[nodiscard]] BflyNode apply(BflyNode v, BflyGen gen) const;
+  /// Applies a generator to a vertex. Inline: the fault planner replays
+  /// stored generator sequences through it hop by hop.
+  [[nodiscard]] BflyNode apply(BflyNode v, BflyGen gen) const {
+    const std::uint32_t up = v.level + 1 == n_ ? 0 : v.level + 1;
+    const std::uint32_t down = v.level == 0 ? n_ - 1 : v.level - 1;
+    switch (gen) {
+      case BflyGen::kG:
+        return {v.word, up};
+      case BflyGen::kF:
+        return {v.word ^ (1u << v.level), up};
+      case BflyGen::kGInv:
+        return {v.word, down};
+      case BflyGen::kFInv:
+        return {v.word ^ (1u << down), down};
+    }
+    return v;  // unreachable
+  }
 
   /// All four neighbors, in order g, f, g^-1, f^-1.
   [[nodiscard]] std::vector<BflyNode> neighbors(BflyNode v) const;

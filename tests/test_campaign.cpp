@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -110,6 +111,46 @@ TEST(CampaignSeed, SplitSeedSeparatesIndicesAndStreams) {
   EXPECT_EQ(seen.size(), 128u * 3u);  // no collisions across the grid
   EXPECT_EQ(split_seed(11, 5, 1), split_seed(11, 5, 1));  // pure function
   EXPECT_NE(split_seed(11, 5, 1), split_seed(12, 5, 1));  // seed matters
+}
+
+/// The dense O(num_nodes) shuffle derived_fault_nodes replaced: the
+/// reference its sparse form must reproduce exactly.
+std::vector<std::uint32_t> dense_fault_nodes(std::uint64_t fault_seed,
+                                             std::uint32_t num_nodes,
+                                             unsigned count) {
+  constexpr std::uint64_t kStreamShuffle = 2;
+  std::vector<std::uint32_t> ids(num_nodes);
+  std::iota(ids.begin(), ids.end(), 0u);
+  for (unsigned e = 0; e < count; ++e) {
+    const std::uint64_t r = split_seed(fault_seed, e, kStreamShuffle);
+    const std::uint32_t j =
+        e + static_cast<std::uint32_t>(r % (num_nodes - e));
+    std::swap(ids[e], ids[j]);
+  }
+  ids.resize(count);
+  return ids;
+}
+
+TEST(CampaignSeed, DerivedFaultNodesMatchDenseShuffle) {
+  // Small instances make repeated swaps onto the same position common,
+  // which is the case the sparse form has to get right.
+  for (std::uint64_t t = 0; t < 1200; ++t) {
+    const std::uint64_t seed = split_seed(0xfa17, t, 0);
+    const auto num_nodes =
+        static_cast<std::uint32_t>(2 + split_seed(0xfa17, t, 1) % 1400);
+    const auto count =
+        static_cast<unsigned>(split_seed(0xfa17, t, 2) % std::min(num_nodes, 40u));
+    ASSERT_EQ(derived_fault_nodes(seed, num_nodes, count),
+              dense_fault_nodes(seed, num_nodes, count))
+        << "seed=" << seed << " num_nodes=" << num_nodes
+        << " count=" << count;
+  }
+  // Every id of a tiny instance but one.
+  EXPECT_EQ(derived_fault_nodes(5, 7, 6), dense_fault_nodes(5, 7, 6));
+}
+
+TEST(CampaignSeedDeathTest, DerivedFaultNodesRejectsCountPastNumNodes) {
+  EXPECT_DEATH((void)derived_fault_nodes(1, 10, 11), "count < num_nodes");
 }
 
 TEST(CampaignEnumerate, OrderCellsAndDerivedSeeds) {

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "core/fault_routing.hpp"
+#include "graph/disjoint_paths.hpp"
 
 namespace hbnet {
 namespace {
@@ -215,6 +216,84 @@ TEST(FaultRouting, ExhaustiveSmallFaultSets) {
       EXPECT_TRUE(path_valid(hb, r.path, u, v, faults));
     }
   }
+}
+
+TEST(FaultRouting, EveryMaximalFaultSetModuloTranslation) {
+  // Remark 10 exhaustively on HB(1,3). Families are translation
+  // equivariant, so routing u -> v around F succeeds exactly when routing
+  // e -> u^-1·v around u^-1·F does; and success is monotone under removing
+  // faults, because the member chosen for F stays clean for every subset.
+  // So checking every target w != e against every m+3 = 4-node fault set
+  // that avoids e and w covers every (u, v, F) with |F| <= m+3: 47 x C(46,4)
+  // cases. Each must be routed by the family (no BFS fallback) along the
+  // first fault-free member, which is a valid e -> w path.
+  const HyperButterfly hb(1, 3);
+  const Graph g = hb.to_graph();
+  const auto num = static_cast<std::uint32_t>(hb.num_nodes());
+  HbFaultPlanner planner(hb);
+  std::uint64_t cases = 0;
+  std::vector<char> mask(num, 0);
+  std::vector<std::uint32_t> others;
+  for (std::uint32_t w = 1; w < num; ++w) {
+    // The stored members as node ids, validated once per target.
+    const std::uint8_t* family = planner.family(hb.node_at(w));
+    std::vector<const std::uint8_t*> starts;
+    std::vector<Path> members;
+    for (const std::uint8_t* p = family; members.size() < hb.degree(); ++p) {
+      starts.push_back(p);
+      Path ids{0};
+      HbFaultPlanner::walk(hb, HbNode{}, p, [&](HbNode x) {
+        ids.push_back(static_cast<NodeId>(hb.index_of(x)));
+      });
+      members.push_back(std::move(ids));
+      while (*p != HbFaultPlanner::kEnd) ++p;
+    }
+    const PathFamilyCheck check = check_disjoint_paths(g, members, 0, w);
+    ASSERT_TRUE(check.ok) << "w=" << w << ": " << check.error;
+    auto clean = [&](const Path& path) {
+      for (const NodeId x : path) {
+        if (mask[x]) return false;
+      }
+      return true;
+    };
+    others.clear();
+    for (std::uint32_t x = 1; x < num; ++x) {
+      if (x != w) others.push_back(x);
+    }
+    const std::size_t k = others.size();
+    for (std::size_t a = 0; a < k; ++a) {
+      mask[others[a]] = 1;
+      for (std::size_t b = a + 1; b < k; ++b) {
+        mask[others[b]] = 1;
+        for (std::size_t c = b + 1; c < k; ++c) {
+          mask[others[c]] = 1;
+          for (std::size_t d = c + 1; d < k; ++d) {
+            mask[others[d]] = 1;
+            ++cases;
+            const HbFaultPlanner::Choice choice = HbFaultPlanner::select(
+                hb, HbNode{}, hb.node_at(w),
+                [&](HbNode x) { return mask[hb.index_of(x)] != 0; },
+                [](HbNode) { return false; },
+                [&](HbNode) { return family; });
+            ASSERT_TRUE(choice.found)
+                << "w=" << w << " F={" << others[a] << "," << others[b]
+                << "," << others[c] << "," << others[d] << "}";
+            const std::size_t picked = choice.paths_tried - 1;
+            ASSERT_EQ(starts[picked], choice.member);
+            ASSERT_TRUE(clean(members[picked])) << "w=" << w;
+            for (std::size_t e = 0; e < picked; ++e) {
+              ASSERT_FALSE(clean(members[e])) << "w=" << w;
+            }
+            mask[others[d]] = 0;
+          }
+          mask[others[c]] = 0;
+        }
+        mask[others[b]] = 0;
+      }
+      mask[others[a]] = 0;
+    }
+  }
+  EXPECT_EQ(cases, 47u * 163185u);  // 7,669,695
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iomanip>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -29,6 +31,13 @@ struct StatsSnapshot {
   bool deadlocked;
   std::uint64_t misroutes, escape_hops, unroutable;
   friend bool operator==(const StatsSnapshot&, const StatsSnapshot&) = default;
+  friend void PrintTo(const StatsSnapshot& s, std::ostream* os) {
+    *os << std::setprecision(17) << "{" << s.injected << ", " << s.delivered
+        << ", " << s.cycles << ", " << s.p50 << ", " << s.p99 << ", "
+        << s.max_latency << ", " << s.mean_latency << ", " << s.mean_hops
+        << ", " << s.deadlocked << ", " << s.misroutes << ", "
+        << s.escape_hops << ", " << s.unroutable << "}";
+  }
 };
 
 StatsSnapshot snapshot(const WormholeStats& s) {
@@ -212,7 +221,10 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
   // dense channel table): each case reproduces, field for field, the stats
   // the per-packet-vector datapath it replaced produced. Covers every VC
   // policy, native and escape-class routes, node and link faults, and worm
-  // kills past the Theorem-5 guarantee.
+  // kills past the Theorem-5 guarantee. The three faulted HB cases were
+  // re-pinned once when fault routing moved to translated Theorem-5
+  // families (HyperButterfly::disjoint_paths); every fault-free pin is the
+  // parent's.
   {
     auto topo = make_butterfly_sim(4);
     const std::pair<VcPolicy, StatsSnapshot> pins[] = {
@@ -250,8 +262,8 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
     }
     WormholeConfig cfg = adaptive_config(0.03);
     cfg.measure_cycles = 200;
-    const StatsSnapshot pin{7620, 7620, 269, 11, 23, 38, 11.993175853018373,
-                            5.8532808398950129, false, 219, 1113, 0};
+    const StatsSnapshot pin{7620, 7620, 269, 11, 23, 38, 11.985301837270342,
+                            5.8532808398950129, false, 219, 1109, 0};
     EXPECT_EQ(snapshot(run_wormhole(*topo, cfg, 5, &wf)), pin)
         << "HB(3,5) adaptive, m+3 node faults";
   }
@@ -262,7 +274,7 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
       wf.links.emplace_back(src, topo->neighbors(src).front());
       wf.links.emplace_back(src, topo->neighbors(src).back());
     }
-    const StatsSnapshot pin{1145, 1145, 359, 8, 16, 21, 8.444541484716158,
+    const StatsSnapshot pin{1145, 1145, 359, 8, 15, 21, 8.4043668122270745,
                             3.3510917030567686, false, 96, 317, 0};
     EXPECT_EQ(snapshot(run_wormhole(*topo, adaptive_config(0.04), 3, &wf)),
               pin)
@@ -275,8 +287,8 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
     WormholeFaults wf;
     wf.nodes.assign(topo->num_nodes(), 0);
     for (std::uint32_t nb : topo->neighbors(0)) wf.nodes[nb] = 1;
-    const StatsSnapshot pin{580, 545, 355, 8, 16, 26, 8.0935779816513769,
-                            2.8183486238532112, false, 61, 211, 39};
+    const StatsSnapshot pin{580, 545, 355, 8, 16, 26, 8.0899082568807348,
+                            2.8201834862385322, false, 61, 212, 39};
     EXPECT_EQ(snapshot(run_wormhole(*topo, adaptive_config(0.05), 3, &wf)),
               pin)
         << "HB(1,3) adaptive, m+4 faults";
