@@ -2,12 +2,15 @@
 // kappa(HB) = m+4 (maximal), kappa(HD) = m+2, kappa(B) = 4, kappa(H) = m.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "core/hyper_butterfly.hpp"
 #include "graph/builder.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/connectivity_sweep.hpp"
+#include "graph/maxflow.hpp"
 #include "graph/sparsify.hpp"
 #include "topology/butterfly.hpp"
 #include "topology/hb_implicit.hpp"
@@ -82,7 +85,7 @@ BENCHMARK(BM_VertexConnectivityThreads)
 /// The ConnectivitySweep engine on its fast path, driven exactly the way
 /// `hbnet_cli analyze --exact-connectivity` drives it: single-source
 /// schedule (HB is a Cayley graph, hence vertex transitive), cube-orbit
-/// target reduction, structural pruning, per-worker flow-network reuse.
+/// target reduction, structural pruning, per-worker VertexFlow kernels.
 /// Range is (m, threads, sparsify); compare against
 /// BM_VertexConnectivityThreads for the source-set-reduction speedup.
 /// On HB sparsify is a byte-identity no-op (kappa = degree, so the
@@ -149,8 +152,8 @@ BENCHMARK(BM_VertexConnectivityImplicit)
 
 /// The regime Nagamochi-Ibaraki certificates exist for: kappa far below
 /// the minimum degree. Two K_48 cliques + 3 bridges + a degree-3 apex
-/// (kappa = 3, 2262 edges): with sparsify the per-worker Dinic arena is
-/// built from a <= 3(n-1)-edge certificate instead of the whole graph.
+/// (kappa = 3, 2262 edges): with sparsify every solve runs on a
+/// <= 3(n-1)-edge certificate instead of the whole graph.
 void BM_VertexConnectivitySparsifyDense(benchmark::State& state) {
   hbnet::GraphBuilder b(97);
   for (hbnet::NodeId u = 0; u < 48; ++u) {
@@ -175,6 +178,51 @@ BENCHMARK(BM_VertexConnectivitySparsifyDense)
     ->Arg(0)
     ->Arg(1)
     ->ArgNames({"sparsify"})
+    ->Unit(benchmark::kMillisecond);
+
+/// One Menger solve as the kappa sweep runs it: source 0 of HB(5,6)
+/// against a fixed set of 64 cube-orbit targets (every 36th of the 2298 in
+/// the schedule), limit m+4 = 9, on the 9-certificate. kernel:0 is the
+/// explicit vertex-split Dinic reference (detail::split_solve), kernel:1
+/// the implicit-split VertexFlow the sweep uses. One iteration solves all
+/// 64 targets; the solves_per_s counter gives the per-solve rate.
+void BM_VertexFlowSolve(benchmark::State& state) {
+  constexpr unsigned m = 5, n = 6;
+  const hbnet::HbImplicitAdjacency adj(m, n);
+  const hbnet::SparseCertificate cert = hbnet::sparse_certificate(adj, m + 4);
+  std::vector<hbnet::NodeId> targets;
+  {
+    std::vector<hbnet::NodeId> scratch(adj.max_degree());
+    const auto nb = adj.neighbors(0, scratch.data());
+    for (hbnet::NodeId t = 1; t < adj.num_nodes(); ++t) {
+      if (std::find(nb.begin(), nb.end(), t) == nb.end() &&
+          hbnet::hb_cube_orbit_representative(m, n, t) == t) {
+        targets.push_back(t);
+      }
+    }
+  }
+  std::vector<hbnet::NodeId> sample;
+  for (std::size_t i = 0; i < targets.size() && sample.size() < 64; i += 36) {
+    sample.push_back(targets[i]);
+  }
+  const bool implicit = state.range(0) != 0;
+  hbnet::VertexFlow flow(cert.graph);
+  hbnet::Dinic split = hbnet::detail::make_split_prototype(cert.graph);
+  for (auto _ : state) {
+    for (const hbnet::NodeId t : sample) {
+      benchmark::DoNotOptimize(
+          implicit ? flow.solve(0, t, m + 4)
+                   : hbnet::detail::split_solve(split, 0, t, m + 4));
+    }
+  }
+  state.counters["solves_per_s"] = benchmark::Counter(
+      static_cast<double>(sample.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_VertexFlowSolve)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgNames({"kernel"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_EdgeConnectivityThreads(benchmark::State& state) {

@@ -30,10 +30,8 @@ void atomic_min(std::atomic<std::uint32_t>& best, std::uint32_t candidate) {
 
 std::uint32_t max_disjoint_paths(const Graph& g, NodeId s, NodeId t) {
   if (s == t) throw std::invalid_argument("max_disjoint_paths: s == t");
-  Dinic dinic = detail::make_split_prototype(g);
-  std::int64_t limit = std::min(g.degree(s), g.degree(t));
-  return static_cast<std::uint32_t>(
-      detail::split_solve(dinic, s, t, limit + 1));
+  VertexFlow flow(g);
+  return flow.solve(s, t, std::min(g.degree(s), g.degree(t)) + 1);
 }
 
 std::uint32_t vertex_connectivity(const Graph& g, unsigned threads) {
@@ -67,23 +65,21 @@ bool check_local_connectivity_sampled(const Graph& g, std::uint32_t target,
     while (t == s) t = pick(rng);
     tasks.emplace_back(s, t);
   }
-  const Dinic prototype = detail::make_split_prototype(g);
   par::ThreadPool pool(threads);
-  std::vector<Dinic> nets(pool.size(), prototype);
+  std::vector<VertexFlow> flows(pool.size(), VertexFlow(g));
   std::atomic<bool> all_ok{true};
   const std::uint64_t chunk =
       std::max<std::uint64_t>(1, tasks.size() / (8 * pool.size()));
   pool.parallel_for_chunks(
       tasks.size(), chunk,
       [&](unsigned worker, std::uint64_t begin, std::uint64_t end) {
-        Dinic& dinic = nets[worker];
+        VertexFlow& flow = flows[worker];
         for (std::uint64_t k = begin; k < end; ++k) {
           // flow >= target is all we need to know; once any pair failed
           // the remaining solves are skipped entirely.
           if (!all_ok.load(std::memory_order_relaxed)) return;
           auto [s, t] = tasks[k];
-          if (detail::split_solve(dinic, s, t, target) <
-              static_cast<std::int64_t>(target)) {
+          if (flow.solve(s, t, target) < target) {
             all_ok.store(false, std::memory_order_relaxed);
           }
         }

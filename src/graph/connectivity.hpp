@@ -15,7 +15,7 @@ namespace hbnet {
 
 /// Maximum number of internally vertex-disjoint s-t paths (s != t, and
 /// (s,t) not required to be non-adjacent; adjacent pairs count the direct
-/// edge as one path). Computed by unit-capacity max-flow on the split graph.
+/// edge as one path). One VertexFlow solve (graph/maxflow.hpp).
 [[nodiscard]] std::uint32_t max_disjoint_paths(const Graph& g, NodeId s,
                                                NodeId t);
 
@@ -25,8 +25,7 @@ namespace hbnet {
 /// at most kappa(G)+1 sources are scanned against their non-neighbors (the
 /// source set re-shrinks as the best cut bound drops), pairs whose local
 /// connectivity provably reaches the bound are pruned without flow work,
-/// and one vertex-split Dinic network is built for the whole run and
-/// reused (cloned per pool worker, restored with reset() between solves).
+/// and every solve runs on a per-worker VertexFlow over one shared graph.
 /// Distributed over a hbnet::par thread pool (`threads`; 0 =
 /// par::default_threads()); the result is exact and identical for every
 /// thread count. For checkpointed long runs, schedule options, and
@@ -52,8 +51,8 @@ namespace hbnet {
 
 /// Exact edge connectivity lambda(G) (used for sanity cross-checks in tests;
 /// lambda >= kappa for any graph). One max-flow per target vertex on a
-/// single network built once and reset() between solves, distributed over
-/// the pool with the same exact best-so-far pruning as
+/// single network built once and cleared with undo_flow() between solves,
+/// distributed over the pool with the same exact best-so-far pruning as
 /// vertex_connectivity.
 [[nodiscard]] std::uint32_t edge_connectivity(const Graph& g,
                                               unsigned threads = 0);

@@ -33,6 +33,21 @@ struct BlockTally {
   obs::Histogram flows;
 };
 
+/// One CSR copy of a provider's graph (neighbor lists are already sorted).
+Graph to_graph(const AdjacencyProvider& adj) {
+  const NodeId n = adj.num_nodes();
+  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
+  std::vector<NodeId> columns;
+  columns.reserve(2 * adj.num_edges());
+  NeighborScratch scratch(adj);
+  for (NodeId v = 0; v < n; ++v) {
+    const std::span<const NodeId> nb = adj.neighbors(v, scratch.data());
+    columns.insert(columns.end(), nb.begin(), nb.end());
+    offsets[v + 1] = columns.size();
+  }
+  return Graph(std::move(offsets), std::move(columns));
+}
+
 }  // namespace
 
 namespace detail {
@@ -318,43 +333,47 @@ ExactConnectivityResult ConnectivitySweep::run() {
   if (state_.complete) return result_from_state();
 
   par::ThreadPool pool(opts_.threads);
-  // Per-worker split networks. Without sparsification the prototype is
-  // built once from the full adjacency and cloned per pool worker; with it,
-  // the prototype is rebuilt from a fresh Nagamochi-Ibaraki certificate
-  // whenever the frozen block bound has dropped since the last build (the
-  // bound only decreases, and only at block boundaries, so rebuilds are
-  // rare and schedule-determined). Every solve restores its clone with
-  // Dinic::undo_flow() -- no construction or allocation inside a block.
-  std::vector<Dinic> nets;
+  // Every solve runs on a VertexFlow per pool worker (O(n) state each) over
+  // one shared read-only CSR graph: the caller's graph in CSR mode, one
+  // materialized copy of an implicit provider, or -- with sparsification --
+  // a Nagamochi-Ibaraki certificate, rebuilt whenever the frozen block bound
+  // has dropped since the last build (the bound only decreases, and only at
+  // block boundaries, so rebuilds are rare and schedule-determined).
+  std::optional<Graph> materialized;
   std::optional<SparseCertificate> cert;
+  std::vector<VertexFlow> flows;
   std::uint64_t arena_arcs_peak = 0;
-  auto publish_arena = [&](std::uint64_t cert_edges, std::uint64_t arcs) {
+  // The gauges describe the split network each solve runs on: n in->out
+  // arcs plus one arc per direction of every edge.
+  auto publish_arena = [&](const Graph& g) {
+    const std::uint64_t arcs = g.num_nodes() + 2 * g.num_edges();
     arena_arcs_peak = std::max(arena_arcs_peak, arcs);
     if (opts_.metrics != nullptr) {
       obs::MetricsRegistry& m = *opts_.metrics;
       m.gauge("connectivity.cert_edges")
-          .set(static_cast<double>(cert_edges));
+          .set(static_cast<double>(g.num_edges()));
       m.gauge("connectivity.arena_arcs_peak")
           .set(static_cast<double>(arena_arcs_peak));
     }
+    return arcs;
   };
-  auto ensure_nets = [&](std::uint32_t block_bound) {
+  auto ensure_flows = [&](std::uint32_t block_bound) {
     if (!opts_.sparsify) {
-      if (nets.empty()) {
-        const Dinic prototype = detail::make_split_prototype(adj_);
-        publish_arena(adj_.num_edges(), prototype.num_arcs());
-        nets.assign(pool.size(), prototype);
+      if (flows.empty()) {
+        const auto* csr = dynamic_cast<const CsrAdjacency*>(&adj_);
+        const Graph& g = csr != nullptr ? csr->graph()
+                                        : materialized.emplace(to_graph(adj_));
+        publish_arena(g);
+        flows.assign(pool.size(), VertexFlow(g));
       }
       return;
     }
     if (cert.has_value() && cert->k == block_bound) return;
     cert.emplace(sparse_certificate(adj_, block_bound));
-    const Dinic prototype = detail::make_split_prototype(cert->graph);
-    publish_arena(cert->graph.num_edges(), prototype.num_arcs());
-    nets.assign(pool.size(), prototype);
+    const std::uint64_t arcs = publish_arena(cert->graph);
+    flows.assign(pool.size(), VertexFlow(cert->graph));
     obs::FlightRecorder::record("sweep_certificate", cert->k,
-                                cert->graph.num_edges(),
-                                prototype.num_arcs());
+                                cert->graph.num_edges(), arcs);
   };
   std::vector<BlockTally> tallies(pool.size());
   // One neighbor-scratch buffer per worker for target adjacency reads
@@ -421,7 +440,7 @@ ExactConnectivityResult ConnectivitySweep::run() {
       // limit at the bound (rather than bound+1) loses nothing and skips
       // the final level-graph phase of every saturated solve.
       const std::uint32_t block_bound = state_.bound;
-      ensure_nets(block_bound);
+      ensure_flows(block_bound);
       const std::uint64_t begin = std::uint64_t{b} * opts_.block_size;
       const std::uint64_t end =
           std::min<std::uint64_t>(targets.size(), begin + opts_.block_size);
@@ -432,7 +451,7 @@ ExactConnectivityResult ConnectivitySweep::run() {
           end - begin, chunk,
           [&](unsigned worker, std::uint64_t lo, std::uint64_t hi) {
             BlockTally& tally = tallies[worker];
-            Dinic& net = nets[worker];
+            VertexFlow& kernel = flows[worker];
             NodeId* scratch = scratches[worker].data();
             const std::span<const NodeId> sa = s_adj;
             const std::uint32_t ds = static_cast<std::uint32_t>(sa.size());
@@ -454,12 +473,11 @@ ExactConnectivityResult ConnectivitySweep::run() {
                 ++tally.pruned;
                 continue;
               }
-              const std::int64_t limit = std::min({ds, dt, block_bound});
-              const std::int64_t flow = detail::split_solve(net, s, t, limit);
+              const std::uint32_t flow =
+                  kernel.solve(s, t, std::min({ds, dt, block_bound}));
               ++tally.solves;
-              tally.flows.record(static_cast<std::uint64_t>(flow));
-              tally.min_flow = std::min(tally.min_flow,
-                                        static_cast<std::uint32_t>(flow));
+              tally.flows.record(flow);
+              tally.min_flow = std::min(tally.min_flow, flow);
             }
           });
       std::uint64_t solves = 0, pruned = 0;

@@ -22,10 +22,13 @@
 //    graph (the hyper butterfly included) admits an automorphism moving a
 //    vertex outside any given minimum cut onto v_0, so scanning the single
 //    source v_0 is exact; opt-in via SweepOptions::vertex_transitive;
-//  * flow-network reuse -- one split prototype is built for the whole run
-//    and cloned once per pool *worker* (not per pair, not per chunk); each
-//    solve widens the two terminal arcs, runs Dinic to its pruned limit and
-//    restores the clone with Dinic::reset();
+//  * one flat flow kernel -- every solve runs a VertexFlow
+//    (graph/maxflow.hpp) to its pruned limit: Dinic on the vertex-split
+//    network with the split left implicit, levels by a reverse BFS from t,
+//    and an O(n)-state workspace per pool *worker* that a solve resets only
+//    where its flow went. All workers read one shared CSR graph (the
+//    caller's, one materialized copy of an implicit provider, or the sparse
+//    certificate), so nothing is built or allocated inside a block;
 //  * checkpoint/resume -- the schedule is a pure function of the graph
 //    (no RNG, no wall clock), split into fixed-size blocks of targets; the
 //    sweep state after every block is thread-count invariant and is
@@ -73,8 +76,8 @@ struct SweepOptions {
   /// of the full graph. Exact: the certificate preserves every cut up to the
   /// frozen bound and the flow limits never exceed it, so kappa, all solve
   /// and prune counts, and the checkpoint bytes are identical with this on
-  /// or off. Pays off when kappa << min degree (the per-worker Dinic arena
-  /// shrinks from O(|E|) to O(bound * |V|)).
+  /// or off. Pays off when kappa << min degree (the graph every solve walks
+  /// shrinks from O(|E|) to O(bound * |V|) edges).
   bool sparsify = false;
   /// Target-orbit reduction for the single-source schedule: maps a vertex
   /// to the canonical representative of its orbit under a subgroup of
@@ -220,17 +223,20 @@ class ConnectivitySweep {
 
 namespace detail {
 
-/// Builds the shared vertex-split unit-capacity flow prototype (see
-/// connectivity.cpp for the arc layout contract: vertex v's in->out arc has
-/// index 2v).
+// The explicit vertex-split network on a Dinic: the reference VertexFlow is
+// tested against. No library code calls these.
+
+/// Builds the vertex-split unit-capacity flow network: vertex v's in->out
+/// arc has index 2v (state 2v -> 2v+1), then one arc u_out -> v_in per
+/// direction of every edge.
 [[nodiscard]] Dinic make_split_prototype(const AdjacencyProvider& adj);
 
 /// CSR convenience overload.
 [[nodiscard]] Dinic make_split_prototype(const Graph& g);
 
-/// One (s,t) solve on a clone of the split prototype: widens the terminal
-/// arcs, runs Dinic up to `limit`, restores the clone. Exact whenever
-/// limit > kappa(s, t).
+/// One (s,t) solve on the split network: widens the terminal arcs, runs
+/// Dinic up to `limit`, restores the network. Returns min(kappa(s, t),
+/// limit), the same value as VertexFlow::solve.
 std::int64_t split_solve(Dinic& dinic, NodeId s, NodeId t, std::int64_t limit);
 
 /// |a cap b| for two sorted adjacency spans, counting stops early at `cap`.

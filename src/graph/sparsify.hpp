@@ -13,8 +13,9 @@
 // i.e. every vertex or edge cut of size < k survives with its exact size and
 // larger cuts stay >= k. A max-flow solve truncated at limit <= k therefore
 // returns the identical value on the certificate and on the full graph --
-// which is how the connectivity sweeps shrink their per-worker Dinic arenas
-// from O(|E|) to O(k |V|) without perturbing a single recorded result.
+// which is how the connectivity sweeps shrink the graph their flow solves
+// walk from O(|E|) to O(k |V|) edges without perturbing a single recorded
+// result.
 //
 // The scan is serial, deterministic (max-r bucket queue with LIFO
 // tie-breaks, no RNG), and O(n + m) plus the certificate's CSR build; it

@@ -1,8 +1,9 @@
 // The Even-Tarjan connectivity engine (graph/connectivity_sweep.hpp):
-// brute-force cross-checks against the all-pairs max_disjoint_paths
-// minimum, the thread-count determinism contract (identical kappa AND
-// byte-identical checkpoints), kill/resume equivalence, checkpoint format
-// round-trips, and the SweepState validators.
+// brute-force cross-checks against the all-pairs minimum of the explicit
+// vertex-split Dinic reference, pinned sweep states and flow histograms,
+// the thread-count determinism contract (identical kappa AND byte-identical
+// checkpoints), kill/resume equivalence, checkpoint format round-trips, and
+// the SweepState validators.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,15 +46,19 @@ Graph random_graph(NodeId n, double p, std::uint64_t seed, bool connected) {
   return b.build();
 }
 
-/// Whitney reference: kappa(G) is the minimum of max_disjoint_paths over
-/// *all* pairs (adjacent pairs included -- they dominate only on complete
-/// graphs, where the minimum is n-1). Intentionally quadratic.
+/// Whitney reference: kappa(G) is the minimum local connectivity over *all*
+/// pairs (adjacent pairs included -- they dominate only on complete graphs,
+/// where the minimum is n-1). Intentionally quadratic, and solved on the
+/// explicit vertex-split Dinic network rather than the engine's VertexFlow
+/// kernel, so the reference stays independent of the code under test.
 std::uint32_t brute_force_kappa(const Graph& g) {
   const NodeId n = g.num_nodes();
+  Dinic split = detail::make_split_prototype(g);
   std::uint32_t best = n - 1;  // K_n value; callers guarantee n >= 2
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId t = s + 1; t < n; ++t) {
-      best = std::min(best, max_disjoint_paths(g, s, t));
+      best = std::min(best, static_cast<std::uint32_t>(
+                                detail::split_solve(split, s, t, n)));
     }
   }
   return best;
@@ -303,6 +308,140 @@ TEST(ConnectivitySweep, MetricsAreRecorded) {
   EXPECT_EQ(metrics.gauge("connectivity.bound").value(), r.kappa);
   ASSERT_NE(metrics.find_histogram("connectivity.flow"), nullptr);
   EXPECT_EQ(metrics.find_histogram("connectivity.flow")->count(), r.solves);
+}
+
+/// Two halves of `half` vertices, dense inside (p_in) and sparse across
+/// (p_out): min degree well above kappa, so flows vary along the sweep.
+Graph two_communities(NodeId half, double p_in, double p_out,
+                      std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  GraphBuilder b(2 * half);
+  for (NodeId u = 0; u < 2 * half; ++u) {
+    for (NodeId v = u + 1; v < 2 * half; ++v) {
+      if (coin(rng) < ((u < half) == (v < half) ? p_in : p_out)) {
+        b.add_edge(u, v);
+      }
+    }
+  }
+  return b.build();
+}
+
+TEST(ConnectivitySweep, PinnedStatesAndFlowHistograms) {
+  // Every SweepState field (as checkpoint text) and the whole metrics dump,
+  // connectivity.flow histogram included, recorded with the explicit
+  // vertex-split Dinic kernel. Any change of flow kernel must reproduce
+  // them byte for byte at every thread count.
+  struct Pin {
+    const char* name;
+    Graph graph;
+    void (*configure)(SweepOptions&);
+    const char* checkpoint;
+    const char* metrics;
+  };
+  const Pin pins[] = {
+      {"HB(2,3), general schedule", HyperButterfly(2, 3).to_graph(),
+       [](SweepOptions& opts) { opts.block_size = 64; },
+       R"(hbnet-connectivity-checkpoint v1
+graph nodes=96 edges=288 fp=2d5198479895cafa
+schedule even-tarjan block=64
+progress stages=7 blocks=0 bound=6
+work solves=623 pruned=0
+complete 1
+)",
+       R"({"counters":{"connectivity.blocks":14,"connectivity.pruned":0,)"
+       R"("connectivity.solves":623,"connectivity.stages":7},)"
+       R"("gauges":{"connectivity.arena_arcs_peak":672,"connectivity.bound":6,)"
+       R"("connectivity.cert_edges":288},)"
+       R"("histograms":{"connectivity.flow":{"count":623,"min":6,"mean":6,)"
+       R"("p50":6,"p90":6,"p99":6,"max":6}}})"},
+      {"HB(3,3), single source + sparsify", HyperButterfly(3, 3).to_graph(),
+       [](SweepOptions& opts) {
+         opts.vertex_transitive = true;
+         opts.sparsify = true;
+         opts.block_size = 32;
+       },
+       R"(hbnet-connectivity-checkpoint v1
+graph nodes=192 edges=672 fp=c33b2940b8b80f09
+schedule single-source block=32
+progress stages=1 blocks=0 bound=7
+work solves=184 pruned=0
+complete 1
+)",
+       R"({"counters":{"connectivity.blocks":6,"connectivity.pruned":0,)"
+       R"("connectivity.solves":184,"connectivity.stages":1},)"
+       R"("gauges":{"connectivity.arena_arcs_peak":1536,)"
+       R"("connectivity.bound":7,"connectivity.cert_edges":672},)"
+       R"("histograms":{"connectivity.flow":{"count":184,"min":7,"mean":7,)"
+       R"("p50":7,"p90":7,"p99":7,"max":7}}})"},
+      {"Q_6, general schedule + sparsify", Hypercube(6).to_graph(),
+       [](SweepOptions& opts) {
+         opts.sparsify = true;
+         opts.block_size = 16;
+       },
+       R"(hbnet-connectivity-checkpoint v1
+graph nodes=64 edges=192 fp=f57f0b6402e6e96b
+schedule even-tarjan block=16
+progress stages=7 blocks=0 bound=6
+work solves=399 pruned=0
+complete 1
+)",
+       R"({"counters":{"connectivity.blocks":28,"connectivity.pruned":0,)"
+       R"("connectivity.solves":399,"connectivity.stages":7},)"
+       R"("gauges":{"connectivity.arena_arcs_peak":448,"connectivity.bound":6,)"
+       R"("connectivity.cert_edges":192},)"
+       R"("histograms":{"connectivity.flow":{"count":399,"min":6,"mean":6,)"
+       R"("p50":6,"p90":6,"p99":6,"max":6}}})"},
+      {"two communities", two_communities(14, 0.8, 0.015, 1701),
+       [](SweepOptions& opts) { opts.block_size = 8; },
+       R"(hbnet-connectivity-checkpoint v1
+graph nodes=28 edges=145 fp=00b6485a954eb401
+schedule even-tarjan block=8
+progress stages=4 blocks=0 bound=3
+work solves=59 pruned=13
+complete 1
+)",
+       R"({"counters":{"connectivity.blocks":12,"connectivity.pruned":13,)"
+       R"("connectivity.solves":59,"connectivity.stages":4},)"
+       R"("gauges":{"connectivity.arena_arcs_peak":318,"connectivity.bound":3,)"
+       R"("connectivity.cert_edges":145},)"
+       R"("histograms":{"connectivity.flow":{"count":59,"min":3,)"
+       R"("mean":3.40678,"p50":3,"p90":3,"p99":9,"max":9}}})"},
+      {"two communities + sparsify", two_communities(16, 0.75, 0.012, 1702),
+       [](SweepOptions& opts) {
+         opts.sparsify = true;
+         opts.block_size = 8;
+       },
+       R"(hbnet-connectivity-checkpoint v1
+graph nodes=32 edges=180 fp=b1e24a3b59a65859
+schedule even-tarjan block=8
+progress stages=3 blocks=0 bound=2
+work solves=47 pruned=20
+complete 1
+)",
+       R"({"counters":{"connectivity.blocks":9,"connectivity.pruned":20,)"
+       R"("connectivity.solves":47,"connectivity.stages":3},)"
+       R"("gauges":{"connectivity.arena_arcs_peak":382,"connectivity.bound":2,)"
+       R"("connectivity.cert_edges":59},)"
+       R"("histograms":{"connectivity.flow":{"count":47,"min":2,"mean":2,)"
+       R"("p50":2,"p90":2,"p99":2,"max":2}}})"},
+  };
+  for (const Pin& pin : pins) {
+    for (unsigned threads : kThreadCounts) {
+      SweepOptions opts;
+      pin.configure(opts);
+      opts.threads = threads;
+      obs::MetricsRegistry metrics;
+      opts.metrics = &metrics;
+      ConnectivitySweep sweep(pin.graph, opts);
+      ASSERT_TRUE(sweep.run().complete) << pin.name;
+      std::ostringstream json;
+      metrics.write_json(json);
+      EXPECT_EQ(serialize_checkpoint(sweep.state()), pin.checkpoint)
+          << pin.name << " threads=" << threads;
+      EXPECT_EQ(json.str(), pin.metrics) << pin.name << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ConnectivitySweep, ValidatorAcceptsEngineStatesAndRejectsCorruption) {
