@@ -57,15 +57,11 @@ unsigned HyperButterfly::distance(HbNode u, HbNode v) const {
 }
 
 std::vector<HbNode> HyperButterfly::route(HbNode u, HbNode v) const {
-  std::vector<HbNode> path{u};
-  // Hypercube phase (Section 3, step 1): correct cube bits LSB-first.
-  for (CubeWord x : cube_.route(u.cube, v.cube)) {
-    if (x != path.back().cube) path.push_back({x, u.bfly});
-  }
-  // Butterfly phase (step 2).
-  for (BflyNode b : bfly_.route_nodes(u.bfly, v.bfly)) {
-    if (!(b == path.back().bfly)) path.push_back({v.cube, b});
-  }
+  const std::vector<HbGen> gens = route_generators(u, v);
+  std::vector<HbNode> path;
+  path.reserve(gens.size() + 1);
+  path.push_back(u);
+  for (const HbGen& g : gens) path.push_back(apply(path.back(), g));
   return path;
 }
 

@@ -90,11 +90,12 @@ class HyperButterfly {
   /// butterfly covering-walk distance.
   [[nodiscard]] unsigned distance(HbNode u, HbNode v) const;
 
-  /// Optimal two-phase route (Section 3): hypercube phase then butterfly
-  /// phase. Returns the full vertex sequence [u, ..., v].
+  /// Optimal two-phase route (Section 3) as the full vertex sequence
+  /// [u, ..., v]: route_generators(u, v) replayed through apply().
   [[nodiscard]] std::vector<HbNode> route(HbNode u, HbNode v) const;
 
-  /// Same route as a generator sequence.
+  /// The Section-3 route as a generator sequence: hypercube phase (cube
+  /// bits LSB-first), then the butterfly phase (Butterfly::route).
   [[nodiscard]] std::vector<HbGen> route_generators(HbNode u, HbNode v) const;
 
   /// Left translation by u, x -> u·x (Theorem 1): (h, (w, l)) maps to

@@ -1,6 +1,7 @@
 #include "topology/butterfly.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -15,6 +16,67 @@ std::uint32_t rotr_n(std::uint32_t w, unsigned r, unsigned n) {
   if (r == 0) return w;
   const std::uint32_t mask = (n == 32) ? ~0u : ((1u << n) - 1);
   return ((w >> r) | (w << (n - r))) & mask;
+}
+
+CoveringWalkPlan plan_cycle_walk(const char* who, unsigned n, unsigned start,
+                                 unsigned end, std::uint64_t required,
+                                 bool visiting) {
+  // Lift the cycle Z_n to the integer line anchored at `start` (offset 0).
+  // Any walk's trace is an interval [-d, +c]; it must end at an offset tau
+  // congruent to end-start (mod n), and offset p stands for residue
+  // (start+p) mod n -- line edge (p, p+1) for cycle edge (start+p) mod n. A
+  // minimum walk for a fixed interval and tau goes to one extreme, sweeps to
+  // the other and backtracks to tau: cost 2(c+d) - tau (left extreme first)
+  // or 2(c+d) + tau (right extreme first). Intervals longer than n add cost
+  // without adding coverage, so c, d <= n.
+  //
+  // For a fixed right extreme c the required residues below `reach` are
+  // covered from the right -- reach = c for edges (line edges 0..c-1), and
+  // c+1 for vertices (offsets 0..c) -- and every one at or above it must be
+  // reached from the wrapped side [n-d, n). That pins the least left
+  // extreme d(c) = n - (smallest required residue >= reach). Cost is
+  // monotone in d, so only d(c) -- bumped to n-delta when tau = delta-n
+  // needs the deeper left extreme -- can be optimal: O(n) candidates.
+  if (n == 0 || n > 64) {
+    throw std::invalid_argument(std::string(who) + ": n must be in [1,64]");
+  }
+  if (start >= n || end >= n) {
+    throw std::invalid_argument(std::string(who) + ": level out of range");
+  }
+  const int ni = static_cast<int>(n);
+  const int delta =
+      ((static_cast<int>(end) - static_cast<int>(start)) % ni + ni) % ni;
+
+  // suffix_min[r] = smallest required residue >= r (relative to start), or
+  // n when there is none; index n + 1 serves the vertex variant at c = n.
+  std::array<int, 66> suffix_min{};
+  suffix_min[n] = suffix_min[n + 1] = ni;
+  for (int r = ni - 1; r >= 0; --r) {
+    const unsigned k = (start + static_cast<unsigned>(r)) % n;
+    suffix_min[r] = ((required >> k) & 1) ? r : suffix_min[r + 1];
+  }
+
+  int best_cost = std::numeric_limits<int>::max();
+  CoveringWalkPlan best;
+  auto consider = [&](int c, int d, int tau) {
+    if (d > ni || tau < -d || tau > c) return;
+    for (const bool left_first : {true, false}) {
+      const int cost = 2 * (c + d) + (left_first ? -tau : tau);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = {static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(d),
+                static_cast<std::int8_t>(tau), left_first};
+      }
+    }
+  };
+  for (int c = 0; c <= ni; ++c) {
+    const int reach = visiting ? c + 1 : c;
+    const int d_min = suffix_min[reach] == ni ? 0 : ni - suffix_min[reach];
+    consider(c, d_min, delta);
+    consider(c, std::max(d_min, ni - delta), delta - ni);
+    if (c == ni && delta == 0) consider(c, d_min, ni);
+  }
+  return best;
 }
 
 }  // namespace
@@ -33,156 +95,16 @@ const char* to_string(BflyGen gen) {
   return "?";
 }
 
-std::vector<int> solve_covering_walk(unsigned n, unsigned start, unsigned end,
-                                     std::uint64_t required) {
-  // Lift the cycle Z_n to the integer line anchored at `start` (offset 0).
-  // Any walk's trace is an interval [-d, +c]; the walk must end at an offset
-  // tau congruent to end-start (mod n), and line edge at offset p (between
-  // p and p+1) realizes cycle edge (start+p) mod n. A minimum walk for a
-  // fixed interval and tau goes to one extreme, sweeps to the other, and
-  // backtracks to tau:  cost = 2(c+d) - tau  (left extreme first) or
-  //                     cost = 2(c+d) + tau  (right extreme first).
-  // Enumerating c,d in [0,n] is exhaustive: intervals longer than n add cost
-  // without adding coverage.
-  if (start >= n || end >= n) {
-    throw std::invalid_argument("solve_covering_walk: level out of range");
-  }
-  const int ni = static_cast<int>(n);
-  const int delta =
-      ((static_cast<int>(end) - static_cast<int>(start)) % ni + ni) % ni;
-
-  int best_cost = std::numeric_limits<int>::max();
-  int best_c = 0, best_d = 0, best_tau = 0;
-  bool best_left_first = true;
-
-  for (int c = 0; c <= ni; ++c) {
-    for (int d = 0; d <= ni; ++d) {
-      // Coverage check: offsets p in [-d, c-1] cover cycle edges
-      // (start + p) mod n. With c+d >= n everything is covered.
-      if (c + d < ni) {
-        bool covered = true;
-        for (unsigned k = 0; covered && k < n; ++k) {
-          if (!((required >> k) & 1)) continue;
-          // Residue of (k - start) mod n must lie in [0, c-1] or [n-d, n-1].
-          int res = (static_cast<int>(k) - static_cast<int>(start) + ni) % ni;
-          if (!(res < c || res >= ni - d)) covered = false;
-        }
-        if (!covered) continue;
-      }
-      // Endpoint representatives tau == delta (mod n) inside [-d, c].
-      for (int tau : {delta - ni, delta, delta + ni}) {
-        if (tau < -d || tau > c) continue;
-        int cost_left = 2 * (c + d) - tau;   // go to -d first, then +c, back
-        int cost_right = 2 * (c + d) + tau;  // go to +c first, then -d, back
-        if (cost_left < best_cost) {
-          best_cost = cost_left;
-          best_c = c;
-          best_d = d;
-          best_tau = tau;
-          best_left_first = true;
-        }
-        if (cost_right < best_cost) {
-          best_cost = cost_right;
-          best_c = c;
-          best_d = d;
-          best_tau = tau;
-          best_left_first = false;
-        }
-      }
-    }
-  }
-  // Materialize the step sequence.
-  std::vector<int> steps;
-  steps.reserve(static_cast<std::size_t>(best_cost));
-  auto emit = [&steps](int from, int to) {
-    int dir = to > from ? 1 : -1;
-    for (int p = from; p != to; p += dir) steps.push_back(dir);
-  };
-  if (best_left_first) {
-    emit(0, -best_d);
-    emit(-best_d, best_c);
-    emit(best_c, best_tau);
-  } else {
-    emit(0, best_c);
-    emit(best_c, -best_d);
-    emit(-best_d, best_tau);
-  }
-  return steps;
-}
-
 CoveringWalkPlan plan_covering_walk(unsigned n, unsigned start, unsigned end,
                                     std::uint64_t required) {
-  // Same lift as solve_covering_walk, evaluated in O(n) instead of O(n^2):
-  // for a fixed right extreme c, coverage pins the minimum left extreme
-  // d(c) = n - (smallest required residue >= c), because residues below c
-  // are inside [0, c) and everything at or above the smallest uncovered one
-  // must be reached from the wrapped side [n-d, n). Cost 2(c+d) -+ tau is
-  // monotone in d, so only d(c) -- bumped to n-delta when tau = delta-n
-  // needs the deeper left extreme -- can be optimal.
-  if (start >= n || end >= n) {
-    throw std::invalid_argument("plan_covering_walk: level out of range");
-  }
-  const int ni = static_cast<int>(n);
-  const int delta =
-      ((static_cast<int>(end) - static_cast<int>(start)) % ni + ni) % ni;
-
-  // suffix_min[c] = smallest required residue >= c (relative to start),
-  // or n when there is none.
-  std::array<int, 65> suffix_min{};
-  suffix_min[n] = ni;
-  for (int c = ni - 1; c >= 0; --c) {
-    const unsigned k = (start + static_cast<unsigned>(c)) % n;
-    suffix_min[c] = ((required >> k) & 1) ? c : suffix_min[c + 1];
-  }
-
-  int best_cost = std::numeric_limits<int>::max();
-  CoveringWalkPlan best;
-  auto consider = [&](int c, int d, int tau) {
-    if (d > ni || tau < -d || tau > c) return;
-    for (const bool left_first : {true, false}) {
-      const int cost = 2 * (c + d) + (left_first ? -tau : tau);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = {static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(d),
-                static_cast<std::int8_t>(tau), left_first};
-      }
-    }
-  };
-  for (int c = 0; c <= ni; ++c) {
-    const int d_min = suffix_min[c] == ni ? 0 : ni - suffix_min[c];
-    consider(c, d_min, delta);
-    consider(c, std::max(d_min, ni - delta), delta - ni);
-    if (c == ni && delta == 0) consider(c, d_min, ni);
-  }
-  return best;
+  return plan_cycle_walk("plan_covering_walk", n, start, end, required,
+                         /*visiting=*/false);
 }
 
-unsigned covering_walk_length(unsigned n, unsigned start, unsigned end,
-                              std::uint64_t required) {
-  // Same enumeration as solve_covering_walk without materializing steps.
-  const int ni = static_cast<int>(n);
-  const int delta =
-      ((static_cast<int>(end) - static_cast<int>(start)) % ni + ni) % ni;
-  int best = std::numeric_limits<int>::max();
-  for (int c = 0; c <= ni; ++c) {
-    for (int d = 0; d <= ni; ++d) {
-      if (c + d < ni) {
-        bool covered = true;
-        for (unsigned k = 0; covered && k < n; ++k) {
-          if (!((required >> k) & 1)) continue;
-          int res = (static_cast<int>(k) - static_cast<int>(start) + ni) % ni;
-          if (!(res < c || res >= ni - d)) covered = false;
-        }
-        if (!covered) continue;
-      }
-      for (int tau : {delta - ni, delta, delta + ni}) {
-        if (tau < -d || tau > c) continue;
-        best = std::min(best, 2 * (c + d) - tau);
-        best = std::min(best, 2 * (c + d) + tau);
-      }
-    }
-  }
-  return static_cast<unsigned>(best);
+CoveringWalkPlan plan_visiting_walk(unsigned n, unsigned start, unsigned end,
+                                    std::uint64_t required) {
+  return plan_cycle_walk("plan_visiting_walk", n, start, end, required,
+                         /*visiting=*/true);
 }
 
 Butterfly::Butterfly(unsigned n) : n_(n) {
@@ -198,27 +120,30 @@ std::vector<BflyNode> Butterfly::neighbors(BflyNode v) const {
 }
 
 unsigned Butterfly::distance(BflyNode u, BflyNode v) const {
-  return covering_walk_length(n_, u.level, v.level, u.word ^ v.word);
+  return plan_covering_walk(n_, u.level, v.level, u.word ^ v.word).length();
 }
 
 std::vector<BflyGen> Butterfly::route(BflyNode u, BflyNode v) const {
-  std::vector<int> steps =
-      solve_covering_walk(n_, u.level, v.level, u.word ^ v.word);
+  const CoveringWalkPlan plan =
+      plan_covering_walk(n_, u.level, v.level, u.word ^ v.word);
   std::vector<BflyGen> gens;
-  gens.reserve(steps.size());
+  gens.reserve(plan.length());
   BflyNode cur = u;
   std::uint32_t remaining = cur.word ^ v.word;  // bits still to fix
-  for (int s : steps) {
-    // Crossing cycle edge e: upward (g/f) crosses edge cur.level; downward
-    // (g^-1/f^-1) crosses edge (cur.level - 1) mod n. Take the flipping
-    // variant on the first crossing of a required edge.
-    unsigned edge = (s > 0) ? cur.level : (cur.level + n_ - 1) % n_;
-    bool flip = (remaining >> edge) & 1;
-    BflyGen gen = s > 0 ? (flip ? BflyGen::kF : BflyGen::kG)
-                        : (flip ? BflyGen::kFInv : BflyGen::kGInv);
-    if (flip) remaining ^= 1u << edge;
-    gens.push_back(gen);
-    cur = apply(cur, gen);
+  for (unsigned i = 0; i < 3; ++i) {
+    const bool upward = plan.dir(i) > 0;
+    for (unsigned k = 0; k < plan.run(i); ++k) {
+      // Crossing cycle edge e: upward (g/f) crosses edge cur.level; downward
+      // (g^-1/f^-1) crosses edge (cur.level - 1) mod n. Take the flipping
+      // variant on the first crossing of a required edge.
+      const unsigned edge = upward ? cur.level : (cur.level + n_ - 1) % n_;
+      const bool flip = (remaining >> edge) & 1;
+      const BflyGen gen = upward ? (flip ? BflyGen::kF : BflyGen::kG)
+                                 : (flip ? BflyGen::kFInv : BflyGen::kGInv);
+      if (flip) remaining ^= 1u << edge;
+      gens.push_back(gen);
+      cur = apply(cur, gen);
+    }
   }
   if (!(cur == v)) {
     throw std::logic_error("Butterfly::route: internal routing error");

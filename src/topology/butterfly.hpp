@@ -24,9 +24,11 @@
 //
 // Shortest routing: a route from (w,l) to (w',l') is a walk on the level
 // cycle Z_n from l to l' traversing cycle edge k at least once for every bit
-// k set in w^w'. We solve that covering-walk problem exactly in O(n^2) by
-// lifting to the integer line (see solve_covering_walk below), which yields
-// both the true distance and an explicit optimal generator sequence.
+// k set in w^w'. plan_covering_walk() solves that covering-walk problem
+// exactly in O(n) by lifting to the integer line and taking, for each right
+// extreme, the least left extreme that a suffix minimum over the required
+// residues allows; the result is both the true distance and an explicit
+// optimal generator sequence.
 #pragma once
 
 #include <cstdint>
@@ -51,21 +53,13 @@ enum class BflyGen : std::uint8_t { kG, kF, kGInv, kFInv };
 /// Returns the paper name of a generator ("g", "f", "g-1", "f-1").
 [[nodiscard]] const char* to_string(BflyGen gen);
 
-/// Minimum-length walk on the cycle Z_n from `start` to `end` traversing
-/// every cycle edge k (joining levels k and k+1 mod n) with bit k set in
-/// `required`. Returned as signed unit steps (+1 = clockwise / g-direction).
-/// Exact; used by butterfly and hyper-butterfly routing.
-[[nodiscard]] std::vector<int> solve_covering_walk(unsigned n, unsigned start,
-                                                   unsigned end,
-                                                   std::uint64_t required);
-
-/// A minimum covering walk in closed form: lifted to the integer line
-/// anchored at `start`, an optimal walk visits the interval [-down, up] and
-/// ends at offset tau, sweeping to one extreme first and then the other.
-/// That is three monotone runs -- run(i) unit steps in direction
-/// dir(i) = -+dir(0) -- so a packet can carry the whole remaining route in a
-/// few bytes and advance it in O(1) per hop (the sharded simulator's
-/// implicit-routing representation).
+/// A minimum cycle walk (covering or visiting) in closed form: lifted to the
+/// integer line anchored at `start`, an optimal walk visits the interval
+/// [-down, up] and ends at offset tau, sweeping to one extreme first and
+/// then the other. That is three monotone runs -- run(i) unit steps in
+/// direction dir(i) = -+dir(0) -- so a packet can carry the whole remaining
+/// route in a few bytes and advance it in O(1) per hop (the sharded
+/// simulator's implicit-routing representation).
 struct CoveringWalkPlan {
   std::uint8_t up = 0;       // right extreme of the lifted interval
   std::uint8_t down = 0;     // left extreme (as a magnitude)
@@ -89,17 +83,23 @@ struct CoveringWalkPlan {
   }
 };
 
-/// Computes a minimum covering walk in O(n): same optimal length as
-/// solve_covering_walk (pinned exhaustively in tests), but returns the
-/// compact three-run form instead of materializing the step vector.
+/// Minimum-length walk on the cycle Z_n (n in [1, 64]) from `start` to
+/// `end` traversing every cycle edge k (joining levels k and k+1 mod n) with
+/// bit k set in `required`, in O(n). Butterfly and hyper-butterfly routing
+/// use it; tests pin it step for step against an O(n^2) enumeration of the
+/// lifted intervals. Throws std::invalid_argument on n or a level out of
+/// range.
 [[nodiscard]] CoveringWalkPlan plan_covering_walk(unsigned n, unsigned start,
                                                   unsigned end,
                                                   std::uint64_t required);
 
-/// Length of the optimal covering walk without materializing it.
-[[nodiscard]] unsigned covering_walk_length(unsigned n, unsigned start,
-                                            unsigned end,
-                                            std::uint64_t required);
+/// The vertex-visiting variant: a minimum walk from `start` to `end` that
+/// visits every position k with bit k set in `required` (the CCC router).
+/// Same body as plan_covering_walk except that the right extreme c of the
+/// lifted interval is itself visited, so residue c counts as reached.
+[[nodiscard]] CoveringWalkPlan plan_visiting_walk(unsigned n, unsigned start,
+                                                  unsigned end,
+                                                  std::uint64_t required);
 
 class Butterfly {
  public:

@@ -1,78 +1,12 @@
 #include "topology/ccc.hpp"
 
 #include <bit>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "topology/butterfly.hpp"
+
 namespace hbnet {
-
-std::vector<int> solve_visiting_walk(unsigned n, unsigned start, unsigned end,
-                                     std::uint64_t required) {
-  if (start >= n || end >= n) {
-    throw std::invalid_argument("solve_visiting_walk: position out of range");
-  }
-  const int ni = static_cast<int>(n);
-  const int delta =
-      ((static_cast<int>(end) - static_cast<int>(start)) % ni + ni) % ni;
-  int best_cost = std::numeric_limits<int>::max();
-  int best_c = 0, best_d = 0, best_tau = 0;
-  bool best_left_first = true;
-  for (int c = 0; c <= ni; ++c) {
-    for (int d = 0; d <= ni; ++d) {
-      // Offsets [-d, c] visit residues (start+p) mod n; everything is
-      // visited once c + d >= n - 1.
-      if (c + d < ni - 1) {
-        bool covered = true;
-        for (unsigned k = 0; covered && k < n; ++k) {
-          if (!((required >> k) & 1)) continue;
-          int res = (static_cast<int>(k) - static_cast<int>(start) + ni) % ni;
-          if (!(res <= c || res >= ni - d)) covered = false;
-        }
-        if (!covered) continue;
-      }
-      for (int tau : {delta - ni, delta, delta + ni}) {
-        if (tau < -d || tau > c) continue;
-        if (2 * (c + d) - tau < best_cost) {
-          best_cost = 2 * (c + d) - tau;
-          best_c = c;
-          best_d = d;
-          best_tau = tau;
-          best_left_first = true;
-        }
-        if (2 * (c + d) + tau < best_cost) {
-          best_cost = 2 * (c + d) + tau;
-          best_c = c;
-          best_d = d;
-          best_tau = tau;
-          best_left_first = false;
-        }
-      }
-    }
-  }
-  std::vector<int> steps;
-  steps.reserve(static_cast<std::size_t>(best_cost));
-  auto emit = [&steps](int from, int to) {
-    int dir = to > from ? 1 : -1;
-    for (int p = from; p != to; p += dir) steps.push_back(dir);
-  };
-  if (best_left_first) {
-    emit(0, -best_d);
-    emit(-best_d, best_c);
-    emit(best_c, best_tau);
-  } else {
-    emit(0, best_c);
-    emit(best_c, -best_d);
-    emit(-best_d, best_tau);
-  }
-  return steps;
-}
-
-unsigned visiting_walk_length(unsigned n, unsigned start, unsigned end,
-                              std::uint64_t required) {
-  return static_cast<unsigned>(
-      solve_visiting_walk(n, start, end, required).size());
-}
 
 CubeConnectedCycles::CubeConnectedCycles(unsigned n) : n_(n) {
   if (n < 3 || n > 26) {
@@ -89,7 +23,7 @@ std::vector<CccNode> CubeConnectedCycles::neighbors(CccNode v) const {
 
 unsigned CubeConnectedCycles::distance(CccNode u, CccNode v) const {
   const std::uint32_t diff = u.word ^ v.word;
-  return visiting_walk_length(n_, u.pos, v.pos, diff) +
+  return plan_visiting_walk(n_, u.pos, v.pos, diff).length() +
          static_cast<unsigned>(std::popcount(diff));
 }
 
@@ -106,12 +40,14 @@ std::vector<CccNode> CubeConnectedCycles::route_nodes(CccNode u,
     }
   };
   flip_if_needed();
-  for (int s : solve_visiting_walk(n_, u.pos, v.pos, u.word ^ v.word)) {
-    cur.pos = static_cast<std::uint32_t>(
-        (static_cast<int>(cur.pos) + s + static_cast<int>(n_)) %
-        static_cast<int>(n_));
-    path.push_back(cur);
-    flip_if_needed();
+  const CoveringWalkPlan plan =
+      plan_visiting_walk(n_, u.pos, v.pos, u.word ^ v.word);
+  for (unsigned i = 0; i < 3; ++i) {
+    for (unsigned k = 0; k < plan.run(i); ++k) {
+      cur.pos = plan.dir(i) > 0 ? (cur.pos + 1) % n_ : (cur.pos + n_ - 1) % n_;
+      path.push_back(cur);
+      flip_if_needed();
+    }
   }
   return path;
 }

@@ -6,9 +6,9 @@
 // A vertex is (word w, position p): cycle edges change p by +-1 (mod n),
 // the single cube edge flips bit p of w. Routing therefore reduces to a
 // minimum walk on the position cycle Z_n that *visits* every position
-// whose bit differs (one extra step per flip), solved exactly by the same
-// interval enumeration as the butterfly's covering-walk router (which
-// covers *edges* instead).
+// whose bit differs (one extra step per flip), solved exactly in O(n) by
+// plan_visiting_walk (topology/butterfly.hpp): the butterfly's covering-walk
+// kernel with the right extreme of the lifted interval counted as visited.
 #pragma once
 
 #include <cstdint>
@@ -24,17 +24,6 @@ struct CccNode {
   std::uint32_t pos = 0;
   friend bool operator==(const CccNode&, const CccNode&) = default;
 };
-
-/// Minimum-length walk on Z_n from `start` to `end` that visits every
-/// position k with bit k set in `required`. Returns signed unit steps.
-[[nodiscard]] std::vector<int> solve_visiting_walk(unsigned n, unsigned start,
-                                                   unsigned end,
-                                                   std::uint64_t required);
-
-/// Length of the optimal visiting walk.
-[[nodiscard]] unsigned visiting_walk_length(unsigned n, unsigned start,
-                                            unsigned end,
-                                            std::uint64_t required);
 
 class CubeConnectedCycles {
  public:

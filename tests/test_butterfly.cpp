@@ -3,6 +3,9 @@
 // family of Remark 9 and the natural tree.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "cycle_walk_reference.hpp"
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/embedding_check.hpp"
@@ -215,18 +218,23 @@ TEST_P(ButterflyParam, NaturalTreeIsValidEmbedding) {
 INSTANTIATE_TEST_SUITE_P(Dims, ButterflyParam,
                          ::testing::Values(3u, 4u, 5u, 6u, 7u, 8u));
 
+unsigned covering_length(unsigned n, unsigned start, unsigned end,
+                         std::uint64_t required) {
+  return plan_covering_walk(n, start, end, required).length();
+}
+
 TEST(CoveringWalk, KnownCases) {
   // No required edges: straight-line distance on the level cycle.
-  EXPECT_EQ(covering_walk_length(8, 0, 3, 0), 3u);
-  EXPECT_EQ(covering_walk_length(8, 0, 5, 0), 3u);  // wrap the short way
-  EXPECT_EQ(covering_walk_length(8, 2, 2, 0), 0u);
+  EXPECT_EQ(covering_length(8, 0, 3, 0), 3u);
+  EXPECT_EQ(covering_length(8, 0, 5, 0), 3u);  // wrap the short way
+  EXPECT_EQ(covering_length(8, 2, 2, 0), 0u);
   // One required edge right next to the start, ending at start: cross and
   // return.
-  EXPECT_EQ(covering_walk_length(8, 0, 0, 0b1), 2u);
+  EXPECT_EQ(covering_length(8, 0, 0, 0b1), 2u);
   // All edges required, ending at start: one full loop.
-  EXPECT_EQ(covering_walk_length(6, 0, 0, 0b111111), 6u);
+  EXPECT_EQ(covering_length(6, 0, 0, 0b111111), 6u);
   // All edges required, antipodal target: 3n/2 (the diameter witness).
-  EXPECT_EQ(covering_walk_length(6, 0, 3, 0b111111), 9u);
+  EXPECT_EQ(covering_length(6, 0, 3, 0b111111), 9u);
 }
 
 TEST(CoveringWalk, StepsMatchReportedLength) {
@@ -234,8 +242,8 @@ TEST(CoveringWalk, StepsMatchReportedLength) {
     for (unsigned s = 0; s < n; ++s) {
       for (unsigned t = 0; t < n; ++t) {
         for (std::uint64_t req = 0; req < (1ull << n); req += 3) {
-          auto steps = solve_covering_walk(n, s, t, req);
-          EXPECT_EQ(steps.size(), covering_walk_length(n, s, t, req));
+          auto steps = reference_cycle_walk(n, s, t, req, /*visiting=*/false);
+          EXPECT_EQ(steps.size(), covering_length(n, s, t, req));
           // Walk simulation: verify end level and edge coverage.
           unsigned cur = s;
           std::uint64_t covered = 0;
@@ -251,6 +259,38 @@ TEST(CoveringWalk, StepsMatchReportedLength) {
         }
       }
     }
+  }
+}
+
+TEST(CycleWalkKernel, StepsEqualReferenceExhaustively) {
+  // The closed form must emit exactly the reference's step sequence, not
+  // just an equally short one: routes, goldens and wormhole pins depend on
+  // which optimal walk is chosen.
+  for (unsigned n = 3; n <= 10; ++n) {
+    for (unsigned start = 0; start < n; ++start) {
+      for (unsigned end = 0; end < n; ++end) {
+        for (std::uint64_t req = 0; req < (std::uint64_t{1} << n); ++req) {
+          ASSERT_EQ(plan_steps(plan_covering_walk(n, start, end, req)),
+                    reference_cycle_walk(n, start, end, req, false))
+              << "covering n=" << n << " start=" << start << " end=" << end
+              << " req=" << req;
+          ASSERT_EQ(plan_steps(plan_visiting_walk(n, start, end, req)),
+                    reference_cycle_walk(n, start, end, req, true))
+              << "visiting n=" << n << " start=" << start << " end=" << end
+              << " req=" << req;
+        }
+      }
+    }
+  }
+}
+
+TEST(CycleWalkKernel, RejectsOutOfRangeInput) {
+  for (const auto plan : {&plan_covering_walk, &plan_visiting_walk}) {
+    EXPECT_THROW((void)plan(65, 0, 0, 0), std::invalid_argument);
+    EXPECT_THROW((void)plan(0, 0, 0, 0), std::invalid_argument);
+    EXPECT_THROW((void)plan(8, 8, 0, 0), std::invalid_argument);
+    EXPECT_THROW((void)plan(8, 0, 8, 0), std::invalid_argument);
+    EXPECT_NO_THROW((void)plan(64, 63, 0, ~std::uint64_t{0}));
   }
 }
 

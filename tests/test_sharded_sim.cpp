@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/hyper_butterfly.hpp"
+#include "cycle_walk_reference.hpp"
 #include "obs/sink.hpp"
 #include "sim/hb_route.hpp"
 #include "sim/sharded.hpp"
@@ -26,7 +27,8 @@ TEST(CoveringWalkPlan, MatchesOptimalLengthExhaustively) {
       for (unsigned end = 0; end < n; ++end) {
         for (std::uint64_t req = 0; req < (std::uint64_t{1} << n); ++req) {
           const CoveringWalkPlan plan = plan_covering_walk(n, start, end, req);
-          ASSERT_EQ(plan.length(), covering_walk_length(n, start, end, req))
+          ASSERT_EQ(plan.length(),
+                    reference_cycle_walk(n, start, end, req, false).size())
               << "n=" << n << " start=" << start << " end=" << end
               << " req=" << req;
         }
@@ -76,7 +78,9 @@ unsigned gen_index(const HyperButterfly& hb, const HbGen& g) {
 }
 
 TEST(HbImplicitRouter, ReplaysRouteGeneratorsExactly) {
-  for (const auto& [m, n] : {std::pair{2u, 3u}, std::pair{1u, 4u}}) {
+  // HB(1,5) carries the n = 5 butterfly of the wormhole-faults workload.
+  for (const auto& [m, n] :
+       {std::pair{2u, 3u}, std::pair{1u, 4u}, std::pair{1u, 5u}}) {
     const HyperButterfly hb(m, n);
     const sim::HbImplicitRouter router(hb);
     const std::vector<HbGen> gens = hb.generators();
