@@ -170,7 +170,7 @@ std::vector<CubeWord> drt_in_hypercube(unsigned k) {
     const std::uint32_t sub_new = (1u << (dim - 1)) - 1;   // T(dim-1) size
     const CubeWord top = CubeWord{1} << (dim - 1);
     const CubeWord p1 = layout[0], p2 = layout[1];
-    const CubeWord q1 = layout[2], q2 = layout[2 + sub_prev];
+    const CubeWord q2 = layout[2 + sub_prev];
     // psi: automorphism of H_{dim-1} fixing p2 and swapping p1 <-> q2.
     const CubeWord ei = p1 ^ p2, ej = q2 ^ p2;  // single-bit masks
     auto psi = [p2, ei, ej](CubeWord x) -> CubeWord {

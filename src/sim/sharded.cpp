@@ -240,32 +240,37 @@ struct Span {
 
 /// Per-shard state. Only the owning worker touches it between barriers.
 ///
-/// Queues are not linked lists: each shard keeps its resident packets in a
-/// dense, double-buffered arena (`cur` / `nxt`) ordered oldest-first, with
-/// same-cycle arrivals in ascending-sender order (the Exchange guarantee).
-/// A node's FIFO is the subsequence of its packets in that order, so one
-/// sequential sweep of `cur` services every queue: the first service_rate
-/// packets seen for a node are forwarded, the rest are keepers appended to
-/// `nxt`. Idle nodes cost nothing -- the sweep touches packets, not nodes.
+/// Queues are not linked lists: each shard keeps its resident packets in
+/// one dense arena, `cur`, ordered oldest-first, with same-cycle arrivals in
+/// ascending-sender order (the Exchange guarantee). A node's FIFO is the
+/// subsequence of its packets in that order, so one sequential sweep of
+/// `cur` services every queue: the first service_rate packets seen for a
+/// node are forwarded, the rest are keepers, compacted in place behind a
+/// write cursor. Idle nodes cost nothing -- the sweep touches packets, not
+/// nodes.
 ///
-/// Forwarded packets are parked in per-node `slots` and emitted to the
-/// Exchange in a second pass that walks the `frontier` bitset of serviced
-/// nodes in ascending order. That restores the canonical ascending-sender
-/// emission order no matter where the sweep encountered each packet, which
-/// is what keeps results byte-identical across every shard count.
+/// Forwarded packets are appended to the sequential `moved` buffer, and
+/// their indices parked in per-node `slots` (4 bytes each, service_rate per
+/// node). A second pass walks the `frontier` bitset of serviced nodes in
+/// ascending order and emits the parked moves to the Exchange. That restores
+/// the canonical ascending-sender emission order no matter where the sweep
+/// encountered each packet, which is what keeps results byte-identical
+/// across every shard count.
 template <class Router>
 struct Shard {
   using Packet = typename Router::Packet;
 
   std::uint32_t begin = 0, end = 0;  // global node range [begin, end)
 
-  std::vector<Packet> cur, nxt;  // double-buffered resident arena
+  std::vector<Packet> cur;    // resident arena, keepers compacted in place
+  std::vector<Packet> moved;  // this cycle's forwarded packets, sweep order
   // Bitset over local nodes serviced this cycle (cleared lazily by the
   // emission pass, so drain-phase cycles with few packets stay O(packets)).
   std::vector<std::uint64_t> frontier;
   std::vector<std::uint8_t> served;  // services consumed this cycle
-  std::vector<std::uint8_t> moved;   // move slots filled this cycle
-  std::vector<Packet> slots;         // (end - begin) * service_rate
+  std::vector<std::uint8_t> parked;  // move slots filled this cycle
+  std::vector<std::uint32_t> slots;  // (end - begin) * service_rate
+                                     // indices into `moved`
 
   SimStats stats;  // measured packets
   // Every packet, measured or not: conservation and progress.
@@ -325,7 +330,7 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
     const std::uint32_t local = sh.end - sh.begin;
     sh.frontier.assign((local + 63) / 64, 0);
     sh.served.assign(local, 0);
-    sh.moved.assign(local, 0);
+    sh.parked.assign(local, 0);
     sh.slots.resize(static_cast<std::size_t>(local) * sr);
   }
   // Sink runs only: link tallies and per-node queue-length integrals.
@@ -416,13 +421,16 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
 
         // Sweep: one sequential pass over the resident arena. Per-node
         // FIFO order == arena order, so the first service_rate packets
-        // seen for a node are serviced; the rest become keepers.
+        // seen for a node are serviced; the rest become keepers, moved
+        // down to the write cursor `kept` (never past their read index).
+        std::size_t kept = 0;
         for (Packet& pkt : sh.cur) {
           const std::uint32_t node = router.node(pkt);
           const std::uint32_t local = node - sh.begin;
           if (sh.served[local] >= sr) {
             if (!node_occ.empty()) ++node_occ[node];
-            sh.nxt.push_back(std::move(pkt));
+            Packet& to = sh.cur[kept++];
+            if (&to != &pkt) to = std::move(pkt);
             continue;
           }
           if (sh.served[local] == 0) {
@@ -433,7 +441,9 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
           const Hop hop = router.advance(pkt, node, tally);
           if (hop == Hop::kMoved) {
             sh.slots[static_cast<std::size_t>(local) * sr +
-                     sh.moved[local]++] = std::move(pkt);
+                     sh.parked[local]++] =
+                static_cast<std::uint32_t>(sh.moved.size());
+            sh.moved.push_back(std::move(pkt));
           } else if (hop == Hop::kDelivered) {
             if (pkt.flags & kMeasured) {
               sh.stats.record_delivery(cycle + 1 - pkt.injected_at,
@@ -448,7 +458,7 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
             sh.drop(pkt, hop);
           }
         }
-        sh.cur.clear();
+        sh.cur.resize(kept);
 
         // Emission: walk the serviced frontier in ascending node order and
         // push parked moves to the exchange. This -- not the sweep order --
@@ -462,30 +472,31 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
             const auto local = static_cast<std::uint32_t>(
                 (w << 6) + static_cast<unsigned>(std::countr_zero(bits)));
             bits &= bits - 1;
-            const unsigned nmoves = sh.moved[local];
+            const unsigned nmoves = sh.parked[local];
             sh.served[local] = 0;
-            sh.moved[local] = 0;
+            sh.parked[local] = 0;
+            const std::uint32_t* const slot =
+                &sh.slots[static_cast<std::size_t>(local) * sr];
             for (unsigned k = 0; k < nmoves; ++k) {
-              Packet& p = sh.slots[static_cast<std::size_t>(local) * sr + k];
+              Packet& p = sh.moved[slot[k]];
               const unsigned to = plan.shard_of(router.node(p));
               exchange.push(s, to, std::move(p));
             }
           }
         }
+        sh.moved.clear();
       }
     });
     // parallel_for_chunks returning IS the barrier: every shard has pushed
     // all of its moves.
 
-    // Deliver phase: keepers become the new resident prefix, then exchange
-    // columns drain behind them (sender shards ascending => global
-    // ascending sender order).
+    // Deliver phase: exchange columns drain behind the compacted keepers
+    // (sender shards ascending => global ascending sender order).
     pool.parallel_for_chunks(plan.shards(), 1, [&](std::uint64_t s_begin,
                                                    std::uint64_t s_end) {
       for (std::uint64_t si = s_begin; si < s_end; ++si) {
         const auto s = static_cast<unsigned>(si);
         Shard<Router>& sh = shard[s];
-        std::swap(sh.cur, sh.nxt);
         exchange.drain(s, [&sh, &router, &node_occ](Packet& p) {
           if (!node_occ.empty()) ++node_occ[router.node(p)];
           sh.cur.push_back(std::move(p));

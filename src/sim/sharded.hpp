@@ -11,11 +11,14 @@
 //    injection with the topology's own algorithm, and each packet owns its
 //    node vector, so route memory is bounded by the packets in flight.
 //  * Per-shard dense arenas: nodes are partitioned into contiguous shards
-//    (sync::ShardPlan); each shard keeps its resident packets in a dense
-//    double-buffered vector swept sequentially once per cycle -- per-node
-//    FIFO order is the subsequence order, so there are no queue structures
-//    at all. Serviced moves park in per-node slots and a second pass over a
-//    bitset frontier emits them in ascending node order (the canonical
+//    (sync::ShardPlan); each shard keeps its resident packets in one dense
+//    vector swept sequentially once per cycle -- per-node FIFO order is the
+//    subsequence order, so there are no queue structures at all. Keepers
+//    (packets whose node has used its service budget) are compacted in
+//    place behind a write cursor. Serviced moves are appended to a
+//    sequential buffer, their 4-byte indices parked in per-node slots
+//    (local nodes x service_rate x 4 B per shard), and a second pass over
+//    a bitset frontier emits them in ascending node order (the canonical
 //    order that makes results independent of the shard count).
 //  * Synchronous rounds over sync::Exchange: every cycle is compute-local
 //    (inject + sweep, all moves batched into per-(from,to)-shard cells)

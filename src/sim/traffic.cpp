@@ -30,9 +30,10 @@ TrafficGenerator::TrafficGenerator(TrafficPattern pattern,
 
 std::uint32_t permute_bits(TrafficPattern pattern, unsigned bits,
                            std::uint32_t src) {
+  const std::uint32_t mask = bits >= 32 ? ~0u : (1u << bits) - 1;
   switch (pattern) {
     case TrafficPattern::kBitComplement:
-      return (~src) & ((bits >= 32 ? ~0u : (1u << bits) - 1));
+      return ~src & mask;
     case TrafficPattern::kBitReversal: {
       std::uint32_t out = 0;
       for (unsigned i = 0; i < bits; ++i) {
@@ -41,7 +42,8 @@ std::uint32_t permute_bits(TrafficPattern pattern, unsigned bits,
       return out;
     }
     case TrafficPattern::kShuffle:
-      return ((src << 1) | (src >> (bits - 1))) & ((1u << bits) - 1);
+      // Zero bits leave nothing to rotate.
+      return bits == 0 ? 0 : ((src << 1) | (src >> (bits - 1))) & mask;
     default:
       return src;
   }

@@ -1,7 +1,6 @@
 #include "topology/butterfly.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -47,14 +46,20 @@ CoveringWalkPlan plan_cycle_walk(const char* who, unsigned n, unsigned start,
   const int delta =
       ((static_cast<int>(end) - static_cast<int>(start)) % ni + ni) % ni;
 
-  // suffix_min[r] = smallest required residue >= r (relative to start), or
-  // n when there is none; index n + 1 serves the vertex variant at c = n.
-  std::array<int, 66> suffix_min{};
-  suffix_min[n] = suffix_min[n + 1] = ni;
-  for (int r = ni - 1; r >= 0; --r) {
-    const unsigned k = (start + static_cast<unsigned>(r)) % n;
-    suffix_min[r] = ((required >> k) & 1) ? r : suffix_min[r + 1];
-  }
+  // Bit r of `rot` is required residue r relative to start: `required`
+  // rotated right by start on n bits, bits >= n ignored. The smallest
+  // required residue >= r is then one countr_zero -- or n when there is
+  // none, which also covers r = n and the vertex variant's r = n + 1.
+  const std::uint64_t mask =
+      n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+  const std::uint64_t req = required & mask;
+  const std::uint64_t rot =
+      n == 64 ? std::rotr(req, static_cast<int>(start))
+              : ((req >> start) | (req << (n - start))) & mask;
+  auto suffix_min = [rot, ni](int r) {
+    const std::uint64_t above = r < ni ? rot >> r : 0;
+    return above == 0 ? ni : r + std::countr_zero(above);
+  };
 
   int best_cost = std::numeric_limits<int>::max();
   CoveringWalkPlan best;
@@ -71,7 +76,7 @@ CoveringWalkPlan plan_cycle_walk(const char* who, unsigned n, unsigned start,
   };
   for (int c = 0; c <= ni; ++c) {
     const int reach = visiting ? c + 1 : c;
-    const int d_min = suffix_min[reach] == ni ? 0 : ni - suffix_min[reach];
+    const int d_min = ni - suffix_min(reach);
     consider(c, d_min, delta);
     consider(c, std::max(d_min, ni - delta), delta - ni);
     if (c == ni && delta == 0) consider(c, d_min, ni);

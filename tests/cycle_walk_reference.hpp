@@ -29,6 +29,14 @@ inline std::vector<int> reference_cycle_walk(unsigned n, unsigned start,
   const int ni = static_cast<int>(n);
   const int delta =
       ((static_cast<int>(end) - static_cast<int>(start)) % ni + ni) % ni;
+  // Each required position's residue relative to start.
+  std::vector<int> residues;
+  for (unsigned k = 0; k < n; ++k) {
+    if ((required >> k) & 1) {
+      residues.push_back(
+          (static_cast<int>(k) - static_cast<int>(start) + ni) % ni);
+    }
+  }
   int best_cost = std::numeric_limits<int>::max();
   int best_c = 0, best_d = 0, best_tau = 0;
   bool best_left_first = true;
@@ -36,11 +44,8 @@ inline std::vector<int> reference_cycle_walk(unsigned n, unsigned start,
     const int reach = visiting ? c + 1 : c;
     for (int d = 0; d <= ni; ++d) {
       bool covered = true;
-      for (unsigned k = 0; covered && k < n; ++k) {
-        if (!((required >> k) & 1)) continue;
-        const int res =
-            (static_cast<int>(k) - static_cast<int>(start) + ni) % ni;
-        covered = res < reach || res >= ni - d;
+      for (std::size_t i = 0; covered && i < residues.size(); ++i) {
+        covered = residues[i] < reach || residues[i] >= ni - d;
       }
       if (!covered) continue;
       for (const int tau : {delta - ni, delta, delta + ni}) {

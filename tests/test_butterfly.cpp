@@ -3,6 +3,8 @@
 // family of Remark 9 and the natural tree.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 
 #include "cycle_walk_reference.hpp"
@@ -281,6 +283,51 @@ TEST(CycleWalkKernel, StepsEqualReferenceExhaustively) {
         }
       }
     }
+  }
+}
+
+// Both kernels against the reference, step for step, reporting the input.
+void check_kernel_against_reference(unsigned n, unsigned start, unsigned end,
+                                     std::uint64_t req) {
+  ASSERT_EQ(plan_steps(plan_covering_walk(n, start, end, req)),
+            reference_cycle_walk(n, start, end, req, false))
+      << "covering n=" << n << " start=" << start << " end=" << end
+      << " req=" << req;
+  ASSERT_EQ(plan_steps(plan_visiting_walk(n, start, end, req)),
+            reference_cycle_walk(n, start, end, req, true))
+      << "visiting n=" << n << " start=" << start << " end=" << end
+      << " req=" << req;
+}
+
+TEST(CycleWalkKernel, StepsEqualReferenceSampledUpToSixtyFour) {
+  // Past the exhaustive range the rotated required mask has its own edge
+  // cases: n = 64 (no full-width shift), start = 0 (no rotation), and
+  // required bits at or above n, which must stay ignored. Full 64-bit draws
+  // always carry such bits for n < 64; ANDing draws thins the set so long
+  // uncovered gaps (hence small walks) show up too.
+  std::mt19937_64 rng(0x5eed'c7c1e);
+  const auto draw_required = [&rng] {
+    std::uint64_t req = rng();
+    for (std::uint64_t thin = rng() % 4; thin != 0; --thin) req &= rng();
+    return req;
+  };
+  for (const unsigned start : {0u, 63u}) {
+    for (int i = 0; i < 200; ++i) {
+      const auto end = static_cast<unsigned>(rng() % 64);
+      ASSERT_NO_FATAL_FAILURE(
+          check_kernel_against_reference(64, start, end, draw_required()));
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        check_kernel_against_reference(64, start, start, 0));
+    ASSERT_NO_FATAL_FAILURE(check_kernel_against_reference(
+        64, start, 63 - start, ~std::uint64_t{0}));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const unsigned n = 11 + static_cast<unsigned>(rng() % 54);  // 11..64
+    const auto start = static_cast<unsigned>(rng() % n);
+    const auto end = static_cast<unsigned>(rng() % n);
+    ASSERT_NO_FATAL_FAILURE(
+        check_kernel_against_reference(n, start, end, draw_required()));
   }
 }
 

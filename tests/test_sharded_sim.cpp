@@ -5,6 +5,7 @@
 // --threads x --shards combination.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "sim/hb_route.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
+#include "sim/topology.hpp"
 #include "topology/butterfly.hpp"
 
 namespace hbnet {
@@ -213,6 +215,86 @@ TEST(ShardedSim, ServiceRateTwoRelievesContention) {
   // Multi-slot emission (service_rate > 1) preserves the contract.
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.links_csv, b.links_csv);
+}
+
+// Exact SimStats recorded from the engine before its arena was compacted in
+// place and its moves parked by index. The determinism tests above compare
+// two runs of one build, so a datapath change that shifted every result at
+// once would pass them; these pins would not. Both means are compared bit
+// for bit.
+struct PinnedStats {
+  std::uint64_t injected, delivered, dropped, max_latency, p50, p99;
+  std::uint64_t mean_latency_bits, mean_hops_bits;
+};
+
+void expect_pinned(const SimStats& s, const PinnedStats& want,
+                   const std::string& what) {
+  EXPECT_EQ(s.injected(), want.injected) << what;
+  EXPECT_EQ(s.delivered(), want.delivered) << what;
+  EXPECT_EQ(s.dropped(), want.dropped) << what;
+  EXPECT_EQ(s.max_latency(), want.max_latency) << what;
+  EXPECT_EQ(s.latency_percentile(0.5), want.p50) << what;
+  EXPECT_EQ(s.latency_percentile(0.99), want.p99) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.mean_latency()),
+            want.mean_latency_bits)
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.mean_hops()), want.mean_hops_bits)
+      << what;
+}
+
+SimConfig congested_config() {
+  SimConfig cfg;
+  cfg.injection_rate = 0.15;
+  cfg.warmup_cycles = 20;
+  cfg.measure_cycles = 200;
+  cfg.drain_cycles = 4000;
+  cfg.seed = 7;
+  return cfg;
+}
+
+TEST(ShardedSim, MatchesPinnedParentStatsUnderCongestion) {
+  // HB(2,6) at rate 0.15: long queues, so at service_rate 1 (and in Valiant
+  // mode at 2) keeper visits outnumber moves several times over.
+  struct Case {
+    unsigned service_rate;
+    RoutingMode routing;
+    PinnedStats want;
+  };
+  const Case cases[] = {
+      {1, RoutingMode::kNative,
+       {46345, 46345, 0, 104, 28, 66, 0x403d873e9439b0c1ull,
+        0x4019ca3597803eedull}},
+      {1, RoutingMode::kValiant,
+       {46345, 46345, 0, 406, 232, 338, 0x406ba3aeaaf06daeull,
+        0x4029c3348694e362ull}},
+      {2, RoutingMode::kNative,
+       {46345, 46345, 0, 16, 7, 12, 0x401d3b6e31ae5344ull,
+        0x4019ca3597803eedull}},
+      {2, RoutingMode::kValiant,
+       {46345, 46345, 0, 93, 35, 67, 0x40422a646efbe555ull,
+        0x4029c3348694e362ull}},
+  };
+  const HyperButterfly hb(2, 6);
+  for (const Case& c : cases) {
+    SimConfig cfg = congested_config();
+    cfg.service_rate = c.service_rate;
+    cfg.routing = c.routing;
+    for (const unsigned shards : {1u, 3u, 8u}) {
+      expect_pinned(run_simulation_sharded(hb, cfg, shards, 2), c.want,
+                    "service_rate=" + std::to_string(c.service_rate) +
+                        " valiant=" +
+                        std::to_string(c.routing == RoutingMode::kValiant) +
+                        " shards=" + std::to_string(shards));
+    }
+  }
+
+  // Mid-run node deaths remove queued packets from the resident arena.
+  const auto topo = make_hyper_butterfly_sim(2, 4);
+  const std::vector<FaultEvent> events{{60, 5}, {60, 77}, {130, 200}};
+  expect_pinned(
+      run_simulation_with_fault_events(*topo, congested_config(), events),
+      {7573, 7566, 7, 25, 8, 17, 0x401f2681407d9901ull, 0x40118e9548572914ull},
+      "fault events");
 }
 
 }  // namespace

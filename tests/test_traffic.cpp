@@ -35,6 +35,24 @@ TEST(PermuteBits, ReversalIsAnInvolution) {
   }
 }
 
+TEST(PermuteBits, ShuffleAtZeroBits) {
+  // A one-node network needs zero bits; the rotation must not shift by
+  // bits - 1 (wrapped to 2^32 - 1).
+  EXPECT_EQ(permute_bits(TrafficPattern::kShuffle, 0, 0u), 0u);
+  const StatelessTraffic one_node(TrafficPattern::kShuffle, 1, 3, 1.0);
+  EXPECT_EQ(one_node.destination(0, 0), 0u);
+}
+
+TEST(PermuteBits, ShuffleAtThirtyTwoBits) {
+  // Instances past 2^31 nodes need all 32 bits; the mask must not shift by
+  // 32.
+  EXPECT_EQ(permute_bits(TrafficPattern::kShuffle, 32, 0x80000001u), 3u);
+  EXPECT_EQ(permute_bits(TrafficPattern::kShuffle, 32, 0xffffffffu),
+            0xffffffffu);
+  EXPECT_EQ(permute_bits(TrafficPattern::kShuffle, 32, 0x40000000u),
+            0x80000000u);
+}
+
 TEST(TrafficGenerator, BitComplementExactDestinations) {
   // 96 nodes needs 7 bits, so the complement folds mod 96:
   // 0 -> 127 % 96 = 31, 31 -> 96 % 96 = 0, 95 -> 32.

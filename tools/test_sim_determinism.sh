@@ -5,7 +5,9 @@
 # Metrics JSON, the per-link CSV, and the stdout summary are compared
 # byte-for-byte across threads {1, 2, 8} x shards {1, 4, auto} against the
 # single-threaded single-shard baseline, for both the native and Valiant
-# routing modes.
+# routing modes, on two loads: HB(2,4) at rate 0.08, where queues stay
+# short, and HB(2,5) at rate 0.25, where they grow long and most packets
+# a sweep visits wait behind others at their node.
 #
 # Usage: test_sim_determinism.sh <path-to-hbnet_cli>
 set -eu
@@ -15,6 +17,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 # run_sim <threads> <shards|auto> <tag> [flags]: "auto" omits --shards.
+# Runs the instance and rate in $load.
 run_sim() {
   threads=$1
   shards=$2
@@ -22,26 +25,29 @@ run_sim() {
   shift 3
   shard_flag=""
   [ "$shards" = auto ] || shard_flag="--shards $shards"
-  "$cli" sim 2 4 --cycles 200 --rate 0.08 \
+  "$cli" sim $load --cycles 200 \
     --threads "$threads" $shard_flag \
     --metrics-out "$work/m$tag.json" --links-csv "$work/l$tag.csv" "$@" \
     2>/dev/null | grep -v -e '^metrics:' -e '^links:' > "$work/t$tag.txt"
 }
 
-for mode in "" "--valiant"; do
-  suffix=${mode:+v}
-  run_sim 1 1 "base$suffix" $mode
-  for threads in 1 2 8; do
-    for shards in 1 4 auto; do
-      tag="$threads-$shards$suffix"
-      run_sim "$threads" "$shards" "$tag" $mode
-      for kind in m l t; do
-        ext=json; [ "$kind" = l ] && ext=csv; [ "$kind" = t ] && ext=txt
-        if ! cmp -s "$work/${kind}base$suffix.$ext" "$work/$kind$tag.$ext"; then
-          echo "FAIL: sim $ext differs at --threads $threads" \
-               "--shards $shards ${mode:-native}" >&2
-          exit 1
-        fi
+for load in "2 4 --rate 0.08" "2 5 --rate 0.25"; do
+  for mode in "" "--valiant"; do
+    suffix=${mode:+v}
+    run_sim 1 1 "base$suffix" $mode
+    for threads in 1 2 8; do
+      for shards in 1 4 auto; do
+        tag="$threads-$shards$suffix"
+        run_sim "$threads" "$shards" "$tag" $mode
+        for kind in m l t; do
+          ext=json; [ "$kind" = l ] && ext=csv; [ "$kind" = t ] && ext=txt
+          if ! cmp -s "$work/${kind}base$suffix.$ext" \
+                      "$work/$kind$tag.$ext"; then
+            echo "FAIL: sim $load $ext differs at --threads $threads" \
+                 "--shards $shards ${mode:-native}" >&2
+            exit 1
+          fi
+        done
       done
     done
   done
