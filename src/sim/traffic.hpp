@@ -127,6 +127,32 @@ class StatelessTraffic {
   std::uint64_t rate_bits_;  // rate as a 53-bit threshold (exact compare)
 };
 
+/// The Bernoulli injection coin
+/// `std::uniform_real_distribution<double>(0, 1)(rng) < rate` of a
+/// std::mt19937_64 `rng`, as one integer compare on the engine's word. The
+/// distribution maps one 64-bit word to a double monotonically, so the coin
+/// falls below `rate` exactly for the words below a threshold; that
+/// threshold is found once, by bisecting the same distribution on a
+/// constant engine. Feeding it rng() consumes the same single word the
+/// distribution would, so the engine's stream is unchanged.
+class InjectionCoin {
+ public:
+  explicit InjectionCoin(double rate);
+
+  /// Equals !(distribution(word) >= rate) -- the coin says "inject".
+  [[nodiscard]] bool injects(std::uint64_t word) const {
+    return word < threshold_ || always_;
+  }
+  /// The first word whose coin is >= rate (meaningless when always()).
+  [[nodiscard]] std::uint64_t threshold() const { return threshold_; }
+  /// No word reaches `rate` (rate above every coin, or NaN).
+  [[nodiscard]] bool always() const { return always_; }
+
+ private:
+  std::uint64_t threshold_ = 0;
+  bool always_ = false;
+};
+
 /// Destination generator over a dense id space [0, num_nodes).
 class TrafficGenerator {
  public:

@@ -1,6 +1,7 @@
 #include "sim/wormhole.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -17,33 +18,36 @@
 // tests/test_wormhole_determinism.cpp):
 //
 //  * A packet is a plain record (PktState): endpoints, hop count, stream
-//    cursor, flags, and an offset into two append-only *route arenas* local
-//    to the run -- one channel id and one VC class per hop. Routes are
+//    cursor, flags, and an offset into three append-only *route arenas*
+//    local to the run -- per hop, the channel id, the VC class, and the VC
+//    the worm holds there once its head has allocated one. Routes are
 //    resolved to channel ids once, at injection, so the advance loop never
 //    looks a channel up; the node a hop enters is chan_ends[c].second.
 //  * The online fault re-planner never edits a route in place: it copies
-//    the kept prefix plus the escape suffix to the arena tail and repoints
-//    the packet's offset. Every in-flight flit names its hop by index, and
-//    the prefix keeps its indices, so no flit has to be rewritten.
+//    the kept prefix (channels, classes and held VCs) plus the escape
+//    suffix to the arena tail and repoints the packet's offset. Buffered
+//    flits are named by (packet, hop), and the prefix keeps its indices.
 //  * Channel ids come from a dense table of degree_hint() (dst, id) slots
 //    per source node, filled in first-registration order (injection order,
 //    then re-plan order), which is also the advance loop's scan order. A
 //    route leaving a node over more distinct links than degree_hint() is a
 //    topology bug and throws std::logic_error.
-//  * VC buffers are fixed-capacity (buffer_depth) ring buffers carved out
-//    of one flat arena: slot (c, q, i) lives at ((c*vcs + q)*depth + i).
-//    No per-flit allocation; the arena only grows when a channel is first
-//    registered. The advance loop therefore works through indices (vi, c)
-//    that stay valid across growth and re-resolves the downstream channel
-//    after any re-plan instead of holding references into the arrays.
-//  * The advance loop walks an *active-channel worklist* instead of every
-//    channel: a channel is listed iff it holds at least one flit. The list
-//    is kept sorted ascending (the scan order of the original full sweep),
-//    compacted and merged with newly-activated channels once per cycle.
-//    Channels that gain their first flit mid-cycle contribute no move that
-//    cycle in the full-scan model either (their head flit carries this
-//    cycle's last_move stamp), so deferring them to the next cycle is
-//    behavior preserving.
+//  * No flit is stored. A VC is held by one hop of one worm from head
+//    allocation to tail release, and that hop's flits enter it in index
+//    order, at most one per cycle; so a VC is a record (VcState) of owner,
+//    hop, front flit index, count and the cycle of its last push. A head
+//    that arrived this very cycle is exactly count == 1 && stamp == cycle.
+//    Always-on checks hold every push and release to that contract.
+//  * Each channel keeps a 64-bit mask of its non-empty VCs; arbitration
+//    walks its set bits round-robin from rr, and each VC class owns a
+//    precomputed mask of its VCs, so no empty or foreign VC is probed.
+//  * The advance loop walks a bitmap of non-empty channels in ascending id
+//    order (the scan order of the original full sweep). A channel that
+//    gains its first flit mid-cycle holds only flits that arrived this
+//    cycle, so visiting it (or not) that cycle is a no-op. Source
+//    streaming walks a bitmap of sources with queued packets the same way.
+//  * The injection coin is an integer compare on the engine's raw word
+//    (InjectionCoin): same draws, same decisions as the double coin.
 //  * Per-link/per-VC occupancy telemetry integrates push/pop deltas
 //    (occupancy * cycles-held) instead of an O(channels * vcs) sweep per
 //    cycle, so a Sink-enabled run costs O(1) extra per flit movement plus
@@ -55,22 +59,28 @@
 namespace hbnet {
 namespace {
 
-struct Flit {
-  std::uint32_t pkt;
-  std::uint16_t index;      // 0 = head, F-1 = tail
-  std::uint16_t hop;        // channel position in the packet's route
-  std::uint64_t last_move;  // cycle stamp to avoid double moves
+constexpr std::uint32_t kFree = std::numeric_limits<std::uint32_t>::max();
+
+/// One virtual channel: the (worm, hop) holding it and the flits
+/// [first, first + count) of that hop it buffers.
+struct VcState {
+  std::uint32_t owner = kFree;  // packet id, kFree = unallocated
+  std::uint16_t hop = 0;        // route position of the buffered flits
+  std::uint16_t first = 0;      // index of the front flit, 0 = head
+  std::uint16_t count = 0;      // buffered flits
+  std::uint64_t stamp = 0;      // cycle of the last push
 };
 
-/// One virtual channel: owner + ring-buffer cursor into the flit arena.
-struct VcState {
-  std::int64_t owner = -1;   // packet id holding this VC, -1 = free
-  std::uint32_t head = 0;    // ring-buffer read position
-  std::uint32_t count = 0;   // buffered flits
+/// One physical channel's arbitration state.
+struct ChanState {
+  std::uint64_t busy = 0;  // bit q set iff VC q buffers a flit
+  std::uint8_t rr = 0;     // round-robin arbiter position
+  bool blocked = false;    // static fault on the link
 };
 
 /// One packet. Hop h of its route uses channel route_chan[route + h] in VC
-/// class route_cls[route + h] (the run's route arenas).
+/// class route_cls[route + h], holding VC route_vc[route + h] there (the
+/// run's route arenas).
 struct PktState {
   std::uint64_t injected_at = 0;
   std::uint32_t src = 0;
@@ -165,6 +175,17 @@ std::string validate_wormhole_config(const WormholeConfig& config) {
            std::to_string(kMaxFlits) + " (flit indices are 16-bit), got " +
            std::to_string(config.flits_per_packet);
   }
+  constexpr unsigned kMaxVcs = 64;
+  if (config.vcs > kMaxVcs) {
+    return "wormhole config: vcs must be at most " + std::to_string(kMaxVcs) +
+           " (per-channel VC masks are 64-bit), got " +
+           std::to_string(config.vcs);
+  }
+  if (config.buffer_depth > kMaxFlits) {
+    return "wormhole config: buffer_depth must be at most " +
+           std::to_string(kMaxFlits) + " (VC flit counts are 16-bit), got " +
+           std::to_string(config.buffer_depth);
+  }
   const unsigned need = vc_classes(config.policy);
   if (config.vcs < need) {
     // The footnote is derived from vc_classes() over every policy, split by
@@ -247,11 +268,17 @@ WormholeStats run_wormhole(const SimTopology& topo,
 
   WormholeStats stats;
   std::mt19937_64 rng(config.seed);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  const InjectionCoin coin(config.injection_rate);
   TrafficGenerator traffic(config.pattern, n,
                            config.seed ^ 0x5bf03635dcd66425ull);
 
   std::uint64_t cycle = 0;
+
+  // VC q belongs to class q * classes / vcs (classes partition the range).
+  std::vector<std::uint64_t> cls_mask(classes, 0);
+  for (unsigned q = 0; q < vcs; ++q) {
+    cls_mask[q * classes / vcs] |= std::uint64_t{1} << q;
+  }
 
   // -- channel storage -----------------------------------------------------
   // The channel table is consulted only when a route is resolved (injection
@@ -262,17 +289,11 @@ WormholeStats run_wormhole(const SimTopology& topo,
   std::vector<ChanSlot> chan_table(std::size_t{n} * slots,
                                    ChanSlot{kNoChan, 0});
   std::uint32_t num_chans = 0;
-  std::vector<VcState> vc;          // num_chans * vcs
-  std::vector<Flit> arena;          // num_chans * vcs * depth ring slots
-  std::vector<unsigned> rr;         // round-robin arbiter position per chan
-  std::vector<std::uint32_t> chan_flits;  // total buffered flits per chan
+  std::vector<VcState> vc;  // num_chans * vcs
+  std::vector<ChanState> chans;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> chan_ends;
-  std::vector<std::uint8_t> chan_blocked;  // static fault on (u, v)
-  // Active-channel worklist: `active` holds (sorted ascending) every channel
-  // with chan_flits > 0 as of the start of the cycle; channels gaining their
-  // first flit mid-cycle collect in `newly` and are merged at end of cycle.
-  std::vector<std::uint32_t> active, newly;
-  std::vector<std::uint8_t> in_active;  // member of active or newly
+  // Bit c set iff channel c buffers a flit: the advance loop's worklist.
+  std::vector<std::uint64_t> active;
   // Telemetry state, grown/updated only under a sink.
   std::vector<std::uint64_t> link_forwarded;       // per channel
   std::vector<std::uint64_t> occ_integral;         // per VC (flit-cycles)
@@ -287,12 +308,9 @@ WormholeStats run_wormhole(const SimTopology& topo,
       row[k] = {v, num_chans};
       ++num_chans;
       vc.resize(std::size_t{num_chans} * vcs);
-      arena.resize(std::size_t{num_chans} * vcs * depth);
-      rr.push_back(0);
-      chan_flits.push_back(0);
-      in_active.push_back(0);
+      chans.push_back({0, 0, have_faults && edge_blocked(u, v)});
       chan_ends.emplace_back(u, v);
-      chan_blocked.push_back(have_faults && edge_blocked(u, v) ? 1 : 0);
+      active.resize((num_chans + 63) / 64, 0);
       if (sink != nullptr) {
         link_forwarded.push_back(0);
         occ_integral.resize(std::size_t{num_chans} * vcs, 0);
@@ -308,17 +326,21 @@ WormholeStats run_wormhole(const SimTopology& topo,
 
   // -- route arenas ----------------------------------------------------------
   // Append-only, one entry per hop of every route ever planned in this run.
+  // route_vc[h] is meaningful from the head's VC allocation at hop h until
+  // the tail releases that VC.
   std::vector<std::uint32_t> route_chan;
   std::vector<std::uint8_t> route_cls;
+  std::vector<std::uint8_t> route_vc;
   // Appends the channels of `path` to route_chan; returns the hop count.
   auto append_channels = [&](const std::vector<std::uint32_t>& path) {
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
       route_chan.push_back(channel(path[h], path[h + 1]));
     }
+    route_vc.resize(route_chan.size());
     return path.size() - 1;
   };
   // Narrows an arena offset / hop count to the PktState field widths (hop
-  // indices are 16-bit in every flit).
+  // indices are 16-bit in every VC record).
   auto arena_offset = [](std::size_t at) {
     HBNET_CHECK(at <= std::numeric_limits<std::uint32_t>::max());
     return static_cast<std::uint32_t>(at);
@@ -337,34 +359,69 @@ WormholeStats run_wormhole(const SimTopology& topo,
     occ_integral[vi] += std::uint64_t{vc[vi].count} * (cycle - occ_since[vi]);
     occ_since[vi] = cycle;
   };
-  auto push_flit = [&](std::uint32_t c, std::size_t vi, const Flit& f) {
+  // Buffers flit `index` of hop `hop` of packet `pid` in VC q of channel c,
+  // which that hop must hold.
+  auto push_flit = [&](std::uint32_t c, unsigned q, std::uint32_t pid,
+                       std::size_t hop, unsigned index) {
+    const std::size_t vi = std::size_t{c} * vcs + q;
     VcState& s = vc[vi];
+    HBNET_CHECK(s.owner == pid && s.hop == hop &&
+                s.first + s.count == index);
     HBNET_DCHECK(s.count < depth);  // caller checked capacity
     if (sink != nullptr) occ_touch(vi);
-    std::uint32_t tail = s.head + s.count;
-    if (tail >= depth) tail -= depth;  // branch beats %: depth is runtime
-    arena[vi * depth + tail] = f;
     ++s.count;
-    ++chan_flits[c];
-    if (!in_active[c]) {
-      in_active[c] = 1;
-      newly.push_back(c);
+    s.stamp = cycle;
+    chans[c].busy |= std::uint64_t{1} << q;
+    active[c >> 6] |= std::uint64_t{1} << (c & 63);
+  };
+  auto pop_flit = [&](std::uint32_t c, unsigned q) {
+    const std::size_t vi = std::size_t{c} * vcs + q;
+    VcState& s = vc[vi];
+    HBNET_DCHECK(s.count > 0);
+    if (sink != nullptr) occ_touch(vi);
+    ++s.first;
+    if (--s.count == 0) {
+      chans[c].busy &= ~(std::uint64_t{1} << q);
+      if (chans[c].busy == 0) active[c >> 6] &= ~(std::uint64_t{1} << (c & 63));
     }
   };
-  auto pop_flit = [&](std::uint32_t c, std::size_t vi) {
-    VcState& s = vc[vi];
-    HBNET_DCHECK(s.count > 0 && chan_flits[c] > 0);
-    if (sink != nullptr) occ_touch(vi);
-    if (++s.head == depth) s.head = 0;
-    --s.count;
-    --chan_flits[c];
+  auto release = [&](std::size_t vi) {
+    HBNET_CHECK(vc[vi].count == 0);
+    vc[vi].owner = kFree;
+  };
+  // Hands hop h of packet pid the first free VC of the hop's class on
+  // channel c (recorded in route_vc); false when every one is held.
+  auto allocate = [&](std::uint32_t pid, const PktState& p, std::size_t h,
+                      std::uint32_t c) {
+    for (std::uint64_t m = cls_mask[route_cls[p.route + h]]; m != 0;
+         m &= m - 1) {
+      const auto q = static_cast<unsigned>(std::countr_zero(m));
+      VcState& s = vc[std::size_t{c} * vcs + q];
+      if (s.owner != kFree) continue;
+      s.owner = pid;
+      s.hop = static_cast<std::uint16_t>(h);
+      s.first = 0;
+      route_vc[p.route + h] = static_cast<std::uint8_t>(q);
+      return true;
+    }
+    return false;
   };
 
   std::vector<PktState> pkts;
   std::vector<std::vector<std::uint32_t>> inject_q(n);
   std::vector<std::uint32_t> inject_head(n, 0);  // index of queue front
+  // Bit src set iff inject_q[src] holds a packet: the streaming worklist.
+  std::vector<std::uint64_t> queued((n + 63) / 64, 0);
   std::uint64_t in_flight = 0;
   std::uint64_t stall = 0;
+  // Drops the front packet of src's queue (fully streamed or killed).
+  auto advance_queue = [&](std::uint32_t src) {
+    if (++inject_head[src] == inject_q[src].size()) {
+      inject_q[src].clear();
+      inject_head[src] = 0;
+      queued[src >> 6] &= ~(std::uint64_t{1} << (src & 63));
+    }
+  };
 
   // Observability accumulators. `buffered` counts flits currently sitting
   // in VC buffers (incremented on buffer entry, decremented on final-hop
@@ -392,12 +449,6 @@ WormholeStats run_wormhole(const SimTopology& topo,
     prog_delivered = &progress->slot("wormhole.delivered");
   }
 
-  // VC q belongs to class q * classes / vcs (classes partition the range).
-  auto vc_allowed = [&](const PktState& p, std::size_t hop, unsigned q) {
-    unsigned cls_of_q = q * classes / vcs;
-    return cls_of_q == route_cls[p.route + hop];
-  };
-
   // Per-cycle move counter, hoisted so the fault helpers below can count
   // kills as progress; reset at the top of every cycle.
   std::uint64_t moves = 0;
@@ -418,10 +469,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
       // Still streaming: the packet is by construction the front of its
       // source queue; advance past it so later packets are not wedged.
       p.next_flit = flits;
-      if (++inject_head[p.src] == inject_q[p.src].size()) {
-        inject_q[p.src].clear();
-        inject_head[p.src] = 0;
-      }
+      advance_queue(p.src);
     }
     // Killing is progress: a cycle that only killed worms must not trip
     // the stall detector.
@@ -436,7 +484,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
   // destination around the static faults via the Theorem-5 alternatives;
   // the replanned suffix runs entirely in the reserved escape class. The
   // kept hops [0, keep) and the suffix are written to the arena tail and
-  // p.route repointed there, so every in-flight flit's hop index stays
+  // p.route repointed there, so every buffered flit's hop index stays
   // valid. May register new channels (growing the flat per-channel
   // arrays), so callers re-resolve any downstream channel index
   // afterwards. Returns false when the packet exhausted its misroute budget
@@ -456,15 +504,115 @@ WormholeStats run_wormhole(const SimTopology& topo,
     ++stats.misroutes;
     stats.escape_hops += r.path.size() - 1;
     const std::size_t at = route_chan.size();
-    route_chan.resize(at + keep);
-    route_cls.resize(at + keep);
-    std::copy_n(route_chan.begin() + p.route, keep, route_chan.begin() + at);
-    std::copy_n(route_cls.begin() + p.route, keep, route_cls.begin() + at);
+    auto copy_prefix = [&](auto& arena) {
+      arena.resize(at + keep);
+      std::copy_n(arena.begin() + p.route, keep, arena.begin() + at);
+    };
+    copy_prefix(route_chan);
+    copy_prefix(route_cls);
+    copy_prefix(route_vc);
     const std::size_t suffix = append_channels(r.path);
     route_cls.insert(route_cls.end(), suffix, escape_cls);
     p.route = arena_offset(at);
     p.hops = hop_count(keep + suffix);
     return true;
+  };
+
+  // Channel advance for VC q of channel c: moves (or drains) its front
+  // flit if it can. True when the channel used its one move this cycle.
+  auto advance_vc = [&](std::uint32_t c, unsigned q) {
+    const std::size_t vi = std::size_t{c} * vcs + q;
+    // A copy, not a reference: the re-planner below can register new
+    // channels and grow the VC array mid-call.
+    const VcState s = vc[vi];
+    if (s.count == 1 && s.stamp == cycle) return false;  // arrived now
+    PktState& p = pkts[s.owner];
+    if (p.dead) {
+      // Drain one flit of a killed worm in place: not a forward (the
+      // packet was dropped), but progress for the stall detector.
+      pop_flit(c, q);
+      --buffered;
+      if (vc[vi].count == 0) release(vi);
+      ++moves;
+      return true;
+    }
+    if (s.hop + 1u == p.hops) {
+      pop_flit(c, q);
+      --buffered;
+      if (sink != nullptr) ++link_forwarded[c];
+      if (s.first + 1u == flits) {
+        release(vi);
+        HBNET_DCHECK(in_flight > 0);
+        --in_flight;
+        ++delivered_all;
+        if (p.measured) {
+          stats.packets.record_delivery(cycle + 1 - p.injected_at, p.hops);
+        }
+        if (deliver_ts != nullptr) deliver_ts->bump(cycle);
+        HBNET_TRACE_COMPLETE(sink, "packet", "pkt", 0, p.src, p.injected_at,
+                             cycle + 1 - p.injected_at,
+                             {{"pkt", s.owner},
+                              {"src", p.src},
+                              {"dst", p.dst},
+                              {"hops", p.hops}});
+      }
+      ++moves;
+      return true;
+    }
+    const std::size_t next = s.hop + 1u;
+    std::uint32_t c2 = route_chan[p.route + next];
+    if (s.first == 0) {
+      // The head allocates the next hop's VC; body flits follow into it.
+      if (have_faults && chans[c2].blocked) {
+        // Online fault discovery at VC allocation: the head sits at the
+        // end of channel c and its planned next hop c2 is faulted.
+        if (!replan(p, next)) {
+          kill_worm(p);
+          pop_flit(c, q);
+          --buffered;
+          // Free every VC the worm holds that is already empty: no flit
+          // of it will ever arrive there to drain and free it.
+          for (std::size_t h = 0; h < next; ++h) {
+            const std::size_t at = p.route + h;
+            const std::size_t hv =
+                std::size_t{route_chan[at]} * vcs + route_vc[at];
+            const VcState& held = vc[hv];
+            if (held.owner == s.owner && held.hop == h && held.count == 0) {
+              release(hv);
+            }
+          }
+          return true;
+        }
+        // The re-plan kept hops 0 .. s.hop (this channel included) and
+        // spliced a fresh escape-class suffix.
+        c2 = route_chan[p.route + next];
+      }
+      if (!allocate(s.owner, p, next, c2)) return false;
+    }
+    const unsigned q2 = route_vc[p.route + next];
+    if (vc[std::size_t{c2} * vcs + q2].count >= depth) return false;
+    pop_flit(c, q);
+    if (sink != nullptr) ++link_forwarded[c];
+    if (s.first + 1u == flits) release(vi);  // tail frees upstream
+    push_flit(c2, q2, s.owner, next, s.first);
+    ++moves;
+    return true;
+  };
+
+  // Channel c's arbiter: tries its non-empty VCs round-robin from rr (the
+  // probe order rr, rr+1, ... mod vcs) until one moves a flit.
+  auto arbitrate = [&](std::uint32_t c) {
+    const std::uint64_t busy = chans[c].busy;
+    const std::uint64_t from_rr = ~std::uint64_t{0} << chans[c].rr;
+    for (std::uint64_t m : {busy & from_rr, busy & ~from_rr}) {
+      for (; m != 0; m &= m - 1) {
+        const auto q = static_cast<unsigned>(std::countr_zero(m));
+        if (advance_vc(c, q)) {
+          chans[c].rr = static_cast<std::uint8_t>(q + 1 == vcs ? 0 : q + 1);
+          return;
+        }
+      }
+    }
   };
 
   const std::uint64_t horizon =
@@ -482,7 +630,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
     if (injecting) {
       for (std::uint32_t src = 0; src < n; ++src) {
         if (have_faults && node_dead(src)) continue;
-        if (coin(rng) >= config.injection_rate) continue;
+        if (!coin.injects(rng())) continue;
         std::uint32_t dst = traffic.destination(src);
         if (have_faults && node_dead(dst)) continue;  // dead destination
         const std::vector<std::uint32_t> path = topo.route(src, dst);
@@ -499,182 +647,45 @@ WormholeStats run_wormhole(const SimTopology& topo,
         if (inject_ts != nullptr) inject_ts->bump(cycle);
         pkts.push_back(p);
         inject_q[src].push_back(static_cast<std::uint32_t>(pkts.size() - 1));
+        queued[src >> 6] |= std::uint64_t{1} << (src & 63);
         ++in_flight;
       }
     }
 
-    // 2. Source streaming: head packet per node feeds hop-0 channel.
-    for (std::uint32_t src = 0; src < n; ++src) {
-      if (inject_head[src] >= inject_q[src].size()) continue;
-      std::uint32_t pid = inject_q[src][inject_head[src]];
-      PktState& p = pkts[pid];
-      if (have_faults && p.next_flit == 0 &&
-          chan_blocked[route_chan[p.route]] != 0) {
-        // Online discovery at hop-0 VC allocation: re-plan before the head
-        // flit ever enters the network, or kill the packet unrouted (no
-        // flits exist yet, so the kill only advances the queue).
-        if (!replan(p, 0)) {
-          kill_worm(p);
-          continue;
-        }
-      }
-      const std::uint32_t c0 = route_chan[p.route];
-      const std::size_t base0 = std::size_t{c0} * vcs;
-      int vc_idx = -1;
-      for (unsigned q = 0; q < vcs; ++q) {
-        if (vc[base0 + q].owner == pid) {
-          vc_idx = static_cast<int>(q);
-          break;
-        }
-      }
-      if (vc_idx < 0 && p.next_flit == 0) {
-        for (unsigned q = 0; q < vcs; ++q) {
-          if (vc[base0 + q].owner == -1 && vc_allowed(p, 0, q)) {
-            vc[base0 + q].owner = pid;
-            vc_idx = static_cast<int>(q);
-            break;
+    // 2. Source streaming: the front packet of every non-empty source
+    // queue, in ascending source order, feeds its hop-0 channel.
+    for (std::size_t w = 0; w < queued.size(); ++w) {
+      for (std::uint64_t bits = queued[w]; bits != 0; bits &= bits - 1) {
+        const auto src =
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+        const std::uint32_t pid = inject_q[src][inject_head[src]];
+        PktState& p = pkts[pid];
+        if (p.next_flit == 0) {
+          // Online discovery at hop-0 VC allocation: re-plan before the
+          // head flit ever enters the network, or kill the packet unrouted
+          // (no flits exist yet, so the kill only advances the queue).
+          if (have_faults && chans[route_chan[p.route]].blocked &&
+              !replan(p, 0)) {
+            kill_worm(p);
+            continue;
           }
+          if (!allocate(pid, p, 0, route_chan[p.route])) continue;
         }
-      }
-      if (vc_idx >= 0 && p.next_flit < flits &&
-          vc[base0 + vc_idx].count < depth) {
-        push_flit(c0, base0 + static_cast<unsigned>(vc_idx),
-                  {pid, p.next_flit, 0, cycle});
+        const std::uint32_t c0 = route_chan[p.route];
+        const unsigned q0 = route_vc[p.route];
+        if (vc[std::size_t{c0} * vcs + q0].count >= depth) continue;
+        push_flit(c0, q0, pid, 0, p.next_flit);
         ++p.next_flit;
         ++moves;
         ++buffered;
-        if (p.next_flit == flits) {
-          if (++inject_head[src] == inject_q[src].size()) {
-            inject_q[src].clear();
-            inject_head[src] = 0;
-          }
-        }
+        if (p.next_flit == flits) advance_queue(src);
       }
     }
 
-    // 3. Channel advance: one flit per physical channel per cycle, walking
-    // only the channels that held flits at the start of the cycle.
-    for (std::uint32_t c : active) {
-      const std::size_t base = std::size_t{c} * vcs;
-      for (unsigned probe = 0; probe < vcs; ++probe) {
-        unsigned q = (rr[c] + probe) % vcs;
-        const std::size_t vi = base + q;
-        // VC state is addressed through vc[vi] (not a held reference): the
-        // online re-planner below can register new channels and grow the
-        // array mid-iteration; the indices stay valid, references do not.
-        if (vc[vi].count == 0) continue;
-        Flit f = arena[vi * depth + vc[vi].head];
-        if (f.last_move == cycle) continue;  // arrived this very cycle
-        PktState& p = pkts[f.pkt];
-        if (p.dead) {
-          // Drain one flit of a killed worm in place: not a forward (the
-          // packet was dropped), but progress for the stall detector.
-          pop_flit(c, vi);
-          --buffered;
-          if (vc[vi].count == 0) vc[vi].owner = -1;
-          ++moves;
-          rr[c] = (q + 1) % vcs;
-          break;
-        }
-        const bool last_hop = (f.hop + 1u == p.hops);
-        if (last_hop) {
-          pop_flit(c, vi);
-          --buffered;
-          if (sink != nullptr) ++link_forwarded[c];
-          if (f.index + 1u == flits) {
-            vc[vi].owner = -1;
-            HBNET_DCHECK(in_flight > 0);
-            --in_flight;
-            ++delivered_all;
-            if (p.measured) {
-              stats.packets.record_delivery(cycle + 1 - p.injected_at,
-                                            p.hops);
-            }
-            if (deliver_ts != nullptr) deliver_ts->bump(cycle);
-            HBNET_TRACE_COMPLETE(sink, "packet", "pkt", 0, p.src,
-                                 p.injected_at, cycle + 1 - p.injected_at,
-                                 {{"pkt", f.pkt},
-                                  {"src", p.src},
-                                  {"dst", p.dst},
-                                  {"hops", p.hops}});
-          }
-          ++moves;
-          rr[c] = (q + 1) % vcs;
-          break;
-        }
-        std::uint32_t c2 = route_chan[p.route + f.hop + 1];
-        std::size_t base2 = std::size_t{c2} * vcs;
-        int vc2 = -1;
-        for (unsigned r = 0; r < vcs; ++r) {
-          if (vc[base2 + r].owner == f.pkt) {
-            vc2 = static_cast<int>(r);
-            break;
-          }
-        }
-        if (vc2 < 0 && f.index == 0) {
-          if (have_faults && chan_blocked[c2] != 0) {
-            // Online fault discovery at VC allocation: the head sits at
-            // the end of channel c and its planned next hop c2 is faulted.
-            if (replan(p, f.hop + 1u)) {
-              // The re-plan kept hops 0 .. f.hop (this flit's channel
-              // included) and spliced a fresh escape-class suffix; it may
-              // have grown the VC arrays, so re-resolve the downstream
-              // channel before allocating.
-              c2 = route_chan[p.route + f.hop + 1];
-              base2 = std::size_t{c2} * vcs;
-            } else {
-              kill_worm(p);
-              pop_flit(c, vi);
-              --buffered;
-              if (vc[vi].count == 0) vc[vi].owner = -1;
-              rr[c] = (q + 1) % vcs;
-              break;
-            }
-          }
-          for (unsigned r = 0; r < vcs; ++r) {
-            if (vc[base2 + r].owner == -1 &&
-                vc_allowed(p, f.hop + 1u, r)) {
-              vc[base2 + r].owner = f.pkt;
-              vc2 = static_cast<int>(r);
-              break;
-            }
-          }
-        }
-        if (vc2 < 0 || vc[base2 + static_cast<unsigned>(vc2)].count >= depth) {
-          continue;  // blocked; try another VC of this channel
-        }
-        pop_flit(c, vi);
-        if (sink != nullptr) ++link_forwarded[c];
-        if (f.index + 1u == flits) vc[vi].owner = -1;  // tail frees upstream
-        push_flit(c2, base2 + static_cast<unsigned>(vc2),
-                  {f.pkt, f.index, static_cast<std::uint16_t>(f.hop + 1),
-                   cycle});
-        ++moves;
-        rr[c] = (q + 1) % vcs;
-        break;
-      }
-    }
-
-    // Worklist upkeep: drop emptied channels, fold in the ones that gained
-    // their first flit this cycle, keep ascending order (= scan order).
-    {
-      std::size_t keep = 0;
-      for (std::uint32_t c : active) {
-        if (chan_flits[c] > 0) {
-          active[keep++] = c;
-        } else {
-          in_active[c] = 0;
-        }
-      }
-      active.resize(keep);
-      if (!newly.empty()) {
-        std::sort(newly.begin(), newly.end());
-        const std::size_t mid = active.size();
-        active.insert(active.end(), newly.begin(), newly.end());
-        std::inplace_merge(active.begin(),
-                           active.begin() + static_cast<std::ptrdiff_t>(mid),
-                           active.end());
-        newly.clear();
+    // 3. Channel advance: one flit per physical channel per cycle.
+    for (std::size_t w = 0; w < active.size(); ++w) {
+      for (std::uint64_t bits = active[w]; bits != 0; bits &= bits - 1) {
+        arbitrate(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
       }
     }
 

@@ -92,7 +92,8 @@ struct WormholeFaults {
 
 struct WormholeConfig {
   unsigned vcs = 2;                 // virtual channels per physical channel
-  unsigned buffer_depth = 4;        // flits per VC buffer
+                                    // (1 .. 64)
+  unsigned buffer_depth = 4;        // flits per VC buffer (1 .. 65535)
   unsigned flits_per_packet = 4;    // head + body + tail
   double injection_rate = 0.02;     // packets/node/cycle
   std::uint64_t warmup_cycles = 100;

@@ -89,6 +89,32 @@ TEST(Wormhole, RejectsFlitCountsBeyondSixteenBits) {
   EXPECT_TRUE(validate_wormhole_config(cfg).empty());
 }
 
+TEST(Wormhole, RejectsVcCountsAndDepthsBeyondTheRecordWidths) {
+  // Per-channel VC masks are 64-bit and VC flit counts 16-bit: larger
+  // values must be rejected with a diagnostic naming the field, never
+  // truncated.
+  auto topo = make_hyper_butterfly_sim(1, 3);
+  WormholeConfig cfg = gentle();
+  cfg.measure_cycles = 20;
+  cfg.vcs = 65;
+  std::string err = validate_wormhole_config(cfg);
+  EXPECT_NE(err.find("vcs must be at most 64"), std::string::npos) << err;
+  EXPECT_NE(err.find("got 65"), std::string::npos) << err;
+  EXPECT_THROW((void)run_wormhole(*topo, cfg, 3), std::invalid_argument);
+  cfg.vcs = 64;
+  EXPECT_TRUE(validate_wormhole_config(cfg).empty());
+  EXPECT_FALSE(run_wormhole(*topo, cfg, 3).deadlocked);
+
+  cfg.buffer_depth = 65536;
+  err = validate_wormhole_config(cfg);
+  EXPECT_NE(err.find("buffer_depth must be at most 65535"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("got 65536"), std::string::npos) << err;
+  EXPECT_THROW((void)run_wormhole(*topo, cfg, 3), std::invalid_argument);
+  cfg.buffer_depth = 65535;
+  EXPECT_TRUE(validate_wormhole_config(cfg).empty());
+}
+
 /// K4 with direct routes: every node sends over three distinct links, while
 /// degree_hint() claims `hint` of them.
 class CompleteGraphK4 final : public SimTopology {
@@ -253,6 +279,57 @@ TEST(WormholeFaults, FullyBlockedSourceKillsWormsWithoutDeadlock) {
   EXPECT_FALSE(s.deadlocked);
   EXPECT_GT(s.unroutable, 0u);
   EXPECT_GT(s.packets.delivered(), 0u);
+  EXPECT_EQ(s.packets.delivered() + s.packets.dropped(),
+            s.packets.injected());
+}
+
+TEST(WormholeFaults, ReplannedWormReenteringAHeldChannelTakesAFreshVc) {
+  // Re-planned escape suffixes here re-enter channels their own worm still
+  // holds. Each (worm, hop) must get its own VC of the hop's class: when a
+  // head instead reused the VC its worm held at the earlier hop, and body
+  // flits picked whichever of the worm's VCs came first, the tail released
+  // a VC under its own head and this run deadlocked.
+  auto topo = make_hyper_butterfly_sim(1, 3);
+  WormholeFaults wf;
+  wf.nodes.assign(topo->num_nodes(), 0);
+  for (std::uint32_t v : {3u, 28u, 39u, 40u}) wf.nodes[v] = 1;
+  wf.links = {{6, 10}, {10, 11}, {5, 4}, {12, 13}, {19, 14}, {44, 37}};
+  WormholeConfig cfg = adaptive(0.2);
+  cfg.vcs = 2 * vc_classes(VcPolicy::kFaultAdaptive);
+  cfg.buffer_depth = 2;
+  cfg.flits_per_packet = 5;
+  cfg.warmup_cycles = 29;
+  cfg.measure_cycles = 165;
+  cfg.misroute_limit = 3;
+  cfg.seed = 13748269018318229792ull;
+  const WormholeStats s = run_wormhole(*topo, cfg, 3, &wf);
+  EXPECT_FALSE(s.deadlocked);
+  EXPECT_GT(s.misroutes, 0u);
+  EXPECT_EQ(s.packets.delivered() + s.packets.dropped(),
+            s.packets.injected());
+}
+
+TEST(WormholeFaults, KilledWormFreesItsEmptyVcs) {
+  // A misroute budget of 1 kills worms mid-network. A VC the worm holds
+  // that is empty at the kill never sees another flit of it, so the kill
+  // itself must free it; left held, such VCs wedged this run into a false
+  // deadlock.
+  auto topo = make_hyper_butterfly_sim(2, 3);
+  WormholeFaults wf;
+  wf.nodes.assign(topo->num_nodes(), 0);
+  for (std::uint32_t v : {5u, 18u, 33u, 60u}) wf.nodes[v] = 1;
+  for (std::uint32_t src : {0u, 9u, 22u, 41u, 63u, 70u, 88u}) {
+    wf.links.emplace_back(src, topo->neighbors(src).front());
+    wf.links.emplace_back(src, topo->neighbors(src).back());
+  }
+  WormholeConfig cfg = adaptive(0.05);
+  cfg.vcs = 2 * vc_classes(VcPolicy::kFaultAdaptive);
+  cfg.buffer_depth = 2;
+  cfg.flits_per_packet = 6;
+  cfg.misroute_limit = 1;
+  const WormholeStats s = run_wormhole(*topo, cfg, 3, &wf);
+  EXPECT_FALSE(s.deadlocked);
+  EXPECT_GT(s.unroutable, 0u);
   EXPECT_EQ(s.packets.delivered() + s.packets.dropped(),
             s.packets.injected());
 }

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <iomanip>
+#include <iterator>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -292,6 +294,148 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
     EXPECT_EQ(snapshot(run_wormhole(*topo, adaptive_config(0.05), 3, &wf)),
               pin)
         << "HB(1,3) adaptive, m+4 faults";
+  }
+}
+
+/// Stats plus the two sink counters that integrate every flit movement.
+struct WidePin {
+  StatsSnapshot stats;
+  std::uint64_t flits_forwarded, flit_cycles_buffered;
+  friend bool operator==(const WidePin&, const WidePin&) = default;
+  friend void PrintTo(const WidePin& p, std::ostream* os) {
+    *os << "{";
+    PrintTo(p.stats, os);
+    *os << ", " << p.flits_forwarded << ", " << p.flit_cycles_buffered
+        << "}";
+  }
+};
+
+TEST(WormholeDeterminism, MatchesPinnedParentStatsWideMatrix) {
+  // Cycle-exact contract of the arena-free datapath (per-VC records, bit
+  // mask arbitration, channel bitmap, integer injection coin): every case
+  // reproduces the stats and sink counters of the ring-arena datapath it
+  // replaced. Covers buffer depths 1/2/4, single-flit worms and worms
+  // longer than a buffer, several VCs per class, the saturated
+  // BM_WormholeHeavyLoad shape, a deadlocking any-free run, and faulted
+  // runs whose misroute budget of 1 kills worms with flits in flight. Each
+  // case runs bare and under a sink; both must match the pin.
+  struct Case {
+    std::string name;
+    std::unique_ptr<SimTopology> topo;
+    unsigned arity;
+    WormholeConfig cfg;
+    WormholeFaults faults;
+    WidePin pin;
+  };
+  std::vector<Case> cases;
+  const std::pair<unsigned, unsigned> shapes[] = {
+      {1, 1}, {1, 9}, {2, 9}, {4, 9}};  // (buffer depth, flits per packet)
+  const WidePin shape_pins[] = {
+      {{1194, 1194, 354, 4, 7, 8, 4.2470686767169177, 3.2227805695142377,
+        false, 0, 0, 0},
+       4521, 4554},
+      {{1194, 1194, 455, 33, 128, 156, 40.527638190954775,
+        3.2227805695142377, false, 0, 0, 0},
+       40689, 46967},
+      {{1194, 1194, 392, 20, 54, 73, 21.799832495812396, 3.2227805695142377,
+        false, 0, 0, 0},
+       40689, 64357},
+      {{1194, 1194, 389, 19, 50, 68, 20.149078726968174, 3.2227805695142377,
+        false, 0, 0, 0},
+       40689, 72797}};
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    const auto [depth, flits] = shapes[i];
+    WormholeConfig cfg = moderate_config(11);
+    cfg.vcs = 2 * vc_classes(VcPolicy::kSegmentDateline);
+    cfg.buffer_depth = depth;
+    cfg.flits_per_packet = flits;
+    cfg.injection_rate = 0.04;
+    cases.push_back({"HB(2,3) segment depth " + std::to_string(depth) +
+                         " flits " + std::to_string(flits),
+                     make_hyper_butterfly_sim(2, 3), 3, cfg, {},
+                     shape_pins[i]});
+  }
+  {
+    // BM_WormholeHeavyLoad's shape with a shorter injection window.
+    WormholeConfig cfg;
+    cfg.vcs = 6;
+    cfg.injection_rate = 0.30;
+    cfg.warmup_cycles = 100;
+    cfg.measure_cycles = 400;
+    cfg.drain_cycles = 120000;
+    cases.push_back({"B(5) heavy load", make_butterfly_sim(5), 5, cfg, {},
+                     {{19355, 19355, 2454, 829, 1843, 1969, 848.85409454921205,
+                       4.3135107207439942, false, 0, 0, 0},
+                      415732, 1284269}});
+  }
+  {
+    WormholeConfig cfg;
+    cfg.vcs = 2 * vc_classes(VcPolicy::kDateline);
+    cfg.policy = VcPolicy::kDateline;
+    cfg.buffer_depth = 2;
+    cfg.flits_per_packet = 5;
+    cfg.injection_rate = 0.1;
+    cfg.measure_cycles = 300;
+    cases.push_back({"B(4) dateline, 2 VCs per class", make_butterfly_sim(4),
+                     4, cfg, {},
+                     {{1914, 1914, 600, 42, 235, 291, 55.825496342737722,
+                       3.3897596656217348, false, 0, 0, 0},
+                      43200, 96506}});
+  }
+  {
+    WormholeConfig cfg;
+    cfg.vcs = 1;
+    cfg.policy = VcPolicy::kAnyFree;
+    cfg.buffer_depth = 1;
+    cfg.flits_per_packet = 8;
+    cfg.injection_rate = 0.30;
+    cfg.warmup_cycles = 0;
+    cfg.measure_cycles = 1500;
+    cfg.drain_cycles = 120000;
+    cfg.deadlock_patience = 500;
+    cases.push_back({"B(4) any-free deadlock", make_butterfly_sim(4), 4, cfg,
+                     {},
+                     {{14597, 120, 760, 63, 220, 231, 85.924999999999997,
+                       3.1333333333333333, true, 0, 0, 0},
+                      3056, 58128}});
+  }
+  {
+    // Node and link faults with a misroute budget of 1: a worm whose
+    // escape suffix meets a second fault is killed with flits in flight.
+    auto topo = make_hyper_butterfly_sim(2, 3);
+    WormholeFaults wf;
+    wf.nodes.assign(topo->num_nodes(), 0);
+    for (std::uint32_t v : {5u, 18u, 33u, 60u}) wf.nodes[v] = 1;
+    wf.links.emplace_back(9, topo->neighbors(9).front());
+    wf.links.emplace_back(9, topo->neighbors(9).back());
+    WormholeConfig cfg = adaptive_config(0.05);
+    cfg.seed = 11;
+    cfg.vcs = 2 * vc_classes(VcPolicy::kFaultAdaptive);
+    cfg.buffer_depth = 2;
+    cfg.flits_per_packet = 6;
+    cfg.misroute_limit = 1;
+    cases.push_back({"HB(2,3) adaptive, faults, misroute limit 1",
+                     std::move(topo), 3, cfg, std::move(wf),
+                     {{1378, 1372, 363, 13, 33, 54, 14.03862973760933,
+                       3.3403790087463556, false, 184, 619, 6},
+                      31721, 45840}});
+  }
+  for (const Case& c : cases) {
+    const WormholeFaults* wf = c.faults.any() ? &c.faults : nullptr;
+    EXPECT_EQ(snapshot(run_wormhole(*c.topo, c.cfg, c.arity, wf)),
+              c.pin.stats)
+        << c.name << " (bare)";
+    obs::Sink sink;
+    const WormholeStats s = run_wormhole(*c.topo, c.cfg, c.arity, wf, &sink);
+    const obs::Counter* forwarded =
+        sink.metrics().find_counter("wormhole.flits_forwarded");
+    const obs::Counter* buffered =
+        sink.metrics().find_counter("wormhole.flit_cycles_buffered");
+    ASSERT_NE(forwarded, nullptr);
+    ASSERT_NE(buffered, nullptr);
+    EXPECT_EQ((WidePin{snapshot(s), forwarded->value(), buffered->value()}),
+              c.pin)
+        << c.name << " (sink)";
   }
 }
 

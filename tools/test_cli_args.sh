@@ -43,6 +43,7 @@ expect_reject "bad analyze threads" analyze 2 3 --threads 4x
 expect_reject "bad wormhole vcs" wormhole 2 3 --vcs x6
 expect_reject "wormhole flits beyond 16 bits" wormhole 1 3 --flits 65536 --vcs 6 --cycles 50
 expect_reject "wormhole flits wrapping to 4" wormhole 1 3 --flits 65540 --vcs 6 --cycles 50
+expect_reject "wormhole vcs beyond 64" wormhole 2 3 --vcs 65
 expect_reject "bad campaign rates" campaign 2 3 --rates 0.05x
 expect_reject "bad campaign rate list" campaign 2 3 --rates 0.02,,0.05
 expect_reject "bad campaign faults" campaign 2 3 --faults 0,2x

@@ -1,17 +1,23 @@
 #!/usr/bin/env sh
-# Wormhole telemetry-plane contract, enforced end to end through the CLI: a
-# fault-adaptive `hbnet_cli wormhole` run with node and link faults must
-# write a metrics JSON and a links CSV that are byte-identical across
-# repeat runs AND to the committed golden files. The golden files pin the
-# full simulated-network telemetry (counters, latency histogram, time
-# series, per-link and per-VC occupancy), so any change to routing, VC
-# allocation, fault re-planning or channel numbering shows up here.
+# Wormhole telemetry-plane contract, enforced end to end through the CLI:
+# two `hbnet_cli wormhole` runs must each write a metrics JSON and a links
+# CSV that are byte-identical across repeat runs AND to the committed golden
+# files. The golden files pin the full simulated-network telemetry
+# (counters, latency histogram, time series, per-link and per-VC
+# occupancy), so any change to routing, VC allocation, arbitration, fault
+# re-planning or channel numbering shows up here.
+#  * faults: fault-adaptive on HB(2,3) with node and link faults.
+#  * segment: fault-free segment dateline on HB(2,4) with two VCs per class
+#    and 6-flit worms that span several hops, under saturating load.
 #
 # Regenerate the goldens only for an intended behavior change:
 #   hbnet_cli wormhole 2 3 --policy adaptive --vcs 7 --faults 5 \
 #     --link-faults 2 --cycles 200 \
 #     --metrics-out tests/golden/wormhole_faults_metrics.json \
 #     --links-csv tests/golden/wormhole_faults_links.csv
+#   hbnet_cli wormhole 2 4 --policy segment --vcs 12 --flits 6 --rate 0.2 \
+#     --metrics-out tests/golden/wormhole_segment_metrics.json \
+#     --links-csv tests/golden/wormhole_segment_links.csv
 #
 # Usage: test_wormhole_determinism.sh <path-to-hbnet_cli> <golden-dir>
 set -eu
@@ -21,15 +27,20 @@ golden=$2
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+# run_wormhole <tag> <hbnet_cli wormhole args...>
 run_wormhole() {
   tag=$1
-  "$cli" wormhole 2 3 --policy adaptive --vcs 7 --faults 5 --link-faults 2 \
-    --cycles 200 --metrics-out "$work/m$tag.json" \
+  shift
+  "$cli" wormhole "$@" --metrics-out "$work/m$tag.json" \
     --links-csv "$work/l$tag.csv" >/dev/null
 }
 
-run_wormhole 1
-run_wormhole 2
+for rep in 1 2; do
+  run_wormhole "faults$rep" 2 3 --policy adaptive --vcs 7 --faults 5 \
+    --link-faults 2 --cycles 200
+  run_wormhole "segment$rep" 2 4 --policy segment --vcs 12 --flits 6 \
+    --rate 0.2
+done
 
 # same <what> <file> <file>: fail unless the two files are byte-identical.
 same() {
@@ -39,10 +50,14 @@ same() {
   fi
 }
 
-same "repeat-run metrics JSON" "$work/m1.json" "$work/m2.json"
-same "repeat-run links CSV" "$work/l1.csv" "$work/l2.csv"
-same "metrics JSON vs golden" "$work/m1.json" \
-  "$golden/wormhole_faults_metrics.json"
-same "links CSV vs golden" "$work/l1.csv" "$golden/wormhole_faults_links.csv"
+for run in faults segment; do
+  same "$run repeat-run metrics JSON" "$work/m${run}1.json" \
+    "$work/m${run}2.json"
+  same "$run repeat-run links CSV" "$work/l${run}1.csv" "$work/l${run}2.csv"
+  same "$run metrics JSON vs golden" "$work/m${run}1.json" \
+    "$golden/wormhole_${run}_metrics.json"
+  same "$run links CSV vs golden" "$work/l${run}1.csv" \
+    "$golden/wormhole_${run}_links.csv"
+done
 
 echo "wormhole telemetry is byte-identical across runs and to the goldens"
