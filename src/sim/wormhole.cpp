@@ -407,7 +407,19 @@ WormholeStats run_wormhole(const SimTopology& topo,
     return false;
   };
 
+  // The run-long arrays are reserved up front so that none reallocates as
+  // the run goes on: a doubling's transient copy, and whether the heap
+  // block it frees goes back to the kernel, made the peak footprint vary
+  // by megabytes from seed to seed. pkts gets the expected packet count
+  // plus 1/8 (capped, for long horizons that deadlock early); the route
+  // arenas get one spare hop per packet over the mean route length of the
+  // first kRouteSample packets. Outgrowing either just resumes doubling.
+  constexpr std::size_t kRouteSample = 256;
+  const double expect =
+      std::max(0.0, std::min(config.injection_rate, 1.0)) * n *
+      static_cast<double>(config.warmup_cycles + config.measure_cycles);
   std::vector<PktState> pkts;
+  pkts.reserve(static_cast<std::size_t>(std::min(1.125 * expect, 0x1p22)));
   std::vector<std::vector<std::uint32_t>> inject_q(n);
   std::vector<std::uint32_t> inject_head(n, 0);  // index of queue front
   // Bit src set iff inject_q[src] holds a packet: the streaming worklist.
@@ -646,6 +658,12 @@ WormholeStats run_wormhole(const SimTopology& topo,
         if (p.measured) stats.packets.record_injection();
         if (inject_ts != nullptr) inject_ts->bump(cycle);
         pkts.push_back(p);
+        if (pkts.size() == kRouteSample) {
+          const std::size_t hops =
+              (route_chan.size() / kRouteSample + 1) * pkts.capacity();
+          route_chan.reserve(hops);
+          for (auto* arena : {&route_cls, &route_vc}) arena->reserve(hops);
+        }
         inject_q[src].push_back(static_cast<std::uint32_t>(pkts.size() - 1));
         queued[src >> 6] |= std::uint64_t{1} << (src & 63);
         ++in_flight;
