@@ -32,9 +32,8 @@ void report(obs::Sink* sink, const HyperButterfly& hb, HbNode u, HbNode v,
 
 /// The generator byte of the edge x -> y.
 std::uint8_t generator_byte(const HyperButterfly& hb, HbNode x, HbNode y) {
-  for (unsigned s = 0; s < hb.degree(); ++s) {
-    const auto gen = static_cast<std::uint8_t>(s);
-    if (HbFaultPlanner::step(hb, x, gen) == y) return gen;
+  for (std::uint8_t gen = 0; gen < hb.degree(); ++gen) {
+    if (hb.apply(x, gen) == y) return gen;
   }
   HBNET_CHECK_MSG(false, "generator_byte: x and y are not adjacent");
   return HbFaultPlanner::kEnd;

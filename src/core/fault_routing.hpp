@@ -42,8 +42,8 @@ struct FaultRouteResult {
 /// The Theorem-5 selection loop over families memoized by relative position.
 ///
 /// A family is stored as m+4 members, each a sequence of generator bytes
-/// (0..m-1 flip cube bit i; m..m+3 are g, f, g^-1, f^-1) closed by kEnd, in
-/// (length, construction index) order. The planner fills one flat byte
+/// (HyperButterfly::apply) closed by kEnd, in (length, construction index)
+/// order. The planner fills one flat byte
 /// arena lazily: the first route to a relative position runs the Theorem-5
 /// construction (unit-capacity max flow on the B_n layer) once, and every
 /// later route from any source replays the bytes. Nothing is allocated
@@ -99,14 +99,14 @@ class HbFaultPlanner {
     for (unsigned k = 0; k < hb.degree(); ++k) {
       ++c.paths_tried;
       const std::uint8_t* member = p;
-      HbNode x = step(hb, u, *p);
+      HbNode x = hb.apply(u, *p);
       bool clean = !banned(x);
       // x is internal while another generator follows it.
       while (clean && p[1] != kEnd) {
         if (faulty(x)) {
           clean = false;
         } else {
-          x = step(hb, x, *++p);
+          x = hb.apply(x, *++p);
         }
       }
       if (clean) {
@@ -126,21 +126,9 @@ class HbFaultPlanner {
                    const std::uint8_t* member, Visit&& visit) {
     if (member == nullptr) return;
     for (; *member != kEnd; ++member) {
-      u = step(hb, u, *member);
+      u = hb.apply(u, *member);
       visit(u);
     }
-  }
-
-  /// Applies one generator byte.
-  [[nodiscard]] static HbNode step(const HyperButterfly& hb, HbNode x,
-                                   std::uint8_t gen) {
-    const unsigned m = hb.cube_dimension();
-    if (gen < m) {
-      x.cube ^= CubeWord{1} << gen;
-    } else {
-      x.bfly = hb.butterfly().apply(x.bfly, static_cast<BflyGen>(gen - m));
-    }
-    return x;
   }
 
  private:

@@ -1,6 +1,5 @@
 #include "core/hyper_butterfly.hpp"
 
-#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -12,9 +11,9 @@ namespace hbnet {
 
 HyperButterfly::HyperButterfly(unsigned m, unsigned n)
     : m_(m), n_(n), cube_(m == 0 ? 1 : m), bfly_(n) {
-  if (m < 1 || n < 3 || m + n > 26) {
+  if (m < 1 || n < 3 || n > 20 || m + n > 26) {
     throw std::invalid_argument(
-        "HyperButterfly: need m >= 1, n >= 3, m + n <= 26 (got m=" +
+        "HyperButterfly: need m >= 1, n in [3, 20], m + n <= 26 (got m=" +
         std::to_string(m) + ", n=" + std::to_string(n) + ")");
   }
   // Theorem 1-2 structural invariants, verified on a bounded vertex sample
@@ -22,33 +21,10 @@ HyperButterfly::HyperButterfly(unsigned m, unsigned n)
   HBNET_DCHECK_OK(check::validate(*this));
 }
 
-std::vector<HbGen> HyperButterfly::generators() const {
-  std::vector<HbGen> gens;
-  gens.reserve(m_ + 4);
-  for (unsigned i = 0; i < m_; ++i) gens.push_back(HbGen::cube(i));
-  for (BflyGen g :
-       {BflyGen::kG, BflyGen::kF, BflyGen::kGInv, BflyGen::kFInv}) {
-    gens.push_back(HbGen::butterfly(g));
-  }
-  return gens;
-}
-
-HbNode HyperButterfly::apply(HbNode v, const HbGen& gen) const {
-  if (gen.is_cube) {
-    return {v.cube ^ (CubeWord{1} << gen.cube_bit), v.bfly};
-  }
-  return {v.cube, bfly_.apply(v.bfly, gen.bfly_gen)};
-}
-
 std::vector<HbNode> HyperButterfly::neighbors(HbNode v) const {
   std::vector<HbNode> out;
-  out.reserve(m_ + 4);
-  for (unsigned i = 0; i < m_; ++i) {
-    out.push_back({v.cube ^ (CubeWord{1} << i), v.bfly});
-  }
-  for (BflyNode b : bfly_.neighbors(v.bfly)) {
-    out.push_back({v.cube, b});
-  }
+  out.reserve(degree());
+  for (std::uint8_t g = 0; g < degree(); ++g) out.push_back(apply(v, g));
   return out;
 }
 
@@ -57,24 +33,29 @@ unsigned HyperButterfly::distance(HbNode u, HbNode v) const {
 }
 
 std::vector<HbNode> HyperButterfly::route(HbNode u, HbNode v) const {
-  const std::vector<HbGen> gens = route_generators(u, v);
+  const std::vector<std::uint8_t> gens = route_generators(u, v);
   std::vector<HbNode> path;
   path.reserve(gens.size() + 1);
   path.push_back(u);
-  for (const HbGen& g : gens) path.push_back(apply(path.back(), g));
+  for (const std::uint8_t g : gens) path.push_back(apply(path.back(), g));
   return path;
 }
 
-std::vector<HbGen> HyperButterfly::route_generators(HbNode u, HbNode v) const {
-  std::vector<HbGen> gens;
-  CubeWord diff = u.cube ^ v.cube;
-  while (diff != 0) {
-    unsigned bit = static_cast<unsigned>(std::countr_zero(diff));
-    gens.push_back(HbGen::cube(bit));
-    diff &= diff - 1;
+std::vector<std::uint8_t> HyperButterfly::route_generators(HbNode u,
+                                                          HbNode v) const {
+  const HbImplicitRouter router(*this);
+  HbRouteState st = router.plan(u, v);
+  std::vector<std::uint8_t> gens;
+  gens.reserve(st.hops_remaining());
+  HbNode cur = u;
+  while (!st.done()) {
+    const HbHop hop = router.next_hop(cur, st);
+    gens.push_back(hop.gen);
+    cur = hop.next;
   }
-  for (BflyGen g : bfly_.route(u.bfly, v.bfly)) {
-    gens.push_back(HbGen::butterfly(g));
+  if (!(cur == v)) {
+    throw std::logic_error(
+        "HyperButterfly::route_generators: internal routing error");
   }
   return gens;
 }
@@ -86,19 +67,12 @@ CayleySpec HyperButterfly::cayley_spec() const {
   }
   CayleySpec spec;
   spec.num_nodes = static_cast<NodeId>(num_nodes());
-  for (unsigned i = 0; i < m_; ++i) {
+  for (std::uint8_t g = 0; g < degree(); ++g) {
     spec.generators.push_back(
-        {"h" + std::to_string(i), [this, i](NodeId id) -> NodeId {
-           return static_cast<NodeId>(
-               index_of(apply(node_at(id), HbGen::cube(i))));
-         }});
-  }
-  for (BflyGen g :
-       {BflyGen::kG, BflyGen::kF, BflyGen::kGInv, BflyGen::kFInv}) {
-    spec.generators.push_back(
-        {to_string(g), [this, g](NodeId id) -> NodeId {
-           return static_cast<NodeId>(
-               index_of(apply(node_at(id), HbGen::butterfly(g))));
+        {g < m_ ? "h" + std::to_string(g)
+                : to_string(static_cast<BflyGen>(g - m_)),
+         [this, g](NodeId id) -> NodeId {
+           return static_cast<NodeId>(index_of(apply(node_at(id), g)));
          }});
   }
   return spec;

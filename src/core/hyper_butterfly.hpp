@@ -19,8 +19,10 @@
 //   * broadcast (the paper's announced future work) in core/broadcast.hpp.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/cayley.hpp"
@@ -37,15 +39,26 @@ struct HbNode {
   friend bool operator==(const HbNode&, const HbNode&) = default;
 };
 
-/// A generator of HB(m,n): either a hypercube bit flip h_i or one of the
-/// four butterfly generators.
-struct HbGen {
-  bool is_cube = false;
-  unsigned cube_bit = 0;        // valid when is_cube
-  BflyGen bfly_gen = BflyGen::kG;  // valid when !is_cube
+/// Remaining Section-3 route of a packet, 12 bytes, trivially copyable:
+/// the cube bits still to flip (LSB first), then the butterfly walk.
+struct HbRouteState {
+  std::uint32_t cube_diff = 0;
+  BflyWalk walk;
 
-  static HbGen cube(unsigned bit) { return {true, bit, BflyGen::kG}; }
-  static HbGen butterfly(BflyGen g) { return {false, 0, g}; }
+  [[nodiscard]] bool done() const { return cube_diff == 0 && walk.done(); }
+  [[nodiscard]] unsigned hops_remaining() const {
+    return static_cast<unsigned>(std::popcount(cube_diff)) + walk.length();
+  }
+};
+
+static_assert(std::is_trivially_copyable_v<HbRouteState> &&
+                  sizeof(HbRouteState) == 12,
+              "HbRouteState is the per-packet route footprint");
+
+/// One hop of a route: the next vertex and the generator byte taken.
+struct HbHop {
+  HbNode next{};
+  std::uint8_t gen = 0;
 };
 
 /// Dense 64-bit index of an HB vertex (for sets/maps on large instances).
@@ -77,11 +90,17 @@ class HyperButterfly {
     return m_ + (3 * n_ + 1) / 2;
   }
 
-  /// The m+4 generators: h_0..h_{m-1}, then g, f, g^-1, f^-1.
-  [[nodiscard]] std::vector<HbGen> generators() const;
-
-  /// Applies a generator.
-  [[nodiscard]] HbNode apply(HbNode v, const HbGen& gen) const;
+  /// Applies generator byte `gen`: 0..m-1 flip cube bit h_i, m..m+3 are
+  /// g, f, g^-1, f^-1. This is the order of neighbors() and of every
+  /// generator word in the library.
+  [[nodiscard]] HbNode apply(HbNode v, std::uint8_t gen) const {
+    if (gen < m_) {
+      v.cube ^= CubeWord{1} << gen;
+    } else {
+      v.bfly = bfly_.apply(v.bfly, static_cast<BflyGen>(gen - m_));
+    }
+    return v;
+  }
 
   /// All m+4 neighbors, in generator order.
   [[nodiscard]] std::vector<HbNode> neighbors(HbNode v) const;
@@ -94,9 +113,11 @@ class HyperButterfly {
   /// [u, ..., v]: route_generators(u, v) replayed through apply().
   [[nodiscard]] std::vector<HbNode> route(HbNode u, HbNode v) const;
 
-  /// The Section-3 route as a generator sequence: hypercube phase (cube
-  /// bits LSB-first), then the butterfly phase (Butterfly::route).
-  [[nodiscard]] std::vector<HbGen> route_generators(HbNode u, HbNode v) const;
+  /// The Section-3 route as generator bytes, walked by HbImplicitRouter:
+  /// hypercube phase (cube bits LSB-first), then the butterfly phase
+  /// (Butterfly::step). Throws std::logic_error if the walk misses v.
+  [[nodiscard]] std::vector<std::uint8_t> route_generators(HbNode u,
+                                                           HbNode v) const;
 
   /// Left translation by u, x -> u·x (Theorem 1): (h, (w, l)) maps to
   /// (h_u ^ h, (w_u ^ rotl_n(w, l_u), (l + l_u) mod n)). It is an
@@ -163,6 +184,39 @@ class HyperButterfly {
   Butterfly bfly_;
   mutable Graph bfly_graph_;       // lazily materialized
   mutable bool bfly_graph_ready_ = false;
+};
+
+/// Stateless Section-3 route planner/advancer for one HB(m,n) instance.
+/// Methods are const and thread-safe; all route state lives in
+/// HbRouteState. The sharded engine plans once per packet and calls
+/// next_hop() once per packet move, so both are inline and plan() makes a
+/// single out-of-line call, to plan_covering_walk().
+class HbImplicitRouter {
+ public:
+  explicit HbImplicitRouter(const HyperButterfly& hb)
+      : m_(hb.cube_dimension()), bfly_(hb.butterfly()) {}
+
+  /// Plans src -> dst: O(n) once per packet, O(1) per hop after.
+  [[nodiscard]] HbRouteState plan(HbNode src, HbNode dst) const {
+    return {src.cube ^ dst.cube, bfly_.walk(src.bfly, dst.bfly)};
+  }
+
+  /// Advances one hop from `cur` (which must match the state's progress)
+  /// and updates `st` in place. Precondition: !st.done().
+  [[nodiscard]] HbHop next_hop(HbNode cur, HbRouteState& st) const {
+    if (st.cube_diff != 0) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(st.cube_diff));
+      st.cube_diff &= st.cube_diff - 1;
+      return {{cur.cube ^ (CubeWord{1} << bit), cur.bfly},
+              static_cast<std::uint8_t>(bit)};
+    }
+    const BflyGen gen = bfly_.step(cur.bfly, st.walk);
+    return {cur, static_cast<std::uint8_t>(m_ + static_cast<unsigned>(gen))};
+  }
+
+ private:
+  unsigned m_;
+  Butterfly bfly_;
 };
 
 /// Result of sweeping the Theorem-5 construction over vertex pairs.

@@ -61,18 +61,12 @@ ElectionResult hb_structured_election(const HyperButterfly& hb) {
   std::vector<std::array<std::uint32_t, 4>> bfly_links(g.num_nodes());
   std::vector<std::vector<std::uint32_t>> cube_links(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    HbNode node = hb.node_at(v);
+    const HbNode node = hb.node_at(v);
     cube_links[v].resize(m);
-    for (unsigned i = 0; i < m; ++i) {
-      cube_links[v][i] = link_to(
-          v, static_cast<NodeId>(hb.index_of(hb.apply(node, HbGen::cube(i)))));
-    }
-    unsigned j = 0;
-    for (BflyGen bg :
-         {BflyGen::kG, BflyGen::kF, BflyGen::kGInv, BflyGen::kFInv}) {
-      bfly_links[v][j++] = link_to(
-          v,
-          static_cast<NodeId>(hb.index_of(hb.apply(node, HbGen::butterfly(bg)))));
+    for (std::uint8_t g = 0; g < hb.degree(); ++g) {
+      const std::uint32_t link =
+          link_to(v, static_cast<NodeId>(hb.index_of(hb.apply(node, g))));
+      (g < m ? cube_links[v][g] : bfly_links[v][g - m]) = link;
     }
   }
 

@@ -16,7 +16,6 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
-#include "sim/hb_route.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 #include "sim/traffic.hpp"
@@ -53,7 +52,7 @@ struct HbPacket {
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
   std::uint32_t injected_at = 0;
-  sim::HbRouteState route;
+  HbRouteState route;
   std::uint16_t hops = 0;
   std::uint8_t level = 0;
   std::uint8_t flags = 0;
@@ -103,7 +102,7 @@ class HbRouter {
       pkt.flags &= static_cast<std::uint8_t>(~kRevisit);
       pkt.route = router_.plan(cur, hb_.node_at(pkt.dst));
     }
-    const sim::HbHop hop = router_.next_hop(cur, pkt.route);
+    const HbHop hop = router_.next_hop(cur, pkt.route);
     ++pkt.hops;
     if (links != nullptr) {
       ++(*links)[static_cast<std::size_t>(at) * degree_ + hop.gen];
@@ -119,11 +118,11 @@ class HbRouter {
 
   /// Expands (node, generator) tallies into directed (src, dst) records.
   void collect_links(const Tally& t, std::vector<LinkCount>& out) const {
-    const std::vector<HbGen> gens = hb_.generators();
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (t[i] == 0) continue;
       const auto u = static_cast<std::uint32_t>(i / degree_);
-      const HbNode next = hb_.apply(hb_.node_at(u), gens[i % degree_]);
+      const HbNode next = hb_.apply(
+          hb_.node_at(u), static_cast<std::uint8_t>(i % degree_));
       out.emplace_back(
           (std::uint64_t{u} << 32) | static_cast<std::uint32_t>(
                                          hb_.index_of(next)),
@@ -137,7 +136,7 @@ class HbRouter {
   }
 
   const HyperButterfly& hb_;
-  sim::HbImplicitRouter router_;
+  HbImplicitRouter router_;
   unsigned bdim_;
   std::uint32_t word_mask_;
   unsigned degree_;

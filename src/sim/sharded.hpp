@@ -4,12 +4,14 @@
 //
 // The cycle loop is generic over a router, and is built around three ideas:
 //
-//  * Routers. The HB router (sim/hb_route.hpp) walks HB routes in closed
-//    form: a packet carries a 12-byte HbRouteState instead of a vector of
-//    node ids and each hop is O(1) bit math -- no per-packet allocation,
-//    ever. The path router serves any SimTopology: it source-routes at
-//    injection with the topology's own algorithm, and each packet owns its
-//    node vector, so route memory is bounded by the packets in flight.
+//  * Routers. The HB router walks HB routes in closed form with core's
+//    HbImplicitRouter (core/hyper_butterfly.hpp): a packet carries a
+//    12-byte HbRouteState instead of a vector of node ids, each hop is one
+//    Butterfly::step or cube-bit flip, and the per-link tally is keyed by
+//    the hop's generator byte -- no per-packet allocation, ever. The path
+//    router serves any SimTopology: it source-routes at injection with the
+//    topology's own algorithm, and each packet owns its node vector, so
+//    route memory is bounded by the packets in flight.
 //  * Per-shard dense arenas: nodes are partitioned into contiguous shards
 //    (sync::ShardPlan); each shard keeps its resident packets in one dense
 //    vector swept sequentially once per cycle -- per-node FIFO order is the

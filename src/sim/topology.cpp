@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/hb_route.hpp"
 #include "topology/ccc.hpp"
 
 namespace hbnet {
@@ -123,9 +122,9 @@ class HyperButterflySim final : public SimTopology {
   /// same node sequence as HyperButterfly::route on every pair (tested).
   [[nodiscard]] std::vector<std::uint32_t> route(
       std::uint32_t src, std::uint32_t dst) const override {
-    const sim::HbImplicitRouter router(hb_);
+    const HbImplicitRouter router(hb_);
     HbNode cur = hb_.node_at(src);
-    sim::HbRouteState st = router.plan(cur, hb_.node_at(dst));
+    HbRouteState st = router.plan(cur, hb_.node_at(dst));
     std::vector<std::uint32_t> out;
     out.reserve(st.hops_remaining() + 1);
     out.push_back(src);

@@ -129,27 +129,11 @@ unsigned Butterfly::distance(BflyNode u, BflyNode v) const {
 }
 
 std::vector<BflyGen> Butterfly::route(BflyNode u, BflyNode v) const {
-  const CoveringWalkPlan plan =
-      plan_covering_walk(n_, u.level, v.level, u.word ^ v.word);
+  BflyWalk w = walk(u, v);
   std::vector<BflyGen> gens;
-  gens.reserve(plan.length());
+  gens.reserve(w.length());
   BflyNode cur = u;
-  std::uint32_t remaining = cur.word ^ v.word;  // bits still to fix
-  for (unsigned i = 0; i < 3; ++i) {
-    const bool upward = plan.dir(i) > 0;
-    for (unsigned k = 0; k < plan.run(i); ++k) {
-      // Crossing cycle edge e: upward (g/f) crosses edge cur.level; downward
-      // (g^-1/f^-1) crosses edge (cur.level - 1) mod n. Take the flipping
-      // variant on the first crossing of a required edge.
-      const unsigned edge = upward ? cur.level : (cur.level + n_ - 1) % n_;
-      const bool flip = (remaining >> edge) & 1;
-      const BflyGen gen = upward ? (flip ? BflyGen::kF : BflyGen::kG)
-                                 : (flip ? BflyGen::kFInv : BflyGen::kGInv);
-      if (flip) remaining ^= 1u << edge;
-      gens.push_back(gen);
-      cur = apply(cur, gen);
-    }
-  }
+  while (!w.done()) gens.push_back(step(cur, w));
   if (!(cur == v)) {
     throw std::logic_error("Butterfly::route: internal routing error");
   }

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.hpp"
 #include "graph/cayley.hpp"
 #include "graph/graph.hpp"
 
@@ -58,8 +59,7 @@ enum class BflyGen : std::uint8_t { kG, kF, kGInv, kFInv };
 /// [-down, up] and ends at offset tau, sweeping to one extreme first and
 /// then the other. That is three monotone runs -- run(i) unit steps in
 /// direction dir(i) = -+dir(0) -- so a packet can carry the whole remaining
-/// route in a few bytes and advance it in O(1) per hop (the sharded
-/// simulator's implicit-routing representation).
+/// route in a few bytes (BflyWalk) and advance it in O(1) per hop.
 struct CoveringWalkPlan {
   std::uint8_t up = 0;       // right extreme of the lifted interval
   std::uint8_t down = 0;     // left extreme (as a magnitude)
@@ -80,6 +80,21 @@ struct CoveringWalkPlan {
   [[nodiscard]] int dir(unsigned i) const {
     const int first = left_first ? -1 : 1;
     return i == 1 ? -first : first;
+  }
+};
+
+/// The rest of one optimal butterfly route, 8 bytes: the word bits still to
+/// fix and the three monotone runs of its covering walk. Butterfly::walk()
+/// plans it and Butterfly::step() advances it one generator at a time, so a
+/// packet can carry its whole remaining route (sim/sharded.hpp).
+struct BflyWalk {
+  std::uint32_t word_diff = 0;      // word bits still to fix
+  std::uint8_t run[3] = {0, 0, 0};  // steps left in each monotone run
+  std::int8_t dir0 = 1;             // direction of run 0 (+1 = g-direction)
+
+  [[nodiscard]] bool done() const { return (run[0] | run[1] | run[2]) == 0; }
+  [[nodiscard]] unsigned length() const {
+    return unsigned{run[0]} + run[1] + run[2];
   }
 };
 
@@ -136,16 +151,51 @@ class Butterfly {
     return v;  // unreachable
   }
 
+  /// Plans the optimal route u -> v as a walk for step(). One
+  /// plan_covering_walk() call; inline because the sharded engine plans
+  /// once per packet.
+  [[nodiscard]] BflyWalk walk(BflyNode u, BflyNode v) const {
+    const std::uint32_t diff = u.word ^ v.word;
+    const CoveringWalkPlan p = plan_covering_walk(n_, u.level, v.level, diff);
+    return {diff,
+            {static_cast<std::uint8_t>(p.run(0)),
+             static_cast<std::uint8_t>(p.run(1)),
+             static_cast<std::uint8_t>(p.run(2))},
+            static_cast<std::int8_t>(p.dir(0))};
+  }
+
+  /// Takes the next step of `w` from `cur`, advancing both, and returns the
+  /// generator used. Precondition: !w.done(). Every butterfly and HB route
+  /// is walked here (the sharded engine once per packet move), so the level
+  /// wraps are compares, not modulo.
+  BflyGen step(BflyNode& cur, BflyWalk& w) const {
+    HBNET_DCHECK_MSG(!w.done(), "step past end of walk");
+    unsigned i = 0;
+    while (w.run[i] == 0) ++i;
+    --w.run[i];
+    const bool up = (w.dir0 > 0) != (i == 1);
+    const std::uint32_t lvl = cur.level;
+    const std::uint32_t down = lvl == 0 ? n_ - 1 : lvl - 1;
+    // An upward step (g/f) crosses cycle edge cur.level, a downward one
+    // (g^-1/f^-1) crosses (cur.level - 1) mod n; take the flipping
+    // generator on the first crossing of a required edge.
+    const std::uint32_t flip = w.word_diff & (1u << (up ? lvl : down));
+    w.word_diff ^= flip;
+    cur = {cur.word ^ flip, up ? (lvl + 1 == n_ ? 0 : lvl + 1) : down};
+    return static_cast<BflyGen>((up ? 0 : 2) + (flip != 0 ? 1 : 0));
+  }
+
   /// All four neighbors, in order g, f, g^-1, f^-1.
   [[nodiscard]] std::vector<BflyNode> neighbors(BflyNode v) const;
 
   /// Exact shortest-path distance.
   [[nodiscard]] unsigned distance(BflyNode u, BflyNode v) const;
 
-  /// One optimal route as a generator sequence.
+  /// One optimal route as a generator sequence: walk(u, v) stepped to its
+  /// end, which must be v.
   [[nodiscard]] std::vector<BflyGen> route(BflyNode u, BflyNode v) const;
 
-  /// One optimal route as the full vertex sequence [u, ..., v].
+  /// The same route as the full vertex sequence [u, ..., v].
   [[nodiscard]] std::vector<BflyNode> route_nodes(BflyNode u, BflyNode v) const;
 
   /// Dense index of a vertex: word * n + level.

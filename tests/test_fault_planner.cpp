@@ -15,14 +15,11 @@ namespace {
 
 /// Checks x·s -> (u·x)·s for every generator byte s on the given (u, x).
 void expect_label_preserving(const HyperButterfly& hb, HbNode u, HbNode x) {
-  const std::vector<HbGen> gens = hb.generators();
   const HbNode ux = hb.translate(u, x);
-  for (unsigned s = 0; s < gens.size(); ++s) {
-    const auto gen = static_cast<std::uint8_t>(s);
-    ASSERT_EQ(HbFaultPlanner::step(hb, x, gen), hb.apply(x, gens[s]));
-    ASSERT_EQ(hb.translate(u, HbFaultPlanner::step(hb, x, gen)),
-              HbFaultPlanner::step(hb, ux, gen))
-        << "u=" << hb.index_of(u) << " x=" << hb.index_of(x) << " s=" << s;
+  for (std::uint8_t s = 0; s < hb.degree(); ++s) {
+    ASSERT_EQ(hb.translate(u, hb.apply(x, s)), hb.apply(ux, s))
+        << "u=" << hb.index_of(u) << " x=" << hb.index_of(x)
+        << " s=" << unsigned{s};
   }
   ASSERT_EQ(hb.relative(u, ux), x);
 }

@@ -2,6 +2,11 @@
 // plus the layer-decomposition of Remark 5.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/hyper_butterfly.hpp"
 #include "core/routing.hpp"
 #include "graph/bfs.hpp"
@@ -19,6 +24,12 @@ TEST(HyperButterfly, CountsTheorem2) {
   EXPECT_THROW(HyperButterfly(2, 2), std::invalid_argument);
 }
 
+TEST(HyperButterfly, RejectsNAbove20) {
+  // The documented domain is n in [3, 20], the same as HbImplicitAdjacency.
+  EXPECT_NO_THROW(HyperButterfly(1, 20));
+  EXPECT_THROW(HyperButterfly(1, 21), std::invalid_argument);
+}
+
 TEST(HyperButterfly, IndexRoundTrip) {
   HyperButterfly hb(2, 3);
   for (HbIndex id = 0; id < hb.num_nodes(); ++id) {
@@ -30,7 +41,6 @@ TEST(HyperButterfly, IndexRoundTrip) {
 
 TEST(HyperButterfly, GeneratorsCountAndNeighbors) {
   HyperButterfly hb(3, 4);
-  EXPECT_EQ(hb.generators().size(), 7u);
   HbNode v{0b101, {0b1001, 2}};
   auto nbrs = hb.neighbors(v);
   ASSERT_EQ(nbrs.size(), 7u);
@@ -97,7 +107,7 @@ TEST_P(HbParam, RouteIsValidAndOptimal) {
       auto gens = hb.route_generators(u, v);
       EXPECT_EQ(gens.size() + 1, path.size());
       HbNode cur = u;
-      for (const HbGen& gen : gens) cur = hb.apply(cur, gen);
+      for (const std::uint8_t gen : gens) cur = hb.apply(cur, gen);
       EXPECT_TRUE(cur == v);
     }
   }
@@ -161,6 +171,79 @@ TEST(HyperButterfly, BfsPathAvoidsFaults) {
     for (const HbNode& w : *detour) {
       EXPECT_FALSE(faults.contains(hb, w));
     }
+  }
+}
+
+/// FNV-1a over 64-bit words, byte by byte.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+/// Digest of the Section-3 route over every ordered pair of HB(m,n): per
+/// pair the word length, each generator's index in neighbors() order
+/// (h_0..h_{m-1}, g, f, g^-1, f^-1), then route()'s node ids.
+std::uint64_t hb_route_digest(unsigned m, unsigned n) {
+  const HyperButterfly hb(m, n);
+  Fnv d;
+  for (HbIndex s = 0; s < hb.num_nodes(); ++s) {
+    for (HbIndex t = 0; t < hb.num_nodes(); ++t) {
+      const HbNode u = hb.node_at(s), v = hb.node_at(t);
+      const auto gens = hb.route_generators(u, v);
+      d.add(gens.size());
+      HbNode cur = u;
+      for (const auto& gen : gens) {
+        const HbNode next = hb.apply(cur, gen);
+        const std::vector<HbNode> nbrs = hb.neighbors(cur);
+        d.add(static_cast<std::uint64_t>(
+            std::find(nbrs.begin(), nbrs.end(), next) - nbrs.begin()));
+        cur = next;
+      }
+      for (const HbNode& x : hb.route(u, v)) d.add(hb.index_of(x));
+    }
+  }
+  return d.h;
+}
+
+/// The same for B_n: Butterfly::route's generators, then route_nodes' ids.
+std::uint64_t bfly_route_digest(unsigned n) {
+  const Butterfly b(n);
+  Fnv d;
+  for (NodeId s = 0; s < b.num_nodes(); ++s) {
+    for (NodeId t = 0; t < b.num_nodes(); ++t) {
+      const BflyNode u = b.node_at(s), v = b.node_at(t);
+      const auto gens = b.route(u, v);
+      d.add(gens.size());
+      for (const auto gen : gens) d.add(static_cast<std::uint64_t>(gen));
+      for (const BflyNode& x : b.route_nodes(u, v)) d.add(b.index_of(x));
+    }
+  }
+  return d.h;
+}
+
+TEST(Routing, RouteWordsMatchPinnedParentDigests) {
+  // Every route word and node sequence of the Section-3 and butterfly
+  // routers. The values were recorded before Butterfly::step became the one
+  // stepping kernel and must not be regenerated for a refactor: any change
+  // to which optimal route is chosen fails it.
+  const std::pair<std::pair<unsigned, unsigned>, std::uint64_t> hb_pins[] = {
+      {{1, 3}, 0x29e510b3c5928103ull}, {{2, 3}, 0xf0adf798564948c3ull},
+      {{1, 4}, 0x1d1b729602374c83ull}, {{1, 5}, 0x9d4ede4f6e83bdffull},
+      {{3, 4}, 0x742bb564da6d4003ull}};
+  for (const auto& [mn, digest] : hb_pins) {
+    EXPECT_EQ(hb_route_digest(mn.first, mn.second), digest)
+        << "HB(" << mn.first << "," << mn.second << ")";
+  }
+  const std::uint64_t bfly_pins[] = {
+      0x94a7fc4ceaf0c483ull, 0xc479a409ed260783ull, 0x16352b20c49ec143ull,
+      0x8236ec446cb51b4full, 0x132aa80eeb5fc077ull};
+  for (unsigned n = 3; n <= 7; ++n) {
+    EXPECT_EQ(bfly_route_digest(n), bfly_pins[n - 3]) << "B_" << n;
   }
 }
 

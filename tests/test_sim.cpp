@@ -25,8 +25,10 @@ SimConfig light_config() {
 }
 
 TEST(SimTopology, HyperButterflyRouteEqualsCoreRouteOnEveryPair) {
-  // The adapter walks the closed-form HbImplicitRouter; it must emit the
-  // exact node sequence of the Section-3 two-phase route, pair by pair.
+  // The adapter and HyperButterfly::route both walk HbImplicitRouter, so
+  // the node sequences are anchored by
+  // Routing.RouteWordsMatchPinnedParentDigests; here each adapter route must
+  // also end at dst after exactly distance() hops.
   for (auto [m, n] : {std::pair{1u, 3u}, std::pair{2u, 4u}}) {
     const HyperButterfly hb(m, n);
     auto topo = make_hyper_butterfly_sim(m, n);
@@ -37,8 +39,12 @@ TEST(SimTopology, HyperButterflyRouteEqualsCoreRouteOnEveryPair) {
         for (const HbNode& v : hb.route(hb.node_at(src), hb.node_at(dst))) {
           want.push_back(static_cast<std::uint32_t>(hb.index_of(v)));
         }
-        ASSERT_EQ(topo->route(src, dst), want)
+        const std::vector<std::uint32_t> got = topo->route(src, dst);
+        ASSERT_EQ(got, want)
             << "HB(" << m << "," << n << ") " << src << " -> " << dst;
+        ASSERT_EQ(got.back(), dst);
+        ASSERT_EQ(got.size(),
+                  hb.distance(hb.node_at(src), hb.node_at(dst)) + 1);
       }
     }
   }

@@ -786,13 +786,25 @@ int run(int argc, char** argv) {
     bool exact = false;
     ExactFlags exact_flags;
     SimFlags stream_flags;
+    std::string exact_only;  // the first flag that needs --exact-connectivity
     for (int i = 4; i < argc; ++i) {
       const std::string a = argv[i];
-      if (a == "--threads" && i + 1 < argc) {
+      const bool takes_value =
+          a == "--threads" || a == "--max-blocks" || a == "--checkpoint" ||
+          a == "--metrics-out" || a == "--stream-out" || a == "--prom-out" ||
+          a == "--stream-interval-ms";
+      if (takes_value && i + 1 >= argc) {
+        std::cerr << a << " needs a value\n";
+        return usage();
+      }
+      const char* v = takes_value ? argv[++i] : nullptr;
+      if (a != "--threads" && a != "--audit" && a != "--exact-connectivity" &&
+          exact_only.empty()) {
+        exact_only = a;
+      }
+      if (a == "--threads") {
         unsigned threads = 0;
-        if (!parse_flag_unsigned("--threads", argv[++i], threads)) {
-          return usage();
-        }
+        if (!parse_flag_unsigned("--threads", v, threads)) return usage();
         hbnet::par::set_default_threads(threads);
       } else if (a == "--audit") {
         audit = true;
@@ -804,23 +816,22 @@ int run(int argc, char** argv) {
         exact_flags.implicit = true;
       } else if (a == "--no-orbits") {
         exact_flags.orbits = false;
-      } else if (a == "--max-blocks" && i + 1 < argc) {
-        if (!parse_flag_u64("--max-blocks", argv[++i],
-                            exact_flags.max_blocks)) {
+      } else if (a == "--max-blocks") {
+        if (!parse_flag_u64("--max-blocks", v, exact_flags.max_blocks)) {
           return usage();
         }
       } else if (a == "--progress") {
         stream_flags.progress = true;
-      } else if (a == "--checkpoint" && i + 1 < argc) {
-        exact_flags.checkpoint = argv[++i];
-      } else if (a == "--metrics-out" && i + 1 < argc) {
-        exact_flags.metrics_out = argv[++i];
-      } else if (a == "--stream-out" && i + 1 < argc) {
-        stream_flags.stream_out = argv[++i];
-      } else if (a == "--prom-out" && i + 1 < argc) {
-        stream_flags.prom_out = argv[++i];
-      } else if (a == "--stream-interval-ms" && i + 1 < argc) {
-        if (!parse_flag_u64("--stream-interval-ms", argv[++i],
+      } else if (a == "--checkpoint") {
+        exact_flags.checkpoint = v;
+      } else if (a == "--metrics-out") {
+        exact_flags.metrics_out = v;
+      } else if (a == "--stream-out") {
+        stream_flags.stream_out = v;
+      } else if (a == "--prom-out") {
+        stream_flags.prom_out = v;
+      } else if (a == "--stream-interval-ms") {
+        if (!parse_flag_u64("--stream-interval-ms", v,
                             stream_flags.stream_interval_ms)) {
           return usage();
         }
@@ -828,6 +839,14 @@ int run(int argc, char** argv) {
         std::cerr << "unknown option " << a << "\n";
         return usage();
       }
+    }
+    if (exact && audit) {
+      std::cerr << "--audit: not an option of analyze --exact-connectivity\n";
+      return usage();
+    }
+    if (!exact && !exact_only.empty()) {
+      std::cerr << exact_only << ": needs --exact-connectivity\n";
+      return usage();
     }
     if (exact) {
       return run_exact_connectivity(hb, exact_flags, stream_flags);

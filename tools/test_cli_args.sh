@@ -26,6 +26,22 @@ expect_reject() {
   rm -f /tmp/hbnet_cli_args_err.$$
 }
 
+# expect_reject_naming <flag> <description> <args...>: as expect_reject, and
+# the first line of the diagnostic (the usage text follows it) names <flag>.
+expect_reject_naming() {
+  flag=$1
+  shift
+  expect_reject "$@"
+  desc=$1
+  shift
+  "$cli" "$@" >/dev/null 2>/tmp/hbnet_cli_args_err.$$ || true
+  if ! head -n 1 /tmp/hbnet_cli_args_err.$$ | grep -qF -- "$flag"; then
+    echo "FAIL: $desc: diagnostic does not name $flag: $cli $*" >&2
+    fails=$((fails + 1))
+  fi
+  rm -f /tmp/hbnet_cli_args_err.$$
+}
+
 expect_reject "non-numeric m" info x 3
 expect_reject "partial-token n" info 2 3x
 expect_reject "negative m" info -2 3
@@ -40,6 +56,31 @@ expect_reject "bad sim seed" sim 2 3 --seed 1.5
 expect_reject "bad sim threads" sim 2 3 --threads two
 expect_reject "missing flag value" sim 2 3 --rate
 expect_reject "bad analyze threads" analyze 2 3 --threads 4x
+expect_reject "HB n above 20" info 1 21
+
+# analyze: flags of the exact sweep need --exact-connectivity, --audit
+# belongs to the plain analysis, and a value flag needs its value.
+for flag in --sparsify --implicit --no-orbits --progress; do
+  expect_reject_naming "$flag" "analyze $flag without --exact-connectivity" \
+    analyze 1 3 "$flag"
+done
+for flag in --max-blocks --stream-interval-ms; do
+  expect_reject_naming "$flag" "analyze $flag without --exact-connectivity" \
+    analyze 1 3 "$flag" 1
+done
+for flag in --checkpoint --metrics-out --stream-out --prom-out; do
+  expect_reject_naming "$flag" "analyze $flag without --exact-connectivity" \
+    analyze 1 3 "$flag" /nonexistent/hbnet_cli_args
+done
+expect_reject_naming --sparsify "analyze plain with sparsify and checkpoint" \
+  analyze 1 3 --sparsify --checkpoint /nonexistent/f --max-blocks 1
+expect_reject_naming --audit "analyze --audit with --exact-connectivity" \
+  analyze 1 3 --exact-connectivity --audit
+for flag in --threads --max-blocks --checkpoint --metrics-out --stream-out \
+  --prom-out --stream-interval-ms; do
+  expect_reject_naming "$flag needs a value" "analyze $flag without a value" \
+    analyze 1 3 --exact-connectivity "$flag"
+done
 expect_reject "bad wormhole vcs" wormhole 2 3 --vcs x6
 expect_reject "wormhole flits beyond 16 bits" wormhole 1 3 --flits 65536 --vcs 6 --cycles 50
 expect_reject "wormhole flits wrapping to 4" wormhole 1 3 --flits 65540 --vcs 6 --cycles 50
