@@ -22,6 +22,6 @@ int main() {
             << "   is Theorem 3 (m + ceil(3n/2)) -- measured shows the\n"
             << "   butterfly part is floor(3n/2).\n"
             << " * Fault-tolerance: exact max-flow kappa on small instances,\n"
-            << "   sampled lower bound ('<=' prefix = sampled) on large.\n";
+            << "   sampled upper bound ('<=' prefix = sampled) on large.\n";
   return 0;
 }

@@ -20,7 +20,7 @@ struct TopologySummary {
   std::uint32_t max_degree = 0;
   bool regular = false;
   std::optional<std::uint32_t> diameter;       // exact, when affordable
-  std::optional<std::uint32_t> connectivity;   // exact or sampled lower bound
+  std::optional<std::uint32_t> connectivity;   // exact or sampled upper bound
   bool connectivity_exact = false;
 };
 

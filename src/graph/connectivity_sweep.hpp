@@ -24,11 +24,12 @@
 //    source v_0 is exact; opt-in via SweepOptions::vertex_transitive;
 //  * one flat flow kernel -- every solve runs a VertexFlow
 //    (graph/maxflow.hpp) to its pruned limit: Dinic on the vertex-split
-//    network with the split left implicit, levels by a reverse BFS from t,
-//    and an O(n)-state workspace per pool *worker* that a solve resets only
-//    where its flow went. All workers read one shared CSR graph (the
-//    caller's, one materialized copy of an implicit provider, or the sparse
-//    certificate), so nothing is built or allocated inside a block;
+//    network with the split left implicit, levels by a bidirectional BFS
+//    from s and t that stops where the two searches meet, and an O(n)-state
+//    workspace per pool *worker* (on its own cache lines) that a solve
+//    resets only where its flow went. All workers read one shared CSR graph
+//    (the caller's, one materialized copy of an implicit provider, or the
+//    sparse certificate), so nothing is built or allocated inside a block;
 //  * checkpoint/resume -- the schedule is a pure function of the graph
 //    (no RNG, no wall clock), split into fixed-size blocks of targets; the
 //    sweep state after every block is thread-count invariant and is

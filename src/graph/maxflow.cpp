@@ -114,95 +114,148 @@ VertexFlow::VertexFlow(const Graph& g)
       cursor_(g.num_nodes(), 0) {}
 
 bool VertexFlow::build_levels() {
-  if (base_ > std::numeric_limits<std::uint32_t>::max() - 2 * span_) {
+  if (base_ > std::numeric_limits<std::uint32_t>::max() - 4 * span_) {
     for (Vertex& v : nodes_) v.level[0] = v.level[1] = 0;  // wrap-around
     base_ = 0;
   }
-  base_ += span_;
-  // Level-synchronous BFS from t_in over reversed residual arcs; states at
-  // distance d-1 are expanded into labels at distance d.
+  base_ += 2 * span_;
   level(2 * t_) = base_;
-  frontier_.assign(1, 2 * t_);
-  next_.clear();
-  skip_.clear();
-  for (std::uint32_t d = 1; !frontier_.empty() || !next_.empty(); ++d) {
-    for (const std::uint32_t y : frontier_) {
-      const NodeId v = y >> 1;
-      const Vertex& vy = nodes_[v];
-      if ((y & 1) != 0) {
-        // v_out of a vertex with flow: its one residual in-arc cancels
-        // v -> succ(v), from succ(v)_in.
-        if (vy.succ != t_) label(2 * vy.succ, d);
-        continue;
-      }
-      // Residual arcs into v_in: u_out -> v_in from every neighbour whose
-      // edge arc into v is empty, plus v_out -> v_in when v carries flow.
-      if (v != t_ && vy.pred != kInvalidNode) label(2 * v + 1, d);
-      for (const NodeId u : g_->neighbors(v)) {
-        if (u == s_) {
-          if (v == t_ ? !direct_ : vy.pred != s_) {
-            // BFS found s at distance d: every state closer to t is
-            // labelled, which is all the DFS from s can step to.
-            level(2 * s_ + 1) = base_ + d;
-            return true;
-          }
-        } else if (u != t_ && nodes_[u].succ != v) {
-          label_out(u, d);
-        }
-      }
+  level(2 * s_ + 1) = base_ + span_;
+  bwd_.start(2 * t_);
+  fwd_.start(2 * s_ + 1);
+  meet_ = kNoState;
+  // While the search goes on, every s_out -> t_in path is at least
+  // depth_f + depth_b + 1 long, so a meeting of that length is shortest. A
+  // side that runs out has expanded every state it reaches: a shortest path
+  // then leaves its ball straight into the other side's, so the shortest
+  // meeting recorded is D (kNoState if t_in is cut off), even when it is
+  // above the bound.
+  while (meet_ > fwd_.depth + bwd_.depth + 1 && !fwd_.exhausted() &&
+         !bwd_.exhausted()) {
+    if (fwd_.frontier.size() <= bwd_.frontier.size()) {
+      expand_forward();
+    } else {
+      expand_backward();
     }
-    frontier_.swap(next_);
-    next_.swap(skip_);
-    skip_.clear();
   }
-  return false;
+  dist_ = meet_;
+  return meet_ != kNoState;
 }
 
-void VertexFlow::label_out(NodeId u, std::uint32_t dist) {
-  Vertex& vu = nodes_[u];
-  if (vu.level[1] >= base_) return;
-  vu.level[1] = base_ + dist;
-  if (vu.pred != kInvalidNode) {
-    next_.push_back(2 * u + 1);
+void VertexFlow::reach(Side& side, std::uint32_t own, NodeId v,
+                       unsigned state, std::uint32_t dist) {
+  Vertex& vx = nodes_[v];
+  std::uint32_t& l = vx.level[state];
+  if (l >= base_) {
+    // If the other side holds the state (l in [other, other + span_); the
+    // unsigned difference wraps for l below it), record the meeting. Never
+    // relabel.
+    const std::uint32_t other = own == base_ ? base_ + span_ : base_;
+    if (l - other < span_) meet_ = std::min(meet_, dist + (l - other));
     return;
   }
-  // Without flow through u, u_in's one residual arc is u_in -> u_out: u_in
-  // is one step further from t, and u_out has nothing else to expand.
-  vu.level[0] = base_ + dist + 1;
-  skip_.push_back(2 * u);
+  l = own + dist;
+  if (vx.pred != kInvalidNode) {
+    side.next.push_back(2 * v + state);
+    return;
+  }
+  // A side enters a flow-free vertex only by its near state (forward: v_in,
+  // backward: v_out), whose one residual arc on that side is the v_in ->
+  // v_out arc: the far state is one step further, and the near state has
+  // nothing else to expand. Nothing else reaches the far state, so it is
+  // free.
+  vx.level[state ^ 1] = own + dist + 1;
+  side.skip.push_back(2 * v + (state ^ 1));
 }
 
-std::uint32_t VertexFlow::next_state(std::uint32_t x) {
-  // Admissible steps go one level closer to t. Every arc has capacity 1: an
-  // arc tried once either led to a dead state or was saturated by a path,
-  // and stays useless for the rest of the phase.
-  const std::uint32_t want = level(x) - 1;
+void VertexFlow::expand_forward() {
+  const std::uint32_t own = base_ + span_, d = fwd_.depth + 1;
+  const std::uint32_t bound = fwd_.depth + bwd_.depth + 1;
+  for (const std::uint32_t x : fwd_.frontier) {
+    const NodeId u = x >> 1;
+    const Vertex& vu = nodes_[u];
+    if ((x & 1) == 0) {
+      // u_in of a vertex with flow: its one residual arc cancels pred(u) ->
+      // u, into pred(u)_out.
+      reach(fwd_, own, vu.pred, 1, d);
+    } else {
+      // Residual arcs out of u_out: u_out -> w_in to every neighbour whose
+      // edge arc from u is empty, plus u_out -> u_in when u carries flow.
+      if (vu.pred != kInvalidNode) reach(fwd_, own, u, 0, d);
+      for (const NodeId w : g_->neighbors(u)) {
+        if (w == s_) continue;
+        const bool free = u == s_ ? (w == t_ ? !direct_ : nodes_[w].pred != s_)
+                                  : vu.succ != w;
+        if (free) reach(fwd_, own, w, 0, d);
+      }
+    }
+    if (meet_ <= bound) return;
+  }
+  fwd_.advance();
+}
+
+void VertexFlow::expand_backward() {
+  const std::uint32_t d = bwd_.depth + 1;
+  const std::uint32_t bound = fwd_.depth + bwd_.depth + 1;
+  for (const std::uint32_t y : bwd_.frontier) {
+    const NodeId v = y >> 1;
+    const Vertex& vy = nodes_[v];
+    if ((y & 1) != 0) {
+      // v_out of a vertex with flow: its one residual in-arc cancels v ->
+      // succ(v), from succ(v)_in.
+      reach(bwd_, base_, vy.succ, 0, d);
+    } else {
+      // Residual arcs into v_in: u_out -> v_in from every neighbour whose
+      // edge arc into v is empty, plus v_out -> v_in when v carries flow.
+      if (vy.pred != kInvalidNode) reach(bwd_, base_, v, 1, d);
+      for (const NodeId u : g_->neighbors(v)) {
+        if (u == t_) continue;
+        const bool free = u == s_ ? (v == t_ ? !direct_ : vy.pred != s_)
+                                  : nodes_[u].succ != v;
+        if (free) reach(bwd_, base_, u, 1, d);
+      }
+    }
+    if (meet_ <= bound) return;
+  }
+  bwd_.advance();
+}
+
+std::uint32_t VertexFlow::next_state(std::uint32_t x, std::uint32_t q) {
+  // x sits at position q < D of a shortest path. Admissible steps go to
+  // position q + 1: a state at backward distance D - q - 1 or at forward
+  // distance q + 1, except that position D is t_in alone. Every arc has
+  // capacity 1: an arc tried once either led to a dead state or was
+  // saturated by a path, and stays useless for the rest of the phase.
+  const std::uint32_t want_b = base_ + dist_ - q - 1;
+  const std::uint32_t want_f = q + 1 < dist_ ? base_ + span_ + q + 1 : want_b;
+  auto admissible = [&](std::uint32_t y) {
+    const std::uint32_t l = level(y);
+    return l == want_b || l == want_f;
+  };
   const NodeId v = x >> 1;
   Vertex& vx = nodes_[v];
   if ((x & 1) == 0) {
     // v_in of a non-terminal has one residual arc, recomputed on each
-    // visit: once tried it points at a dead state or one level up.
+    // visit: once tried it points at a dead state or one position back
+    // (s_out, at forward distance 0, is never admissible).
     const NodeId p = vx.pred;
-    const std::uint32_t y = p == kInvalidNode ? 2 * v + 1
-                            : p == s_         ? kNoState
-                                              : 2 * p + 1;
-    return y != kNoState && level(y) == want ? y : kNoState;
+    const std::uint32_t y = p == kInvalidNode ? 2 * v + 1 : 2 * p + 1;
+    return admissible(y) ? y : kNoState;
   }
   const std::span<const NodeId> row = g_->neighbors(v);
   const std::uint32_t deg = static_cast<std::uint32_t>(row.size());
   std::uint32_t& next = cursor_[v];
-  if (next == 0) cursor_used_.push_back(v);
   while (next < deg) {
     const NodeId w = row[next++];
     if (w == s_) continue;
     const bool free = v == s_ ? (w == t_ ? !direct_ : nodes_[w].pred != s_)
                               : vx.succ != w;
-    if (free && level(2 * w) == want) return 2 * w;
+    if (free && admissible(2 * w)) return 2 * w;
   }
   if (next == deg) {
     ++next;
     // v_out -> v_in cancels the flow through v.
-    if (v != s_ && vx.pred != kInvalidNode && level(2 * v) == want) {
+    if (v != s_ && vx.pred != kInvalidNode && admissible(2 * v)) {
       return 2 * v;
     }
   }
@@ -244,8 +297,10 @@ std::uint32_t VertexFlow::solve(NodeId s, NodeId t, std::uint32_t limit) {
   const std::uint32_t s_out = 2 * s + 1, t_in = 2 * t;
   std::uint32_t flow = 0;
   while (flow < limit && build_levels()) {
-    const std::uint32_t dead = base_ + span_ - 1;  // above every distance
+    // Above every forward label, below the next phase's base.
+    const std::uint32_t dead = base_ + 2 * span_ - 1;
     stack_.assign(1, s_out);
+    cursor_[s] = 0;
     while (flow < limit) {
       const std::uint32_t x = stack_.back();
       if (x == t_in) {
@@ -254,8 +309,14 @@ std::uint32_t VertexFlow::solve(NodeId s, NodeId t, std::uint32_t limit) {
         stack_.resize(1);
         continue;
       }
-      const std::uint32_t y = next_state(x);
+      const std::uint32_t y =
+          next_state(x, static_cast<std::uint32_t>(stack_.size() - 1));
       if (y != kNoState) {
+        // An out-state is entered at most once per phase: it leaves the
+        // stack dead, or on a path, after which its only residual in-arc
+        // comes from the next position. So its arc cursor restarts on
+        // entry.
+        if ((y & 1) != 0) cursor_[y >> 1] = 0;
         stack_.push_back(y);
         continue;
       }
@@ -263,8 +324,6 @@ std::uint32_t VertexFlow::solve(NodeId s, NodeId t, std::uint32_t limit) {
       stack_.pop_back();
       if (stack_.empty()) break;  // blocking flow reached
     }
-    for (NodeId v : cursor_used_) cursor_[v] = 0;
-    cursor_used_.clear();
   }
   for (NodeId v : touched_) nodes_[v].pred = nodes_[v].succ = kInvalidNode;
   touched_.clear();

@@ -104,18 +104,31 @@ class Dinic {
 /// The split network is never built. Its states are v_in = 2v and v_out =
 /// 2v+1, and a flow is one predecessor and one successor per non-terminal
 /// vertex (every non-terminal carries at most one unit), so each state's
-/// residual arcs follow from the CSR row and those two arrays. Each Dinic
-/// phase labels states with their residual distance *to t*, by a reverse
-/// BFS that stops when it reaches s; the blocking-flow DFS from s then only
-/// steps to states one closer to t, so it meets dead ends only where the
-/// phase has saturated arcs. Both searches are iterative.
+/// residual arcs follow from the CSR row and those two arrays.
+///
+/// Each Dinic phase finds the residual s_out -> t_in distance D by a
+/// bidirectional level search: a forward BFS from s_out over residual arcs
+/// and a backward BFS from t_in over reversed ones, each round expanding the
+/// side with the smaller frontier. A side never labels a state the other
+/// side holds; it records the meeting length instead, and the search stops
+/// once the shortest meeting reaches the lower bound depth_f + depth_b + 1
+/// (or a side runs out, when the shortest meeting, if any, is D). Every
+/// state of every shortest path is then labelled with its exact distance
+/// from its own side, so its position on the path is known: forward
+/// distance q, or backward distance D - q. The blocking-flow DFS from s_out
+/// steps from position q to q + 1 only. Every path it can complete is a
+/// shortest augmenting path and every shortest augmenting path is open to
+/// it, so Dinic's phase argument holds as for a one-sided level graph: a
+/// blocking flow raises D. Dead ends now also lie in the forward ball, off
+/// every shortest path. Both searches are iterative.
 ///
 /// State is O(n) and reused across solves: a label is valid only above the
 /// current phase's base, so nothing is cleared between phases, and a solve
 /// resets only the vertices its flow touched. The graph is read-only, so
 /// any number of VertexFlow objects (one per worker) may share it; it must
-/// outlive them.
-class VertexFlow {
+/// outlive them. Each object starts on its own cache line, so the per-worker
+/// kernels of a pool never share one.
+class alignas(64) VertexFlow {
  public:
   explicit VertexFlow(const Graph& g);
 
@@ -125,39 +138,60 @@ class VertexFlow {
   std::uint32_t solve(NodeId s, NodeId t, std::uint32_t limit);
 
  private:
-  // What the reverse BFS reads about one vertex, in 16 bytes: the labels of
-  // its two states (in = 2v, out = 2v+1) and the flow through it. A label
-  // is base_ + distance to t_in; anything below base_ is unlabelled.
+  // What the level search reads about one vertex, in 16 bytes: the labels
+  // of its two states (in = 2v, out = 2v+1) and the flow through it. A
+  // label below base_ is unlabelled; base_ + d is backward distance d (to
+  // t_in), base_ + span_ + d forward distance d (from s_out).
   struct Vertex {
     std::uint32_t level[2] = {0, 0};
     NodeId pred = kInvalidNode;
     NodeId succ = kInvalidNode;
   };
 
+  // One side of the level search: the level being expanded, the next one,
+  // and the one after it (a flow-free vertex's far state is labelled two
+  // ahead of the state the side enters it by).
+  struct Side {
+    std::vector<std::uint32_t> frontier, next, skip;
+    std::uint32_t depth = 0;  // distance of the frontier's states
+
+    void start(std::uint32_t x) {
+      frontier.assign(1, x);
+      next.clear();
+      skip.clear();
+      depth = 0;
+    }
+    [[nodiscard]] bool exhausted() const {
+      return frontier.empty() && next.empty();
+    }
+    void advance() {
+      frontier.swap(next);
+      next.swap(skip);
+      skip.clear();
+      ++depth;
+    }
+  };
+
   std::uint32_t& level(std::uint32_t x) { return nodes_[x >> 1].level[x & 1]; }
   bool build_levels();
-  void label_out(NodeId u, std::uint32_t dist);
-  std::uint32_t next_state(std::uint32_t x);
+  void expand_forward();
+  void expand_backward();
+  void reach(Side& side, std::uint32_t own, NodeId v, unsigned state,
+             std::uint32_t dist);
+  std::uint32_t next_state(std::uint32_t x, std::uint32_t q);
   void push_path();
-  void label(std::uint32_t x, std::uint32_t dist) {
-    std::uint32_t& l = level(x);
-    if (l >= base_) return;
-    l = base_ + dist;
-    next_.push_back(x);
-  }
 
   const Graph* g_;
-  std::uint32_t span_;                  // base_ step: above any distance
+  std::uint32_t span_;                  // label range of one side
   std::uint32_t base_ = 0;              // labels of this phase are >= base_
+  std::uint32_t meet_ = 0;              // shortest meeting found so far
+  std::uint32_t dist_ = 0;              // D: s_out -> t_in distance
   NodeId s_ = 0, t_ = 0;
   bool direct_ = false;                 // flow on the s-t edge
   std::vector<Vertex> nodes_;
   std::vector<std::uint32_t> cursor_;   // DFS position in each v_out's arcs
-  std::vector<NodeId> cursor_used_;     // vertices whose cursor moved
   std::vector<NodeId> touched_;         // vertices whose pred/succ were set
-  // Reverse-BFS levels: the one being expanded, the next one, and the one
-  // after it (in-states of flow-free vertices are labelled two ahead).
-  std::vector<std::uint32_t> frontier_, next_, skip_;
+  Side fwd_, bwd_;                      // search from s_out, search from t_in
   std::vector<std::uint32_t> stack_;    // DFS path, s_out first
 };
 

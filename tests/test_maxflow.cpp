@@ -134,6 +134,59 @@ TEST(VertexFlow, MatchesSplitReferenceOnRandomGraphs) {
   }
 }
 
+TEST(VertexFlow, MatchesSplitReferenceOnSparseRandomGraphs) {
+  // Sparse graphs up to 200 vertices, no spanning tree, so many pairs are
+  // disconnected and the connected ones have long augmenting paths. One
+  // VertexFlow per graph serves every solve in both directions at a limit
+  // drawn from 1..n, so each solve starts on labels and cursors left by
+  // earlier phases and solves.
+  std::mt19937_64 rng(2027);
+  std::uint64_t seed = 90;
+  for (NodeId n : {40, 80, 140, 200}) {
+    for (double p : {0.02, 0.05, 0.08}) {
+      const Graph g = random_graph(n, p, seed++, false);
+      VertexFlow flow(g);
+      Dinic ref = detail::make_split_prototype(g);
+      std::uniform_int_distribution<NodeId> pick(0, n - 1);
+      for (int pair = 0; pair < 150; ++pair) {
+        const NodeId s = pick(rng);
+        NodeId t = pick(rng);
+        while (t == s) t = pick(rng);
+        const std::uint32_t limit = 1 + pick(rng);
+        for (auto [a, b] : {std::pair{s, t}, std::pair{t, s}}) {
+          const std::int64_t kappa = detail::split_solve(ref, a, b, n);
+          ASSERT_EQ(flow.solve(a, b, limit),
+                    std::min<std::int64_t>(kappa, limit))
+              << "n=" << n << " p=" << p << " s=" << a << " t=" << b
+              << " limit=" << limit;
+        }
+      }
+    }
+  }
+}
+
+TEST(VertexFlow, BackwardSideRunsOutInTheMeetingPass) {
+  // s = 0 and t = 5 share the neighbours 1 and 2, and a third path runs
+  // s-3-4-t; vertex 3 also sees 1 and 2. The first phase fills both
+  // two-hop paths. In the second, the forward side grows past 3_out to
+  // {1_in, 2_in} and the 4_in -> 4_out chain, and the backward side, now
+  // the smaller one, expands t_in: its only residual in-arc comes from
+  // 4_out, which the forward side holds, so that pass records the meeting
+  // of length 5 and leaves the backward side with nothing to expand. The
+  // meeting is the distance; treating the spent side as "no path" would
+  // report 2.
+  GraphBuilder b(6);
+  for (auto [u, v] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 5}, {2, 5},
+                      {0, 3}, {1, 3}, {2, 3}, {3, 4}, {4, 5}}) {
+    b.add_edge(u, v);
+  }
+  const Graph g = b.build();
+  VertexFlow flow(g);
+  EXPECT_EQ(flow.solve(0, 5, 10), 3u);
+  EXPECT_EQ(flow.solve(5, 0, 10), 3u);
+  expect_matches_split_reference(g, "meeting pass");
+}
+
 TEST(VertexFlow, MatchesSplitReferenceOnStructuredGraphs) {
   GraphBuilder star(7);
   for (NodeId leaf = 1; leaf < 7; ++leaf) star.add_edge(0, leaf);
@@ -170,8 +223,9 @@ TEST(VertexFlow, AdjacentTerminalsCountTheEdgeOnce) {
 }
 
 TEST(VertexFlow, MatchesSplitReferenceOnHbCertificateOrbitTargets) {
-  // Exactly the solves the kappa sweep runs: source 0 against every
-  // cube-orbit non-neighbor target, on the (m+4)-certificate.
+  // The solves the kappa sweep runs: source 0 against every cube-orbit
+  // non-neighbor target, on the (m+4)-certificate, at every limit up to
+  // m+4 (the sweep caps each limit at its bound and the two degrees).
   for (auto [m, n] : {std::pair<unsigned, unsigned>{3, 4}, {5, 4}}) {
     const HbImplicitAdjacency adj(m, n);
     const SparseCertificate cert = sparse_certificate(adj, m + 4);
@@ -185,9 +239,15 @@ TEST(VertexFlow, MatchesSplitReferenceOnHbCertificateOrbitTargets) {
           hb_cube_orbit_representative(m, n, t) != t) {
         continue;
       }
-      ASSERT_EQ(flow.solve(0, t, m + 4), detail::split_solve(ref, 0, t, m + 4))
-          << "HB(" << m << "," << n << ") t=" << t;
-      ++solves;
+      // split_solve at limit m+4 is min(kappa, m+4), so one reference
+      // solve fixes the expected value at every lower limit.
+      const std::int64_t capped = detail::split_solve(ref, 0, t, m + 4);
+      for (std::uint32_t limit = 1; limit <= m + 4; ++limit) {
+        ASSERT_EQ(flow.solve(0, t, limit),
+                  std::min<std::int64_t>(capped, limit))
+            << "HB(" << m << "," << n << ") t=" << t << " limit=" << limit;
+        ++solves;
+      }
     }
     EXPECT_GT(solves, 0u);
   }
