@@ -13,7 +13,7 @@ unsigned env_threads() {
   if (env == nullptr || *env == '\0') return 0;
   char* end = nullptr;
   const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') return 0;
+  if (end == env || *end != '\0' || v > kMaxThreads) return 0;
   return static_cast<unsigned>(v);
 }
 

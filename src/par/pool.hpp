@@ -36,8 +36,14 @@
 
 namespace hbnet::par {
 
+/// Largest thread count taken from outside the program (HBNET_THREADS,
+/// the CLI's --threads): a pool spawns one OS thread per worker, so a
+/// typo like 100000 must be refused rather than started.
+inline constexpr unsigned kMaxThreads = 1024;
+
 /// Threads used when a caller passes 0: set_default_threads() override,
-/// else HBNET_THREADS (positive integer), else hardware concurrency.
+/// else HBNET_THREADS (integer in [1, kMaxThreads]), else hardware
+/// concurrency.
 [[nodiscard]] unsigned default_threads();
 
 /// Process-wide override for default_threads(); 0 clears the override.

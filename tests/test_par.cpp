@@ -50,6 +50,20 @@ TEST(ParPool, MalformedEnvFallsThrough) {
   EXPECT_GE(par::default_threads(), 1u);
 }
 
+// Only default_threads() is called: no pool is built, so an accepted
+// oversized value would show as a return value, not as spawned threads.
+TEST(ParPool, EnvAboveMaxThreadsFallsThrough) {
+  ThreadConfigGuard guard;
+  ::unsetenv("HBNET_THREADS");
+  const unsigned fallback = par::default_threads();
+  ::setenv("HBNET_THREADS", "1024", 1);
+  EXPECT_EQ(par::default_threads(), par::kMaxThreads);
+  for (const char* v : {"1025", "100000", "-1", "99999999999999999999"}) {
+    ::setenv("HBNET_THREADS", v, 1);
+    EXPECT_EQ(par::default_threads(), fallback) << v;
+  }
+}
+
 TEST(ParPool, SingleThreadPoolSpawnsNothingAndRuns) {
   par::ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1u);

@@ -20,12 +20,11 @@
 //   hbnet_cli sim <m> <n> [sim options]
 //   hbnet_cli campaign <m> <n> [campaign options]
 //
-// Sim options (wormhole/sim): --rate R --cycles C --warmup W --drain D
-//   --pattern uniform|complement|reversal|shuffle|hotspot --seed S
-//   --threads N --trace-out FILE --metrics-out FILE --links-csv FILE;
-//   wormhole only: --vcs V --flits F --policy P --faults K --link-faults K;
-//   sim only: --valiant --shards S. A flag of the other command is
-//   rejected, not ignored.
+// usage() below is the one list of flags. Every subcommand is one row of
+// kCommands, which counts its positional arguments after <m> <n>; its flags
+// are a table of Flag rows applied by parse_flags, the one argv loop. A
+// flag of another subcommand (say --shards on wormhole) is not in the
+// table and is rejected, not ignored.
 //
 // Live telemetry (campaign, analyze --exact-connectivity, wormhole, sim):
 //   --stream-out FILE writes an NDJSON snapshot stream plus a Prometheus
@@ -35,17 +34,23 @@
 //   with them on or off (tools/test_stream_determinism.sh enforces it).
 //
 // Every numeric argv token goes through campaign/grid.hpp's checked
-// parsers: a malformed or partial token ("4x", "", "1e999") prints usage
-// and exits nonzero instead of dying on an uncaught std::stoul exception.
+// parsers. A malformed or partial token ("4x", "", "1e999"), an unknown
+// flag or command, a value flag without its value or a stray argument
+// prints a diagnostic whose first line names the token, then usage, and
+// exits 2. Output files are opened before any run starts, so a bad path
+// fails at once with exit 1.
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -74,9 +79,13 @@
 
 namespace {
 
+namespace camp = hbnet::campaign;
 using hbnet::HbIndex;
 using hbnet::HbNode;
 using hbnet::HyperButterfly;
+
+/// The argv tokens a subcommand receives: its positionals, or its flags.
+using Args = std::span<char* const>;
 
 int usage() {
   std::cerr
@@ -154,53 +163,159 @@ int usage() {
   return 2;
 }
 
-// Checked argv-to-number conversions: report the offending flag and token
-// on stderr and fail instead of throwing (satellite of the campaign PR;
-// see campaign/grid.hpp for the parsing contract).
-bool parse_flag_u64(const char* flag, const char* v, std::uint64_t& out) {
-  const std::optional<std::uint64_t> p = hbnet::campaign::parse_u64(v);
-  if (!p) {
-    std::cerr << flag << ": expected a non-negative integer, got '" << v
-              << "'\n";
-    return false;
+/// One flag of a subcommand. `set` receives the value token (nullptr when
+/// the flag takes none) and returns false, after a diagnostic naming the
+/// flag, when the value is malformed.
+struct Flag {
+  std::string_view name;
+  bool takes_value;
+  std::function<bool(const char*)> set;
+};
+using Flags = std::vector<Flag>;
+
+/// The one argv loop: applies `flags` to `args` from left to right. An
+/// unknown flag, a value flag without its value (a following flag is not
+/// a value) or a malformed value prints a diagnostic naming the token and
+/// returns false.
+bool parse_flags(std::string_view command, Args args, const Flags& flags) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string_view a = args[i];
+    const auto flag = std::find_if(flags.begin(), flags.end(),
+                                   [a](const Flag& f) { return f.name == a; });
+    if (flag == flags.end()) {
+      std::cerr << a << ": not an option of " << command << "\n";
+      return false;
+    }
+    const char* value = nullptr;
+    if (flag->takes_value) {
+      if (i + 1 == args.size() ||
+          std::string_view(args[i + 1]).starts_with("--")) {
+        std::cerr << a << " needs a value\n";
+        return false;
+      }
+      value = args[++i];
+    }
+    if (!flag->set(value)) return false;
   }
-  out = *p;
   return true;
 }
 
-bool parse_flag_unsigned(const char* flag, const char* v, unsigned& out) {
-  const std::optional<unsigned> p = hbnet::campaign::parse_unsigned(v);
-  if (!p) {
-    std::cerr << flag << ": expected a non-negative integer, got '" << v
-              << "'\n";
-    return false;
-  }
-  out = *p;
-  return true;
-}
-
-bool parse_flag_double(const char* flag, const char* v, double& out) {
-  const std::optional<double> p = hbnet::campaign::parse_double(v);
-  if (!p) {
-    std::cerr << flag << ": expected a finite number, got '" << v << "'\n";
-    return false;
-  }
-  out = *p;
-  return true;
-}
-
-/// Injection rates must lie in (0, 1], as campaign --rates enforces.
-bool check_rate(double rate) {
-  if (rate > 0.0 && rate <= 1.0) return true;
-  std::cerr << "--rate: injection rate must lie in (0, 1], got " << rate
-            << "\n";
+bool reject(std::string_view flag, std::string_view expected,
+            const char* got) {
+  std::cerr << flag << ": expected " << expected << ", got '" << got
+            << "'\n";
   return false;
+}
+
+/// A value flag parsed by one of the checked parsers (campaign/grid.hpp or
+/// a name lookup such as campaign::engine_from_name).
+template <typename T>
+Flag checked(std::string_view name, T& out,
+             std::optional<T> (*parse)(std::string_view),
+             std::string_view expected) {
+  return {name, true, [name, &out, parse, expected](const char* v) {
+            const std::optional<T> p = parse(v);
+            if (!p) return reject(name, expected, v);
+            out = *p;
+            return true;
+          }};
+}
+
+Flag u64(std::string_view name, std::uint64_t& out) {
+  return checked(name, out, camp::parse_u64, "a non-negative integer");
+}
+
+Flag uint(std::string_view name, unsigned& out) {
+  return checked(name, out, camp::parse_unsigned, "a non-negative integer");
+}
+
+Flag text(std::string_view name, std::string& out) {
+  return {name, true, [&out](const char* v) {
+            out = v;
+            return true;
+          }};
+}
+
+/// A flag without a value that stores `value`.
+template <typename T>
+Flag toggle(std::string_view name, T& out, T value) {
+  return {name, false, [&out, value](const char*) {
+            out = value;
+            return true;
+          }};
+}
+
+template <typename E>
+struct Named {
+  std::string_view name;
+  E value;
+};
+
+/// A value flag naming one entry of `names`.
+template <typename E, std::size_t N>
+Flag choice(std::string_view flag, E& out, const Named<E> (&names)[N]) {
+  return {flag, true, [flag, &out, &names](const char* v) {
+            std::string all;
+            for (const Named<E>& entry : names) {
+              if (entry.name == v) {
+                out = entry.value;
+                return true;
+              }
+              all += (all.empty() ? "" : "|") + std::string(entry.name);
+            }
+            return reject(flag, all, v);
+          }};
+}
+
+constexpr Named<hbnet::TrafficPattern> kPatterns[] = {
+    {"uniform", hbnet::TrafficPattern::kUniform},
+    {"complement", hbnet::TrafficPattern::kBitComplement},
+    {"reversal", hbnet::TrafficPattern::kBitReversal},
+    {"shuffle", hbnet::TrafficPattern::kShuffle},
+    {"hotspot", hbnet::TrafficPattern::kHotspot}};
+
+constexpr Named<hbnet::VcPolicy> kPolicies[] = {
+    {"any", hbnet::VcPolicy::kAnyFree},
+    {"dateline", hbnet::VcPolicy::kDateline},
+    {"segment", hbnet::VcPolicy::kSegmentDateline},
+    {"adaptive", hbnet::VcPolicy::kFaultAdaptive}};
+
+/// --threads N: the process-wide pool size (0 = default). Every pool
+/// worker is an OS thread, so N is capped at par::kMaxThreads.
+Flag threads() {
+  return {"--threads", true, [](const char* v) {
+            const std::optional<unsigned> p = camp::parse_unsigned(v);
+            if (!p || *p > hbnet::par::kMaxThreads) {
+              return reject("--threads",
+                            "a thread count in [0, " +
+                                std::to_string(hbnet::par::kMaxThreads) +
+                                "]",
+                            v);
+            }
+            hbnet::par::set_default_threads(*p);
+            return true;
+          }};
+}
+
+/// --rate R: an injection rate in (0, 1], as campaign --rates enforces.
+Flag rate(double& out) {
+  return {"--rate", true, [&out](const char* v) {
+            const std::optional<double> p = camp::parse_double(v);
+            if (!p || !(*p > 0.0 && *p <= 1.0)) {
+              return reject("--rate", "an injection rate in (0, 1]", v);
+            }
+            out = *p;
+            return true;
+          }};
 }
 
 /// warmup + cycles + drain must not overflow 64 bits, and the
 /// store-and-forward engine counts cycles in 32 bits.
-bool check_horizon(std::uint64_t warmup, std::uint64_t cycles,
-                   std::uint64_t drain, bool store_forward) {
+template <typename Config>
+bool check_horizon(const Config& cfg, bool store_forward) {
+  const std::uint64_t warmup = cfg.warmup_cycles;
+  const std::uint64_t cycles = cfg.measure_cycles;
+  const std::uint64_t drain = cfg.drain_cycles;
   const std::uint64_t limit =
       store_forward ? 0xffffffffu : ~std::uint64_t{0};
   if (warmup <= limit && cycles <= limit - warmup &&
@@ -215,173 +330,80 @@ bool check_horizon(std::uint64_t warmup, std::uint64_t cycles,
   return false;
 }
 
-/// Shared flags for the telemetry-producing commands.
-struct SimFlags {
-  double rate = 0.05;
-  std::uint64_t cycles = 400;
-  std::optional<std::uint64_t> warmup;  // unset: the engine's default
-  std::optional<std::uint64_t> drain;
-  unsigned vcs = 6;
-  unsigned flits = 4;
-  unsigned shards = 0;  // 0 = auto
-  std::uint64_t seed = 42;
-  hbnet::TrafficPattern pattern = hbnet::TrafficPattern::kUniform;
-  hbnet::VcPolicy policy = hbnet::VcPolicy::kSegmentDateline;
-  bool valiant = false;
-  // Wormhole static faults, derived from the seed exactly the way campaign
-  // trials derive theirs (campaign::derived_fault_nodes / _links).
-  unsigned faults = 0;
-  unsigned link_faults = 0;
-  std::string trace_out, metrics_out, links_csv;
-  // Live telemetry: NDJSON stream / Prometheus exposition / TTY line.
-  std::string stream_out, prom_out;
-  std::uint64_t stream_interval_ms = 200;
-  bool progress = false;
+/// An output file named on the command line. open() runs before the
+/// engine starts, so a bad path fails before any work; the artifact is
+/// written after the run.
+struct OutFile {
+  std::string path;
+  std::ofstream os;
+
+  /// True when no file was requested or it opened; the one place a bad
+  /// output path is reported.
+  bool open() {
+    if (path.empty()) return true;
+    os.open(path);
+    if (os) return true;
+    std::cerr << "cannot open " << path << "\n";
+    return false;
+  }
 };
 
-/// Parses the flags of `wormhole` (wormhole = true) or `sim`.
-bool parse_sim_flags(int argc, char** argv, int first, bool wormhole,
-                     SimFlags& f) {
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    const bool sim_only = a == "--valiant" || a == "--shards";
-    const bool wormhole_only = a == "--vcs" || a == "--flits" ||
-                               a == "--policy" || a == "--faults" ||
-                               a == "--link-faults";
-    if (wormhole ? sim_only : wormhole_only) {
-      std::cerr << a << ": not an option of "
-                << (wormhole ? "wormhole" : "sim") << "\n";
-      return false;
-    }
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (a == "--valiant") {
-      f.valiant = true;
-    } else if (a == "--progress") {
-      f.progress = true;
-    } else if (a == "--stream-out") {
-      const char* v = next("--stream-out");
-      if (!v) return false;
-      f.stream_out = v;
-    } else if (a == "--prom-out") {
-      const char* v = next("--prom-out");
-      if (!v) return false;
-      f.prom_out = v;
-    } else if (a == "--stream-interval-ms") {
-      const char* v = next("--stream-interval-ms");
-      if (!v ||
-          !parse_flag_u64("--stream-interval-ms", v, f.stream_interval_ms)) {
-        return false;
-      }
-    } else if (a == "--rate") {
-      const char* v = next("--rate");
-      if (!v || !parse_flag_double("--rate", v, f.rate) ||
-          !check_rate(f.rate)) {
-        return false;
-      }
-    } else if (a == "--cycles") {
-      const char* v = next("--cycles");
-      if (!v || !parse_flag_u64("--cycles", v, f.cycles)) return false;
-    } else if (a == "--warmup") {
-      const char* v = next("--warmup");
-      std::uint64_t warmup = 0;
-      if (!v || !parse_flag_u64("--warmup", v, warmup)) return false;
-      f.warmup = warmup;
-    } else if (a == "--drain") {
-      const char* v = next("--drain");
-      std::uint64_t drain = 0;
-      if (!v || !parse_flag_u64("--drain", v, drain)) return false;
-      f.drain = drain;
-    } else if (a == "--shards") {
-      const char* v = next("--shards");
-      if (!v || !parse_flag_unsigned("--shards", v, f.shards)) return false;
-    } else if (a == "--vcs") {
-      const char* v = next("--vcs");
-      if (!v || !parse_flag_unsigned("--vcs", v, f.vcs)) return false;
-    } else if (a == "--flits") {
-      const char* v = next("--flits");
-      if (!v || !parse_flag_unsigned("--flits", v, f.flits)) return false;
-    } else if (a == "--faults") {
-      const char* v = next("--faults");
-      if (!v || !parse_flag_unsigned("--faults", v, f.faults)) return false;
-    } else if (a == "--link-faults") {
-      const char* v = next("--link-faults");
-      if (!v || !parse_flag_unsigned("--link-faults", v, f.link_faults)) {
-        return false;
-      }
-    } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v || !parse_flag_u64("--seed", v, f.seed)) return false;
-    } else if (a == "--threads") {
-      const char* v = next("--threads");
-      unsigned threads = 0;
-      if (!v || !parse_flag_unsigned("--threads", v, threads)) return false;
-      hbnet::par::set_default_threads(threads);
-    } else if (a == "--pattern") {
-      const char* v = next("--pattern");
-      if (!v) return false;
-      const std::string p = v;
-      if (p == "uniform") {
-        f.pattern = hbnet::TrafficPattern::kUniform;
-      } else if (p == "complement") {
-        f.pattern = hbnet::TrafficPattern::kBitComplement;
-      } else if (p == "reversal") {
-        f.pattern = hbnet::TrafficPattern::kBitReversal;
-      } else if (p == "shuffle") {
-        f.pattern = hbnet::TrafficPattern::kShuffle;
-      } else if (p == "hotspot") {
-        f.pattern = hbnet::TrafficPattern::kHotspot;
-      } else {
-        std::cerr << "unknown pattern " << p << "\n";
-        return false;
-      }
-    } else if (a == "--policy") {
-      const char* v = next("--policy");
-      if (!v) return false;
-      const std::string p = v;
-      if (p == "any") {
-        f.policy = hbnet::VcPolicy::kAnyFree;
-      } else if (p == "dateline") {
-        f.policy = hbnet::VcPolicy::kDateline;
-      } else if (p == "segment") {
-        f.policy = hbnet::VcPolicy::kSegmentDateline;
-      } else if (p == "adaptive") {
-        f.policy = hbnet::VcPolicy::kFaultAdaptive;
-      } else {
-        std::cerr << "unknown policy " << p << "\n";
-        return false;
-      }
-    } else if (a == "--trace-out") {
-      const char* v = next("--trace-out");
-      if (!v) return false;
-      f.trace_out = v;
-    } else if (a == "--metrics-out") {
-      const char* v = next("--metrics-out");
-      if (!v) return false;
-      f.metrics_out = v;
-    } else if (a == "--links-csv") {
-      const char* v = next("--links-csv");
-      if (!v) return false;
-      f.links_csv = v;
-    } else {
-      std::cerr << "unknown option " << a << "\n";
-      return false;
-    }
-  }
-  if (wormhole) {
-    const hbnet::WormholeConfig defaults;
-    return check_horizon(f.warmup.value_or(defaults.warmup_cycles), f.cycles,
-                         f.drain.value_or(defaults.drain_cycles), false);
-  }
-  const hbnet::SimConfig defaults;
-  return check_horizon(f.warmup.value_or(defaults.warmup_cycles), f.cycles,
-                       f.drain.value_or(defaults.drain_cycles), true);
+/// Writes a requested artifact and a trailing newline; returns false, and
+/// writes nothing, when `file` was not requested.
+template <typename Writer>
+bool write_file(OutFile& file, Writer&& writer) {
+  if (file.path.empty()) return false;
+  writer(file.os);
+  file.os << '\n';
+  return true;
 }
+
+/// The sink artifacts of `wormhole` and `sim`.
+struct SinkExports {
+  OutFile trace, metrics, links;
+
+  void add_flags(Flags& flags) {
+    flags.push_back(text("--trace-out", trace.path));
+    flags.push_back(text("--metrics-out", metrics.path));
+    flags.push_back(text("--links-csv", links.path));
+  }
+
+  [[nodiscard]] bool any() const {
+    return !trace.path.empty() || !metrics.path.empty() ||
+           !links.path.empty();
+  }
+
+  /// Opens every requested file and enables tracing on `sink` if asked.
+  bool open(hbnet::obs::Sink& sink) {
+    if (!trace.open() || !metrics.open() || !links.open()) return false;
+    if (!trace.path.empty()) sink.enable_trace();
+    return true;
+  }
+
+  void write(const hbnet::obs::Sink& sink) {
+    if (write_file(trace, [&](std::ostream& os) {
+          sink.trace()->write_json(os);
+        })) {
+      std::cout << "trace:   " << trace.path << " (" << sink.trace()->size()
+                << " events";
+      if (sink.trace()->dropped() > 0) {
+        std::cout << ", " << sink.trace()->dropped()
+                  << " dropped at capacity";
+      }
+      std::cout << ")\n";
+    }
+    if (write_file(metrics, [&](std::ostream& os) {
+          sink.write_metrics_json(os);
+        })) {
+      std::cout << "metrics: " << metrics.path << " (" << sink.links().size()
+                << " links)\n";
+    }
+    if (write_file(links,
+                   [&](std::ostream& os) { sink.write_links_csv(os); })) {
+      std::cout << "links:   " << links.path << "\n";
+    }
+  }
+};
 
 /// Single rewriting status line on stderr, sampling a ProgressBoard at
 /// ~10 Hz from its own thread. Shows unlabeled slots only (per-cell slots
@@ -440,19 +462,29 @@ class ProgressLine {
   std::thread thread_;
 };
 
-/// The live-telemetry attachments of one run: the progress board the
-/// engine writes into, plus (when requested) the Snapshotter exporting it
-/// to files and/or the TTY status line. Everything here observes; the
-/// engine result is byte-identical whether streaming is on or off.
+/// The live-telemetry flags of one run and what they attach: the progress
+/// board the engine writes into, plus (when requested) the Snapshotter
+/// exporting it to files and/or the TTY status line. Everything here
+/// observes; the engine result is byte-identical whether streaming is on
+/// or off.
 struct Streaming {
+  std::string stream_out, prom_out;
+  std::uint64_t interval_ms = 200;
+  bool progress = false;
   hbnet::obs::ProgressBoard board;
   std::unique_ptr<hbnet::obs::Snapshotter> snapshotter;
   std::unique_ptr<ProgressLine> line;
 
   ~Streaming() { stop(); }
 
-  void start(const std::string& stream_out, const std::string& prom_out,
-             std::uint64_t interval_ms, bool progress, const char* job) {
+  void add_flags(Flags& flags) {
+    flags.push_back(text("--stream-out", stream_out));
+    flags.push_back(text("--prom-out", prom_out));
+    flags.push_back(u64("--stream-interval-ms", interval_ms));
+    flags.push_back(toggle("--progress", progress, true));
+  }
+
+  void start(const char* job) {
     if (!stream_out.empty() || !prom_out.empty()) {
       hbnet::obs::SnapshotterOptions opts;
       opts.stream_path = stream_out;
@@ -469,10 +501,6 @@ struct Streaming {
     if (progress) line = std::make_unique<ProgressLine>(board);
   }
 
-  void start(const SimFlags& f, const char* job) {
-    start(f.stream_out, f.prom_out, f.stream_interval_ms, f.progress, job);
-  }
-
   /// The board when any surface is active, else nullptr -- so engines see
   /// a null progress pointer (and skip all slot work) on plain runs.
   [[nodiscard]] hbnet::obs::ProgressBoard* board_or_null() {
@@ -487,58 +515,134 @@ struct Streaming {
   }
 };
 
-/// Writes the sink's exports to the files requested by the flags.
-/// Returns false on I/O failure.
-bool export_sink(const hbnet::obs::Sink& sink, const SimFlags& f) {
-  auto dump = [](const std::string& path, auto&& writer) {
-    std::ofstream os(path);
-    if (!os) {
-      std::cerr << "cannot open " << path << "\n";
-      return false;
-    }
-    writer(os);
-    os << '\n';
-    return true;
-  };
-  if (!f.trace_out.empty()) {
-    if (sink.trace() == nullptr) return false;
-    if (!dump(f.trace_out,
-              [&](std::ostream& os) { sink.trace()->write_json(os); })) {
-      return false;
-    }
-    std::cout << "trace:   " << f.trace_out << " (" << sink.trace()->size()
-              << " events";
-    if (sink.trace()->dropped() > 0) {
-      std::cout << ", " << sink.trace()->dropped() << " dropped at capacity";
-    }
-    std::cout << ")\n";
-  }
-  if (!f.metrics_out.empty()) {
-    if (!dump(f.metrics_out,
-              [&](std::ostream& os) { sink.write_metrics_json(os); })) {
-      return false;
-    }
-    std::cout << "metrics: " << f.metrics_out << " (" << sink.links().size()
-              << " links)\n";
-  }
-  if (!f.links_csv.empty()) {
-    if (!dump(f.links_csv,
-              [&](std::ostream& os) { sink.write_links_csv(os); })) {
-      return false;
-    }
-    std::cout << "links:   " << f.links_csv << "\n";
-  }
-  return true;
-}
-
 void print_node(const HyperButterfly& hb, HbNode v) {
   std::cout << "(" << v.cube << ",'" << hb.butterfly().label(v.bfly) << "')";
+}
+
+void print_path(const HyperButterfly& hb, const std::vector<HbNode>& path) {
+  for (const HbNode& w : path) {
+    print_node(hb, w);
+    std::cout << " ";
+  }
+  std::cout << "\n";
+}
+
+int cmd_info(const HyperButterfly& hb, Args /*args*/) {
+  const unsigned m = hb.cube_dimension();
+  const unsigned n = hb.butterfly_dimension();
+  std::cout << "HB(" << m << "," << n << ")\n"
+            << "  nodes:            " << hb.num_nodes() << "\n"
+            << "  edges:            " << hb.num_edges() << "\n"
+            << "  degree (regular): " << hb.degree() << "\n"
+            << "  diameter formula: " << hb.diameter_formula()
+            << "  (measured: m + floor(3n/2) = " << m + 3 * n / 2 << ")\n"
+            << "  connectivity:     " << hb.degree()
+            << "  (maximally fault tolerant)\n"
+            << "  tolerates any " << hb.degree() - 1 << " node faults\n";
+  return 0;
+}
+
+int cmd_label(const HyperButterfly& hb, Args args) {
+  const std::optional<HbIndex> id = camp::parse_u64(args[0]);
+  if (!id) {
+    std::cerr << "bad vertex id '" << args[0] << "'\n";
+    return usage();
+  }
+  if (*id >= hb.num_nodes()) {
+    std::cerr << "id out of range\n";
+    return 1;
+  }
+  const HbNode v = hb.node_at(*id);
+  std::cout << "id " << *id << " = ";
+  print_node(hb, v);
+  std::cout << "  [cube=" << v.cube << " word=" << v.bfly.word
+            << " level=" << v.bfly.level
+            << " PI=" << hb.butterfly().permutation_index(v.bfly)
+            << " CI=" << hb.butterfly().complementation_index(v.bfly)
+            << "]\n";
+  return 0;
+}
+
+/// `route` (family = false) or `disjoint` between two dense ids.
+int cmd_paths(const HyperButterfly& hb, Args args, bool family) {
+  const std::optional<HbIndex> s = camp::parse_u64(args[0]);
+  const std::optional<HbIndex> t = camp::parse_u64(args[1]);
+  if (!s || !t) {
+    std::cerr << "bad vertex ids '" << args[0] << "' '" << args[1] << "'\n";
+    return usage();
+  }
+  if (*s >= hb.num_nodes() || *t >= hb.num_nodes() || *s == *t) {
+    std::cerr << "bad endpoints\n";
+    return 1;
+  }
+  const HbNode u = hb.node_at(*s);
+  const HbNode v = hb.node_at(*t);
+  if (!family) {
+    std::cout << "distance " << hb.distance(u, v) << "\n";
+    print_path(hb, hb.route(u, v));
+    return 0;
+  }
+  const std::vector<std::vector<HbNode>> paths = hb.disjoint_paths(u, v);
+  std::cout << paths.size() << " internally disjoint paths:\n";
+  for (const std::vector<HbNode>& p : paths) {
+    std::cout << "  [" << p.size() - 1 << " hops] ";
+    print_path(hb, p);
+  }
+  return 0;
+}
+
+/// `dot` (Graphviz) or `edges` (edge list), to stdout or to args[0].
+int cmd_export(const HyperButterfly& hb, Args args, bool dot) {
+  OutFile file;
+  if (!args.empty()) file.path = args[0];
+  if (!file.open()) return 1;
+  std::ostream& os = file.path.empty() ? std::cout : file.os;
+  const hbnet::Graph g = hb.to_graph();
+  if (!dot) {
+    write_edge_list(os, g);
+    return 0;
+  }
+  hbnet::DotOptions opts;
+  opts.graph_name = "HB_" + std::to_string(hb.cube_dimension()) + "_" +
+                    std::to_string(hb.butterfly_dimension());
+  for (HbIndex id = 0; id < hb.num_nodes(); ++id) {
+    const HbNode v = hb.node_at(id);
+    opts.labels.push_back(std::to_string(v.cube) + "," +
+                          hb.butterfly().label(v.bfly));
+  }
+  write_dot(os, g, opts);
+  return 0;
+}
+
+int cmd_cuts(const HyperButterfly& hb, Args /*args*/) {
+  for (const auto& cut : hbnet::hb_dimension_cuts(hb)) {
+    std::cout << "  " << cut.name << ": width " << cut.width
+              << (cut.balanced ? " (balanced)" : " (unbalanced)") << "\n";
+  }
+  const std::uint64_t ub =
+      hbnet::sampled_bisection_upper_bound(hb.to_graph(), 3, 11);
+  std::cout << "  sampled bisection upper bound: " << ub
+            << "  => Thompson VLSI area lower bound ~ "
+            << hbnet::thompson_area_lower_bound(ub) << " grid units\n";
+  return 0;
+}
+
+int cmd_election(const HyperButterfly& hb, Args /*args*/) {
+  const auto flood = hbnet::flood_max_election(hb.to_graph());
+  const auto structured = hbnet::hb_structured_election(hb);
+  std::cout << "flood-max:  leader " << flood.leader << ", "
+            << flood.run.rounds << " rounds, " << flood.run.messages
+            << " messages\n"
+            << "structured: leader " << structured.leader << ", "
+            << structured.run.rounds << " rounds, "
+            << structured.run.messages << " messages\n";
+  return 0;
 }
 
 /// Mode switches for `analyze --exact-connectivity`.
 struct ExactFlags {
   std::string checkpoint;
-  std::string metrics_out;
+  OutFile metrics;
   bool sparsify = false;   // run flows on Nagamochi-Ibaraki certificates
   bool implicit = false;   // generator-arithmetic adjacency, no CSR build
   bool orbits = true;      // cube-permutation target reduction
@@ -549,8 +653,9 @@ struct ExactFlags {
 /// HB(m,n) graph, single-source schedule (HB is a Cayley graph, hence
 /// vertex transitive). Exit 0 only when the proven kappa equals the
 /// Corollary-1 value m+4.
-int run_exact_connectivity(const HyperButterfly& hb, const ExactFlags& ef,
-                           const SimFlags& stream_flags) {
+int run_exact_connectivity(const HyperButterfly& hb, ExactFlags& ef,
+                           Streaming& streaming) {
+  if (!ef.metrics.open()) return 1;
   const unsigned m = hb.cube_dimension();
   const unsigned n = hb.butterfly_dimension();
   hbnet::obs::MetricsRegistry metrics;
@@ -574,8 +679,7 @@ int run_exact_connectivity(const HyperButterfly& hb, const ExactFlags& ef,
             << adj->describe() << (ef.sparsify ? ", sparsify" : "")
             << (ef.orbits ? ", orbit schedule" : "") << ")\n";
 
-  Streaming streaming;
-  streaming.start(stream_flags, "connectivity");
+  streaming.start("connectivity");
 
   hbnet::SweepOptions opts;
   opts.vertex_transitive = true;  // Cayley graph: single-source is exact
@@ -614,15 +718,9 @@ int run_exact_connectivity(const HyperButterfly& hb, const ExactFlags& ef,
           .count();
   streaming.stop();
 
-  if (!ef.metrics_out.empty()) {
-    std::ofstream os(ef.metrics_out);
-    if (!os) {
-      std::cerr << "cannot open " << ef.metrics_out << "\n";
-      return 1;
-    }
-    metrics.write_json(os);
-    os << '\n';
-    std::cout << "  metrics: " << ef.metrics_out << "\n";
+  if (write_file(ef.metrics,
+                 [&](std::ostream& os) { metrics.write_json(os); })) {
+    std::cout << "  metrics: " << ef.metrics.path << "\n";
   }
   if (!ef.checkpoint.empty()) {
     std::cout << "  checkpoint: " << ef.checkpoint << "\n";
@@ -645,477 +743,335 @@ int run_exact_connectivity(const HyperButterfly& hb, const ExactFlags& ef,
   return 0;
 }
 
-}  // namespace
+int cmd_analyze(const HyperButterfly& hb, Args args) {
+  bool audit = false;
+  bool exact = false;
+  ExactFlags ef;
+  Streaming streaming;
+  Flags exact_only{toggle("--sparsify", ef.sparsify, true),
+                   toggle("--implicit", ef.implicit, true),
+                   toggle("--no-orbits", ef.orbits, false),
+                   u64("--max-blocks", ef.max_blocks),
+                   text("--checkpoint", ef.checkpoint),
+                   text("--metrics-out", ef.metrics.path)};
+  streaming.add_flags(exact_only);
+  // The first of these flags names the diagnostic when
+  // --exact-connectivity is missing.
+  std::string_view first_exact_only;
+  for (Flag& f : exact_only) {
+    f.set = [&first_exact_only, name = f.name,
+             set = std::move(f.set)](const char* v) {
+      if (first_exact_only.empty()) first_exact_only = name;
+      return set(v);
+    };
+  }
+  Flags flags{threads(), toggle("--audit", audit, true),
+              toggle("--exact-connectivity", exact, true)};
+  flags.insert(flags.end(), exact_only.begin(), exact_only.end());
+  if (!parse_flags("analyze", args, flags)) return usage();
+  if (exact && audit) {
+    std::cerr << "--audit: not an option of analyze --exact-connectivity\n";
+    return usage();
+  }
+  if (!exact && !first_exact_only.empty()) {
+    std::cerr << first_exact_only << ": needs --exact-connectivity\n";
+    return usage();
+  }
+  if (exact) return run_exact_connectivity(hb, ef, streaming);
+
+  hbnet::par::ThreadPool probe;
+  const hbnet::Graph g = hb.to_graph();
+  std::cout << "analyze HB(" << hb.cube_dimension() << ","
+            << hb.butterfly_dimension() << ")  (" << probe.size()
+            << " threads)\n"
+            << "  nodes / edges:     " << g.num_nodes() << " / "
+            << g.num_edges() << "\n"
+            << "  diameter:          " << hbnet::parallel_diameter(g)
+            << "  (formula " << hb.diameter_formula() << ")\n"
+            << "  average distance:  "
+            << hbnet::parallel_average_distance(g) << "\n"
+            << "  vertex connectivity: " << hbnet::vertex_connectivity(g)
+            << "  (degree " << hb.degree() << ")\n"
+            << "  edge connectivity:   " << hbnet::edge_connectivity(g)
+            << "\n";
+  if (audit) {
+    const hbnet::DisjointPathsAudit a = hbnet::audit_disjoint_paths(hb);
+    std::cout << "  Theorem-5 audit:   " << a.pairs_checked << " pairs, "
+              << (a.ok ? "all families disjoint" : "FAILED: " + a.error)
+              << "\n";
+    if (!a.ok) return 1;
+  }
+  return 0;
+}
+
+/// The flags `wormhole` and `sim` share, with the CLI's defaults for rate
+/// and measured cycles set on `cfg`.
+template <typename Config>
+Flags run_flags(Config& cfg, SinkExports& exports, Streaming& streaming) {
+  cfg.injection_rate = 0.05;
+  cfg.measure_cycles = 400;
+  Flags flags{rate(cfg.injection_rate),
+              u64("--cycles", cfg.measure_cycles),
+              u64("--warmup", cfg.warmup_cycles),
+              u64("--drain", cfg.drain_cycles),
+              u64("--seed", cfg.seed),
+              threads(),
+              choice("--pattern", cfg.pattern, kPatterns)};
+  exports.add_flags(flags);
+  streaming.add_flags(flags);
+  return flags;
+}
+
+int cmd_wormhole(const HyperButterfly& hb, Args args) {
+  const unsigned m = hb.cube_dimension();
+  const unsigned n = hb.butterfly_dimension();
+  hbnet::WormholeConfig cfg;
+  cfg.vcs = 6;
+  // Static faults, derived from the seed exactly the way campaign trials
+  // derive theirs (campaign::derived_fault_nodes / _links).
+  unsigned faults = 0;
+  unsigned link_faults = 0;
+  SinkExports exports;
+  Streaming streaming;
+  Flags flags = run_flags(cfg, exports, streaming);
+  flags.insert(flags.end(),
+               {uint("--vcs", cfg.vcs), uint("--flits", cfg.flits_per_packet),
+                choice("--policy", cfg.policy, kPolicies),
+                uint("--faults", faults),
+                uint("--link-faults", link_faults)});
+  if (!parse_flags("wormhole", args, flags) || !check_horizon(cfg, false)) {
+    return usage();
+  }
+  auto topo = hbnet::make_hyper_butterfly_sim(m, n);
+  // Node ids come from the fault stream (stream 1 of the splittable
+  // counter), link picks from an independent stream.
+  hbnet::WormholeFaults wf;
+  if (faults > 0 || link_faults > 0) {
+    const std::uint64_t fault_seed = camp::split_seed(cfg.seed, 0, 1);
+    if (faults > 0) {
+      if (faults >= topo->num_nodes()) {
+        std::cerr << "--faults: must be < num nodes (" << topo->num_nodes()
+                  << ")\n";
+        return 1;
+      }
+      wf.nodes.assign(topo->num_nodes(), 0);
+      for (const std::uint32_t v :
+           camp::derived_fault_nodes(fault_seed, topo->num_nodes(), faults)) {
+        wf.nodes[v] = 1;
+      }
+    }
+    if (link_faults > 0) {
+      if (link_faults >= topo->num_nodes()) {
+        std::cerr << "--link-faults: must be < num nodes ("
+                  << topo->num_nodes() << ")\n";
+        return 1;
+      }
+      wf.links = camp::derived_fault_links(fault_seed, *topo, link_faults);
+    }
+    if (cfg.policy != hbnet::VcPolicy::kFaultAdaptive) {
+      std::cerr << "--faults/--link-faults need --policy adaptive (vcs"
+                   " >= "
+                << hbnet::vc_classes(hbnet::VcPolicy::kFaultAdaptive)
+                << ")\n";
+      return 1;
+    }
+  }
+  hbnet::obs::Sink sink;
+  if (!exports.open(sink)) return 1;
+  streaming.start("wormhole");
+  // The butterfly level coordinate is node id mod n: the ring arity the
+  // dateline VC classes are computed from.
+  const hbnet::WormholeStats s =
+      hbnet::run_wormhole(*topo, cfg, n, wf.any() ? &wf : nullptr, &sink,
+                          streaming.board_or_null());
+  streaming.stop();
+  std::cout << "wormhole HB(" << m << "," << n << ") " << topo->num_nodes()
+            << " nodes, rate " << cfg.injection_rate << ", " << s.cycles
+            << " cycles" << (s.deadlocked ? " [DEADLOCK]" : "") << "\n  "
+            << s.packets.summary()
+            << "\n  p50=" << s.packets.latency_percentile(0.5)
+            << " max=" << s.packets.max_latency() << "\n";
+  if (wf.any()) {
+    std::cout << "  faults: " << faults << " nodes, " << link_faults
+              << " links; misroutes=" << s.misroutes
+              << " escape_hops=" << s.escape_hops
+              << " unroutable=" << s.unroutable << "\n";
+  }
+  exports.write(sink);
+  return s.deadlocked ? 1 : 0;
+}
+
+int cmd_sim(const HyperButterfly& hb, Args args) {
+  hbnet::SimConfig cfg;
+  unsigned shards = 0;  // 0 = auto
+  SinkExports exports;
+  Streaming streaming;
+  Flags flags = run_flags(cfg, exports, streaming);
+  flags.push_back(
+      toggle("--valiant", cfg.routing, hbnet::RoutingMode::kValiant));
+  flags.push_back(uint("--shards", shards));
+  if (!parse_flags("sim", args, flags) || !check_horizon(cfg, true)) {
+    return usage();
+  }
+  hbnet::obs::Sink sink;
+  if (!exports.open(sink)) return 1;
+  streaming.start("sim");
+  // Telemetry aggregation is pay-for-what-you-watch: skip it entirely
+  // when nothing will be exported (at 10^6+ nodes the link/occupancy
+  // tables dominate an otherwise interactive run).
+  const hbnet::SimStats s = hbnet::run_simulation_sharded(
+      hb, cfg, shards, 0, exports.any() ? &sink : nullptr,
+      streaming.board_or_null());
+  streaming.stop();
+  std::cout << "sim HB(" << hb.cube_dimension() << ","
+            << hb.butterfly_dimension() << ") " << hb.num_nodes()
+            << " nodes, rate " << cfg.injection_rate << "\n  " << s.summary()
+            << "\n  p50=" << s.latency_percentile(0.5)
+            << " max=" << s.max_latency() << "\n";
+  exports.write(sink);
+  return 0;
+}
+
+int cmd_campaign(const HyperButterfly& hb, Args args) {
+  camp::CampaignConfig cfg;
+  cfg.m = hb.cube_dimension();
+  cfg.n = hb.butterfly_dimension();
+  OutFile metrics, csv;
+  Streaming streaming;
+  Flags flags{
+      {"--models", true,
+       [&cfg](const char* v) {
+         cfg.models.clear();
+         for (std::string_view rest = v;;) {
+           const std::size_t comma = rest.find(',');
+           const std::optional<camp::FaultModel> model =
+               camp::fault_model_from_name(rest.substr(0, comma));
+           if (!model) {
+             return reject("--models",
+                           "a list of random|adversarial|events|links", v);
+           }
+           cfg.models.push_back(*model);
+           if (comma == std::string_view::npos) return true;
+           rest.remove_prefix(comma + 1);
+         }
+       }},
+      checked("--rates", cfg.rates, camp::parse_double_list,
+              "comma-separated numbers"),
+      checked("--faults", cfg.fault_counts, camp::parse_unsigned_list,
+              "comma-separated integers"),
+      uint("--trials", cfg.trials),
+      u64("--seed", cfg.seed),
+      checked("--engine", cfg.engine, camp::engine_from_name, "sf|wormhole"),
+      {"--cycles", true,
+       [&cfg](const char* v) {
+         const std::optional<std::uint64_t> cycles = camp::parse_u64(v);
+         if (!cycles) return reject("--cycles", "a non-negative integer", v);
+         cfg.sim.measure_cycles = *cycles;
+         cfg.wormhole.measure_cycles = *cycles;
+         return true;
+       }},
+      threads(),
+      text("--metrics-out", metrics.path),
+      text("--csv", csv.path)};
+  streaming.add_flags(flags);
+  if (!parse_flags("campaign", args, flags)) return usage();
+  if (cfg.engine == camp::Engine::kStoreForward
+          ? !check_horizon(cfg.sim, true)
+          : !check_horizon(cfg.wormhole, false)) {
+    return usage();
+  }
+  if (!metrics.open() || !csv.open()) return 1;
+  streaming.start("campaign");
+  const camp::CampaignResult result =
+      camp::run_campaign(cfg, streaming.board_or_null());
+  streaming.stop();
+  std::cout << "campaign HB(" << cfg.m << "," << cfg.n << ") engine "
+            << camp::engine_name(cfg.engine) << ", " << result.trials.size()
+            << " trials over " << result.cells.size() << " cells (seed "
+            << cfg.seed << ")\n";
+  camp::write_campaign_table(std::cout, result);
+  if (write_file(metrics,
+                 [&](std::ostream& os) { result.metrics.write_json(os); })) {
+    std::cout << "metrics: " << metrics.path << "\n";
+  }
+  if (!csv.path.empty()) {
+    camp::write_campaign_csv(csv.os, result);
+    std::cout << "csv:     " << csv.path << "\n";
+  }
+  return 0;
+}
+
+/// One subcommand: the positional arguments it takes after <m> <n>,
+/// whether flags may follow them, and the function that runs it.
+struct Command {
+  std::string_view name;
+  std::size_t min_args;
+  std::size_t max_args;
+  bool flags;
+  int (*run)(const HyperButterfly& hb, Args args);
+};
+
+constexpr Command kCommands[] = {
+    {"info", 0, 0, false, cmd_info},
+    {"route", 2, 2, false,
+     [](const HyperButterfly& hb, Args a) { return cmd_paths(hb, a, false); }},
+    {"disjoint", 2, 2, false,
+     [](const HyperButterfly& hb, Args a) { return cmd_paths(hb, a, true); }},
+    {"label", 1, 1, false, cmd_label},
+    {"dot", 0, 1, false,
+     [](const HyperButterfly& hb, Args a) { return cmd_export(hb, a, true); }},
+    {"edges", 0, 1, false,
+     [](const HyperButterfly& hb, Args a) { return cmd_export(hb, a, false); }},
+    {"cuts", 0, 0, false, cmd_cuts},
+    {"election", 0, 0, false, cmd_election},
+    {"analyze", 0, 0, true, cmd_analyze},
+    {"wormhole", 0, 0, true, cmd_wormhole},
+    {"sim", 0, 0, true, cmd_sim},
+    {"campaign", 0, 0, true, cmd_campaign},
+};
 
 int run(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const std::string cmd = argv[1];
-  const std::optional<unsigned> m_arg = hbnet::campaign::parse_unsigned(argv[2]);
-  const std::optional<unsigned> n_arg = hbnet::campaign::parse_unsigned(argv[3]);
-  if (!m_arg || !n_arg) {
+  if (argc < 2) return usage();
+  const std::string_view name = argv[1];
+  const Command* cmd =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [name](const Command& c) { return c.name == name; });
+  if (cmd == std::end(kCommands)) {
+    std::cerr << "unknown command '" << name << "'\n";
+    return usage();
+  }
+  if (argc < 4) {
+    std::cerr << name << ": expected <m> <n>\n";
+    return usage();
+  }
+  const std::optional<unsigned> m = camp::parse_unsigned(argv[2]);
+  const std::optional<unsigned> n = camp::parse_unsigned(argv[3]);
+  if (!m || !n) {
     std::cerr << "m and n must be non-negative integers, got '" << argv[2]
               << "' '" << argv[3] << "'\n";
     return usage();
   }
-  const unsigned m = *m_arg;
-  const unsigned n = *n_arg;
-  HyperButterfly hb(m, n);
-
-  if (cmd == "info") {
-    std::cout << "HB(" << m << "," << n << ")\n"
-              << "  nodes:            " << hb.num_nodes() << "\n"
-              << "  edges:            " << hb.num_edges() << "\n"
-              << "  degree (regular): " << hb.degree() << "\n"
-              << "  diameter formula: " << hb.diameter_formula()
-              << "  (measured: m + floor(3n/2) = " << m + 3 * n / 2 << ")\n"
-              << "  connectivity:     " << hb.degree()
-              << "  (maximally fault tolerant)\n"
-              << "  tolerates any " << hb.degree() - 1 << " node faults\n";
-    return 0;
+  const HyperButterfly hb(*m, *n);
+  const Args rest(argv + 4, static_cast<std::size_t>(argc - 4));
+  // Positionals are the leading tokens that are not flags.
+  std::size_t given = 0;
+  while (given < rest.size() && given < cmd->max_args &&
+         !std::string_view(rest[given]).starts_with("--")) {
+    ++given;
   }
-  if (cmd == "label" && argc >= 5) {
-    const std::optional<std::uint64_t> id_arg =
-        hbnet::campaign::parse_u64(argv[4]);
-    if (!id_arg) {
-      std::cerr << "bad vertex id '" << argv[4] << "'\n";
-      return usage();
-    }
-    HbIndex id = *id_arg;
-    if (id >= hb.num_nodes()) {
-      std::cerr << "id out of range\n";
-      return 1;
-    }
-    HbNode v = hb.node_at(id);
-    std::cout << "id " << id << " = ";
-    print_node(hb, v);
-    std::cout << "  [cube=" << v.cube << " word=" << v.bfly.word
-              << " level=" << v.bfly.level
-              << " PI=" << hb.butterfly().permutation_index(v.bfly)
-              << " CI=" << hb.butterfly().complementation_index(v.bfly)
-              << "]\n";
-    return 0;
+  if (given < cmd->min_args) {
+    std::cerr << name << ": expected " << cmd->min_args
+              << " argument(s) after <m> <n>, got " << given << "\n";
+    return usage();
   }
-  if ((cmd == "route" || cmd == "disjoint") && argc >= 6) {
-    const std::optional<std::uint64_t> s_arg =
-        hbnet::campaign::parse_u64(argv[4]);
-    const std::optional<std::uint64_t> t_arg =
-        hbnet::campaign::parse_u64(argv[5]);
-    if (!s_arg || !t_arg) {
-      std::cerr << "bad vertex ids '" << argv[4] << "' '" << argv[5]
-                << "'\n";
-      return usage();
-    }
-    HbIndex s = *s_arg, t = *t_arg;
-    if (s >= hb.num_nodes() || t >= hb.num_nodes() || s == t) {
-      std::cerr << "bad endpoints\n";
-      return 1;
-    }
-    HbNode u = hb.node_at(s), v = hb.node_at(t);
-    if (cmd == "route") {
-      std::cout << "distance " << hb.distance(u, v) << "\n";
-      for (const HbNode& w : hb.route(u, v)) {
-        print_node(hb, w);
-        std::cout << " ";
-      }
-      std::cout << "\n";
-    } else {
-      auto family = hb.disjoint_paths(u, v);
-      std::cout << family.size() << " internally disjoint paths:\n";
-      for (const auto& p : family) {
-        std::cout << "  [" << p.size() - 1 << " hops] ";
-        for (const HbNode& w : p) {
-          print_node(hb, w);
-          std::cout << " ";
-        }
-        std::cout << "\n";
-      }
-    }
-    return 0;
+  if (!cmd->flags && given < rest.size()) {
+    std::cerr << name << ": unexpected argument '" << rest[given] << "'\n";
+    return usage();
   }
-  if (cmd == "dot" || cmd == "edges") {
-    std::ofstream file;
-    std::ostream* os = &std::cout;
-    if (argc >= 5) {
-      file.open(argv[4]);
-      if (!file) {
-        std::cerr << "cannot open " << argv[4] << "\n";
-        return 1;
-      }
-      os = &file;
-    }
-    hbnet::Graph g = hb.to_graph();
-    if (cmd == "dot") {
-      hbnet::DotOptions opts;
-      opts.graph_name = "HB_" + std::to_string(m) + "_" + std::to_string(n);
-      for (HbIndex id = 0; id < hb.num_nodes(); ++id) {
-        HbNode v = hb.node_at(id);
-        opts.labels.push_back(std::to_string(v.cube) + "," +
-                              hb.butterfly().label(v.bfly));
-      }
-      write_dot(*os, g, opts);
-    } else {
-      write_edge_list(*os, g);
-    }
-    return 0;
-  }
-  if (cmd == "cuts") {
-    for (const auto& cut : hbnet::hb_dimension_cuts(hb)) {
-      std::cout << "  " << cut.name << ": width " << cut.width
-                << (cut.balanced ? " (balanced)" : " (unbalanced)") << "\n";
-    }
-    std::uint64_t ub =
-        hbnet::sampled_bisection_upper_bound(hb.to_graph(), 3, 11);
-    std::cout << "  sampled bisection upper bound: " << ub
-              << "  => Thompson VLSI area lower bound ~ "
-              << hbnet::thompson_area_lower_bound(ub) << " grid units\n";
-    return 0;
-  }
-  if (cmd == "election") {
-    auto flood = hbnet::flood_max_election(hb.to_graph());
-    auto structured = hbnet::hb_structured_election(hb);
-    std::cout << "flood-max:  leader " << flood.leader << ", "
-              << flood.run.rounds << " rounds, " << flood.run.messages
-              << " messages\n"
-              << "structured: leader " << structured.leader << ", "
-              << structured.run.rounds << " rounds, "
-              << structured.run.messages << " messages\n";
-    return 0;
-  }
-  if (cmd == "analyze") {
-    bool audit = false;
-    bool exact = false;
-    ExactFlags exact_flags;
-    SimFlags stream_flags;
-    std::string exact_only;  // the first flag that needs --exact-connectivity
-    for (int i = 4; i < argc; ++i) {
-      const std::string a = argv[i];
-      const bool takes_value =
-          a == "--threads" || a == "--max-blocks" || a == "--checkpoint" ||
-          a == "--metrics-out" || a == "--stream-out" || a == "--prom-out" ||
-          a == "--stream-interval-ms";
-      if (takes_value && i + 1 >= argc) {
-        std::cerr << a << " needs a value\n";
-        return usage();
-      }
-      const char* v = takes_value ? argv[++i] : nullptr;
-      if (a != "--threads" && a != "--audit" && a != "--exact-connectivity" &&
-          exact_only.empty()) {
-        exact_only = a;
-      }
-      if (a == "--threads") {
-        unsigned threads = 0;
-        if (!parse_flag_unsigned("--threads", v, threads)) return usage();
-        hbnet::par::set_default_threads(threads);
-      } else if (a == "--audit") {
-        audit = true;
-      } else if (a == "--exact-connectivity") {
-        exact = true;
-      } else if (a == "--sparsify") {
-        exact_flags.sparsify = true;
-      } else if (a == "--implicit") {
-        exact_flags.implicit = true;
-      } else if (a == "--no-orbits") {
-        exact_flags.orbits = false;
-      } else if (a == "--max-blocks") {
-        if (!parse_flag_u64("--max-blocks", v, exact_flags.max_blocks)) {
-          return usage();
-        }
-      } else if (a == "--progress") {
-        stream_flags.progress = true;
-      } else if (a == "--checkpoint") {
-        exact_flags.checkpoint = v;
-      } else if (a == "--metrics-out") {
-        exact_flags.metrics_out = v;
-      } else if (a == "--stream-out") {
-        stream_flags.stream_out = v;
-      } else if (a == "--prom-out") {
-        stream_flags.prom_out = v;
-      } else if (a == "--stream-interval-ms") {
-        if (!parse_flag_u64("--stream-interval-ms", v,
-                            stream_flags.stream_interval_ms)) {
-          return usage();
-        }
-      } else {
-        std::cerr << "unknown option " << a << "\n";
-        return usage();
-      }
-    }
-    if (exact && audit) {
-      std::cerr << "--audit: not an option of analyze --exact-connectivity\n";
-      return usage();
-    }
-    if (!exact && !exact_only.empty()) {
-      std::cerr << exact_only << ": needs --exact-connectivity\n";
-      return usage();
-    }
-    if (exact) {
-      return run_exact_connectivity(hb, exact_flags, stream_flags);
-    }
-    hbnet::par::ThreadPool probe;
-    hbnet::Graph g = hb.to_graph();
-    std::cout << "analyze HB(" << m << "," << n << ")  (" << probe.size()
-              << " threads)\n"
-              << "  nodes / edges:     " << g.num_nodes() << " / "
-              << g.num_edges() << "\n"
-              << "  diameter:          " << hbnet::parallel_diameter(g)
-              << "  (formula " << hb.diameter_formula() << ")\n"
-              << "  average distance:  "
-              << hbnet::parallel_average_distance(g) << "\n"
-              << "  vertex connectivity: " << hbnet::vertex_connectivity(g)
-              << "  (degree " << hb.degree() << ")\n"
-              << "  edge connectivity:   " << hbnet::edge_connectivity(g)
-              << "\n";
-    if (audit) {
-      hbnet::DisjointPathsAudit a = hbnet::audit_disjoint_paths(hb);
-      std::cout << "  Theorem-5 audit:   " << a.pairs_checked << " pairs, "
-                << (a.ok ? "all families disjoint" : "FAILED: " + a.error)
-                << "\n";
-      if (!a.ok) return 1;
-    }
-    return 0;
-  }
-  if (cmd == "wormhole" || cmd == "sim") {
-    SimFlags flags;
-    if (!parse_sim_flags(argc, argv, 4, cmd == "wormhole", flags)) {
-      return usage();
-    }
-    hbnet::obs::Sink sink;
-    if (!flags.trace_out.empty()) sink.enable_trace();
-
-    if (cmd == "wormhole") {
-      auto topo = hbnet::make_hyper_butterfly_sim(m, n);
-      hbnet::WormholeConfig cfg;
-      cfg.vcs = flags.vcs;
-      cfg.flits_per_packet = flags.flits;
-      cfg.injection_rate = flags.rate;
-      cfg.measure_cycles = flags.cycles;
-      cfg.warmup_cycles = flags.warmup.value_or(cfg.warmup_cycles);
-      cfg.drain_cycles = flags.drain.value_or(cfg.drain_cycles);
-      cfg.seed = flags.seed;
-      cfg.pattern = flags.pattern;
-      cfg.policy = flags.policy;
-      // Static faults, derived from the run seed the same way campaign
-      // trials derive theirs: node ids from the fault stream (stream 1 of
-      // the splittable counter), link picks from an independent stream.
-      hbnet::WormholeFaults wf;
-      if (flags.faults > 0 || flags.link_faults > 0) {
-        namespace camp = hbnet::campaign;
-        const std::uint64_t fault_seed = camp::split_seed(flags.seed, 0, 1);
-        if (flags.faults > 0) {
-          if (flags.faults >= topo->num_nodes()) {
-            std::cerr << "--faults: must be < num nodes ("
-                      << topo->num_nodes() << ")\n";
-            return 1;
-          }
-          wf.nodes.assign(topo->num_nodes(), 0);
-          for (const std::uint32_t v :
-               camp::derived_fault_nodes(fault_seed, topo->num_nodes(),
-                                         flags.faults)) {
-            wf.nodes[v] = 1;
-          }
-        }
-        if (flags.link_faults > 0) {
-          if (flags.link_faults >= topo->num_nodes()) {
-            std::cerr << "--link-faults: must be < num nodes ("
-                      << topo->num_nodes() << ")\n";
-            return 1;
-          }
-          wf.links =
-              camp::derived_fault_links(fault_seed, *topo, flags.link_faults);
-        }
-        if (cfg.policy != hbnet::VcPolicy::kFaultAdaptive) {
-          std::cerr << "--faults/--link-faults need --policy adaptive (vcs"
-                       " >= "
-                    << hbnet::vc_classes(hbnet::VcPolicy::kFaultAdaptive)
-                    << ")\n";
-          return 1;
-        }
-      }
-      Streaming streaming;
-      streaming.start(flags, "wormhole");
-      // The butterfly level coordinate is node id mod n: the ring arity
-      // the dateline VC classes are computed from.
-      hbnet::WormholeStats s =
-          hbnet::run_wormhole(*topo, cfg, n, wf.any() ? &wf : nullptr, &sink,
-                              streaming.board_or_null());
-      streaming.stop();
-      std::cout << "wormhole HB(" << m << "," << n << ") "
-                << topo->num_nodes() << " nodes, rate " << flags.rate
-                << ", " << s.cycles << " cycles"
-                << (s.deadlocked ? " [DEADLOCK]" : "") << "\n  "
-                << s.packets.summary() << "\n  p50="
-                << s.packets.latency_percentile(0.5)
-                << " max=" << s.packets.max_latency() << "\n";
-      if (wf.any()) {
-        std::cout << "  faults: " << flags.faults << " nodes, "
-                  << flags.link_faults << " links; misroutes=" << s.misroutes
-                  << " escape_hops=" << s.escape_hops
-                  << " unroutable=" << s.unroutable << "\n";
-      }
-      if (!export_sink(sink, flags)) return 1;
-      return s.deadlocked ? 1 : 0;
-    }
-
-    hbnet::SimConfig cfg;
-    cfg.injection_rate = flags.rate;
-    cfg.measure_cycles = flags.cycles;
-    cfg.warmup_cycles = flags.warmup.value_or(cfg.warmup_cycles);
-    cfg.drain_cycles = flags.drain.value_or(cfg.drain_cycles);
-    cfg.seed = flags.seed;
-    cfg.pattern = flags.pattern;
-    cfg.routing = flags.valiant ? hbnet::RoutingMode::kValiant
-                                : hbnet::RoutingMode::kNative;
-    // Telemetry aggregation is pay-for-what-you-watch: skip it entirely
-    // when nothing will be exported (at 10^6+ nodes the link/occupancy
-    // tables dominate an otherwise interactive run).
-    hbnet::obs::Sink* sink_ptr = !flags.trace_out.empty() ||
-                                         !flags.metrics_out.empty() ||
-                                         !flags.links_csv.empty()
-                                     ? &sink
-                                     : nullptr;
-    Streaming streaming;
-    streaming.start(flags, "sim");
-    const hbnet::SimStats s = hbnet::run_simulation_sharded(
-        hb, cfg, flags.shards, 0, sink_ptr, streaming.board_or_null());
-    streaming.stop();
-    std::cout << "sim HB(" << m << "," << n << ") " << hb.num_nodes()
-              << " nodes, rate " << flags.rate << "\n  " << s.summary()
-              << "\n  p50=" << s.latency_percentile(0.5)
-              << " max=" << s.max_latency() << "\n";
-    if (!export_sink(sink, flags)) return 1;
-    return 0;
-  }
-  if (cmd == "campaign") {
-    namespace camp = hbnet::campaign;
-    camp::CampaignConfig cfg;
-    cfg.m = m;
-    cfg.n = n;
-    std::string metrics_out, csv_out;
-    SimFlags stream_flags;
-    for (int i = 4; i < argc; ++i) {
-      const std::string a = argv[i];
-      // Value-less flags come before the "needs a value" check.
-      if (a == "--progress") {
-        stream_flags.progress = true;
-        continue;
-      }
-      if (i + 1 >= argc) {
-        std::cerr << a << " needs a value\n";
-        return usage();
-      }
-      const char* v = argv[++i];
-      if (a == "--models") {
-        cfg.models.clear();
-        std::string_view rest = v;
-        while (true) {
-          const std::size_t comma = rest.find(',');
-          const std::string_view piece = rest.substr(0, comma);
-          const std::optional<camp::FaultModel> model =
-              camp::fault_model_from_name(piece);
-          if (!model) {
-            std::cerr << "--models: unknown fault model '" << piece
-                      << "' (random|adversarial|events|links)\n";
-            return usage();
-          }
-          cfg.models.push_back(*model);
-          if (comma == std::string_view::npos) break;
-          rest.remove_prefix(comma + 1);
-        }
-      } else if (a == "--rates") {
-        const std::optional<std::vector<double>> rates =
-            camp::parse_double_list(v);
-        if (!rates) {
-          std::cerr << "--rates: expected comma-separated numbers, got '"
-                    << v << "'\n";
-          return usage();
-        }
-        cfg.rates = *rates;
-      } else if (a == "--faults") {
-        const std::optional<std::vector<unsigned>> faults =
-            camp::parse_unsigned_list(v);
-        if (!faults) {
-          std::cerr << "--faults: expected comma-separated integers, got '"
-                    << v << "'\n";
-          return usage();
-        }
-        cfg.fault_counts = *faults;
-      } else if (a == "--trials") {
-        if (!parse_flag_unsigned("--trials", v, cfg.trials)) return usage();
-      } else if (a == "--seed") {
-        if (!parse_flag_u64("--seed", v, cfg.seed)) return usage();
-      } else if (a == "--engine") {
-        const std::optional<camp::Engine> engine = camp::engine_from_name(v);
-        if (!engine) {
-          std::cerr << "--engine: expected sf|wormhole, got '" << v << "'\n";
-          return usage();
-        }
-        cfg.engine = *engine;
-      } else if (a == "--cycles") {
-        std::uint64_t cycles = 0;
-        if (!parse_flag_u64("--cycles", v, cycles)) return usage();
-        cfg.sim.measure_cycles = cycles;
-        cfg.wormhole.measure_cycles = cycles;
-      } else if (a == "--threads") {
-        if (!parse_flag_unsigned("--threads", v, cfg.threads)) return usage();
-      } else if (a == "--metrics-out") {
-        metrics_out = v;
-      } else if (a == "--csv") {
-        csv_out = v;
-      } else if (a == "--stream-out") {
-        stream_flags.stream_out = v;
-      } else if (a == "--prom-out") {
-        stream_flags.prom_out = v;
-      } else if (a == "--stream-interval-ms") {
-        if (!parse_flag_u64("--stream-interval-ms", v,
-                            stream_flags.stream_interval_ms)) {
-          return usage();
-        }
-      } else {
-        std::cerr << "unknown option " << a << "\n";
-        return usage();
-      }
-    }
-    const bool sf = cfg.engine == camp::Engine::kStoreForward;
-    if (sf ? !check_horizon(cfg.sim.warmup_cycles, cfg.sim.measure_cycles,
-                            cfg.sim.drain_cycles, true)
-           : !check_horizon(cfg.wormhole.warmup_cycles,
-                            cfg.wormhole.measure_cycles,
-                            cfg.wormhole.drain_cycles, false)) {
-      return usage();
-    }
-    Streaming streaming;
-    streaming.start(stream_flags, "campaign");
-    const camp::CampaignResult result =
-        camp::run_campaign(cfg, streaming.board_or_null());
-    streaming.stop();
-    std::cout << "campaign HB(" << m << "," << n << ") engine "
-              << camp::engine_name(cfg.engine) << ", " << result.trials.size()
-              << " trials over " << result.cells.size() << " cells (seed "
-              << cfg.seed << ")\n";
-    camp::write_campaign_table(std::cout, result);
-    if (!metrics_out.empty()) {
-      std::ofstream os(metrics_out);
-      if (!os) {
-        std::cerr << "cannot open " << metrics_out << "\n";
-        return 1;
-      }
-      result.metrics.write_json(os);
-      os << '\n';
-      std::cout << "metrics: " << metrics_out << "\n";
-    }
-    if (!csv_out.empty()) {
-      std::ofstream os(csv_out);
-      if (!os) {
-        std::cerr << "cannot open " << csv_out << "\n";
-        return 1;
-      }
-      camp::write_campaign_csv(os, result);
-      std::cout << "csv:     " << csv_out << "\n";
-    }
-    return 0;
-  }
-  return usage();
+  return cmd->run(hb, rest);
 }
+
+}  // namespace
 
 int main(int argc, char** argv) {
   // Postmortem triage: an HBNET_CHECK failure or fatal signal dumps the

@@ -22,10 +22,15 @@ run_campaign() {
   threads=$2
   shift 2
   # The "metrics:"/"csv:" confirmation lines echo the per-tag output paths,
-  # so drop them before comparing the table across runs.
-  "$cli" campaign "$@" --threads "$threads" \
+  # so drop them before comparing the table across runs. The exit status is
+  # checked before filtering: a pipeline would report grep's.
+  if ! "$cli" campaign "$@" --threads "$threads" \
     --metrics-out "$work/m$tag.json" --csv "$work/c$tag.csv" \
-    | grep -v -e '^metrics:' -e '^csv:' > "$work/t$tag.txt"
+    > "$work/raw$tag.txt"; then
+    echo "FAIL: campaign $* --threads $threads exited nonzero" >&2
+    exit 1
+  fi
+  grep -v -e '^metrics:' -e '^csv:' "$work/raw$tag.txt" > "$work/t$tag.txt"
 }
 
 # same <what> <file> <file>: fail unless the two files are byte-identical.

@@ -42,6 +42,18 @@ expect_reject_naming() {
   rm -f /tmp/hbnet_cli_args_err.$$
 }
 
+# expect_reject_silent <description> <args...>: as expect_reject, and
+# nothing reaches stdout -- the command failed before doing any work.
+expect_reject_silent() {
+  expect_reject "$@"
+  desc=$1
+  shift
+  if [ -n "$("$cli" "$@" 2>/dev/null)" ]; then
+    echo "FAIL: $desc: rejected only after printing to stdout: $cli $*" >&2
+    fails=$((fails + 1))
+  fi
+}
+
 expect_reject "non-numeric m" info x 3
 expect_reject "partial-token n" info 2 3x
 expect_reject "negative m" info -2 3
@@ -123,6 +135,85 @@ expect_reject "sim with --vcs" sim 1 3 --vcs 6
 expect_reject "sim with --flits" sim 1 3 --flits 4
 expect_reject "wormhole with --shards" wormhole 1 3 --shards 2
 expect_reject "wormhole with --valiant" wormhole 1 3 --valiant
+
+# Every subcommand, table-driven. Each row is
+#   <command>|<positionals after m n>|<value flags>
+# and each subcommand must reject an unknown flag, one positional too many
+# and each value flag left without its value, naming the token in the
+# first line of the diagnostic; a well-formed run must succeed.
+sim_flags="--rate --cycles --warmup --drain --seed --threads --pattern"
+sim_flags="$sim_flags --trace-out --metrics-out --links-csv --stream-out"
+sim_flags="$sim_flags --prom-out --stream-interval-ms"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+while IFS='|' read -r cmd pos value_flags; do
+  [ -n "$cmd" ] || continue
+  # shellcheck disable=SC2086  # $pos and $value_flags are word lists
+  {
+    expect_reject_naming --bogus "$cmd: unknown flag" $cmd 1 3 $pos --bogus
+    expect_reject_naming extra "$cmd: one positional too many" \
+      $cmd 1 3 $pos extra
+    for flag in $value_flags; do
+      expect_reject_naming "$flag" "$cmd: $flag needs a value" \
+        $cmd 1 3 "$flag"
+    done
+    if ! "$cli" $cmd 1 3 $pos >/dev/null 2>&1; then
+      echo "FAIL: well-formed '$cmd 1 3 $pos' should succeed" >&2
+      fails=$((fails + 1))
+    fi
+  }
+done <<TABLE
+info||
+route|0 5|
+disjoint|0 5|
+label|17|
+dot|$work/g.dot|
+edges|$work/g.txt|
+cuts||
+election||
+analyze|--threads 1|--threads --max-blocks --checkpoint --metrics-out --stream-out --prom-out --stream-interval-ms
+wormhole|--cycles 50|$sim_flags --vcs --flits --policy --faults --link-faults
+sim|--cycles 50|$sim_flags --shards
+campaign|--cycles 50|--models --rates --faults --trials --seed --engine --cycles --threads --metrics-out --csv --stream-out --prom-out --stream-interval-ms
+TABLE
+expect_reject_naming bogus "unknown subcommand" bogus 1 3
+expect_reject_naming route "missing positional" route 1 3 0
+expect_reject_naming --metrics-out "flag as a flag's value" \
+  sim 1 3 --metrics-out --csv
+expect_reject_naming --foo "dot with a flag for its file" dot 1 3 --foo
+[ ! -e --foo ] || {
+  echo "FAIL: 'dot 1 3 --foo' wrote a file named --foo" >&2
+  rm -f -- --foo
+  fails=$((fails + 1))
+}
+
+# --threads is capped at 1024 (every pool worker is an OS thread); larger
+# values are refused before any thread starts.
+expect_reject_naming --threads "sim threads above the cap" \
+  sim 1 3 --threads 1025
+expect_reject_naming --threads "wormhole threads above the cap" \
+  wormhole 1 3 --threads 100000
+expect_reject_naming --threads "analyze threads above the cap" \
+  analyze 1 3 --threads 4294967295
+expect_reject_naming --threads "campaign threads above the cap" \
+  campaign 1 3 --threads 100000
+
+# Output paths are opened before the run: a bad one fails before any
+# result reaches stdout.
+bad=/nonexistent/hbnet_cli_args
+expect_reject_silent "campaign --csv bad path" \
+  campaign 1 3 --cycles 50 --csv "$bad/c.csv"
+expect_reject_silent "campaign --metrics-out bad path" \
+  campaign 1 3 --cycles 50 --metrics-out "$bad/m.json"
+expect_reject_silent "sim --metrics-out bad path" \
+  sim 1 3 --cycles 50 --metrics-out "$bad/m.json"
+expect_reject_silent "sim --links-csv bad path" \
+  sim 1 3 --cycles 50 --links-csv "$bad/l.csv"
+expect_reject_silent "wormhole --trace-out bad path" \
+  wormhole 1 3 --cycles 50 --trace-out "$bad/t.json"
+expect_reject_silent "analyze --metrics-out bad path" \
+  analyze 1 3 --exact-connectivity --metrics-out "$bad/m.json"
+expect_reject_silent "dot bad path" dot 1 3 "$bad/g.dot"
 
 # Well-formed commands must still pass.
 if ! "$cli" info 2 3 >/dev/null; then

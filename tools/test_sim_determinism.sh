@@ -25,10 +25,17 @@ run_sim() {
   shift 3
   shard_flag=""
   [ "$shards" = auto ] || shard_flag="--shards $shards"
-  "$cli" sim $load --cycles 200 \
+  # The exit status is checked before filtering: a pipeline would report
+  # grep's.
+  if ! "$cli" sim $load --cycles 200 \
     --threads "$threads" $shard_flag \
     --metrics-out "$work/m$tag.json" --links-csv "$work/l$tag.csv" "$@" \
-    2>/dev/null | grep -v -e '^metrics:' -e '^links:' > "$work/t$tag.txt"
+    > "$work/raw$tag.txt" 2>/dev/null; then
+    echo "FAIL: sim $load --threads $threads $shard_flag $* exited" \
+         "nonzero" >&2
+    exit 1
+  fi
+  grep -v -e '^metrics:' -e '^links:' "$work/raw$tag.txt" > "$work/t$tag.txt"
 }
 
 for load in "2 4 --rate 0.08" "2 5 --rate 0.25"; do

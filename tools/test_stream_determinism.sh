@@ -19,12 +19,17 @@ run_campaign() {
   tag=$2
   shift 2
   # The "metrics:"/"csv:" confirmation lines echo per-tag paths; drop them
-  # before comparing the table. --progress writes to stderr only.
-  "$cli" campaign 1 3 \
+  # before comparing the table. --progress writes to stderr only. The exit
+  # status is checked before filtering: a pipeline would report grep's.
+  if ! "$cli" campaign 1 3 \
     --models random,events --rates 0.05 --faults 0,2 \
     --trials 2 --seed 11 --cycles 100 --threads "$threads" \
     --metrics-out "$work/m$tag.json" --csv "$work/c$tag.csv" "$@" \
-    2>/dev/null | grep -v -e '^metrics:' -e '^csv:' > "$work/t$tag.txt"
+    > "$work/raw$tag.txt" 2>/dev/null; then
+    echo "FAIL: campaign --threads $threads $* exited nonzero" >&2
+    exit 1
+  fi
+  grep -v -e '^metrics:' -e '^csv:' "$work/raw$tag.txt" > "$work/t$tag.txt"
 }
 
 run_campaign 1 plain1
