@@ -200,6 +200,7 @@ bool parse_flags(std::string_view command, Args args, const Flags& flags) {
   return true;
 }
 
+/// Prints "<flag>: expected <expected>, got '<got>'" and returns false.
 bool reject(std::string_view flag, std::string_view expected,
             const char* got) {
   std::cerr << flag << ": expected " << expected << ", got '" << got
