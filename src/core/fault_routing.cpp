@@ -117,11 +117,11 @@ const std::uint8_t* HbFaultPlanner::family(HbNode r) {
   return arena_.data() + at;
 }
 
-FaultRouteResult HbFaultPlanner::route(
+HbFaultPlanner::Choice HbFaultPlanner::choose(
     HbNode u, HbNode v, const std::vector<char>& faulty,
     const std::vector<std::uint32_t>& banned_first) {
   const HyperButterfly& hb = *hb_;
-  return to_result(hb, u, select(
+  return select(
       hb, u, v,
       [&](HbNode x) {
         const HbIndex id = hb.index_of(x);
@@ -132,7 +132,13 @@ FaultRouteResult HbFaultPlanner::route(
         return std::find(banned_first.begin(), banned_first.end(), id) !=
                banned_first.end();
       },
-      [this](HbNode r) { return family(r); }));
+      [this](HbNode r) { return family(r); });
+}
+
+FaultRouteResult HbFaultPlanner::route(
+    HbNode u, HbNode v, const std::vector<char>& faulty,
+    const std::vector<std::uint32_t>& banned_first) {
+  return to_result(*hb_, u, choose(u, v, faulty, banned_first));
 }
 
 FaultRouteResult route_around_faults(const HyperButterfly& hb, HbNode u,

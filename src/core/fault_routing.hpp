@@ -72,10 +72,17 @@ class HbFaultPlanner {
   /// Valid until the next call that plans a new relative position.
   [[nodiscard]] const std::uint8_t* family(HbNode r);
 
-  /// Routes u -> v around the nodes marked in `faulty` (indexed by dense
-  /// id; may be shorter than num_nodes(), unmarked means healthy), never
-  /// leaving u towards a node whose id is in `banned_first`. Family only:
-  /// there is no BFS fallback, and used_fallback stays false.
+  /// Selects the member for u -> v around the nodes marked in `faulty`
+  /// (indexed by dense id; may be shorter than num_nodes(), unmarked means
+  /// healthy), never leaving u towards a node whose id is in
+  /// `banned_first`. The member pointer is valid until the next call that
+  /// plans a new relative position.
+  [[nodiscard]] Choice choose(HbNode u, HbNode v,
+                              const std::vector<char>& faulty,
+                              const std::vector<std::uint32_t>& banned_first);
+
+  /// choose() as a node path. Family only: there is no BFS fallback, and
+  /// used_fallback stays false.
   [[nodiscard]] FaultRouteResult route(
       HbNode u, HbNode v, const std::vector<char>& faulty,
       const std::vector<std::uint32_t>& banned_first = {});

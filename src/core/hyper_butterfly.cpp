@@ -43,21 +43,25 @@ std::vector<HbNode> HyperButterfly::route(HbNode u, HbNode v) const {
 
 std::vector<std::uint8_t> HyperButterfly::route_generators(HbNode u,
                                                           HbNode v) const {
+  std::vector<std::uint8_t> gens;
+  route_generators(u, v, gens);
+  return gens;
+}
+
+void HyperButterfly::route_generators(HbNode u, HbNode v,
+                                      std::vector<std::uint8_t>& out) const {
   const HbImplicitRouter router(*this);
   HbRouteState st = router.plan(u, v);
-  std::vector<std::uint8_t> gens;
-  gens.reserve(st.hops_remaining());
   HbNode cur = u;
   while (!st.done()) {
     const HbHop hop = router.next_hop(cur, st);
-    gens.push_back(hop.gen);
+    out.push_back(hop.gen);
     cur = hop.next;
   }
   if (!(cur == v)) {
     throw std::logic_error(
         "HyperButterfly::route_generators: internal routing error");
   }
-  return gens;
 }
 
 CayleySpec HyperButterfly::cayley_spec() const {

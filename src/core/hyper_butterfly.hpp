@@ -118,6 +118,9 @@ class HyperButterfly {
   /// (Butterfly::step). Throws std::logic_error if the walk misses v.
   [[nodiscard]] std::vector<std::uint8_t> route_generators(HbNode u,
                                                            HbNode v) const;
+  /// The same bytes appended to `out`.
+  void route_generators(HbNode u, HbNode v,
+                        std::vector<std::uint8_t>& out) const;
 
   /// Left translation by u, x -> u·x (Theorem 1): (h, (w, l)) maps to
   /// (h_u ^ h, (w_u ^ rotl_n(w, l_u), (l + l_u) mod n)). It is an

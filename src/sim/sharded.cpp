@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,11 +37,13 @@ using LinkCount = std::pair<std::uint64_t, std::uint64_t>;
 // A router is the per-packet half of the engine:
 //   Packet        src, dst, injected_at, hops and flags plus the router's
 //                 position and route state; the engine only moves it;
-//   Tally         run-wide link counters (sink runs only); shards write
-//                 disjoint entries;
+//   degree / neighbor  its ports: advance() counts a hop in the run-wide
+//                 node x port link tally (sink runs only; shards write
+//                 disjoint entries), and neighbor() expands the tally;
 //   kFaults       whether it takes faults; such a router keeps run-wide
 //                 state and runs as one shard on the calling thread;
-//   node / tally / inject / advance / collect_links, as used below.
+//   node / inject / advance / release, as used below; release(p) ends
+//                 the route inject(p) planned (delivered, dropped, lost).
 
 /// A packet on an HB implicit route: one 32-byte arena slot, no owned
 /// memory. The current node is stored pre-split as (wc = (cube << n) |
@@ -64,7 +66,6 @@ static_assert(sizeof(HbPacket) == 32, "arena slots should stay compact");
 class HbRouter {
  public:
   using Packet = HbPacket;
-  using Tally = std::vector<std::uint64_t>;  // node x generator
   static constexpr bool kFaults = false;
 
   HbRouter(const HyperButterfly& hb, RoutingMode routing)
@@ -78,8 +79,10 @@ class HbRouter {
   [[nodiscard]] std::uint32_t node(const Packet& p) const {
     return p.wc * bdim_ + p.level;
   }
-  [[nodiscard]] Tally tally(std::uint32_t n) const {
-    return Tally(static_cast<std::size_t>(n) * degree_, 0);
+  [[nodiscard]] unsigned degree() const { return degree_; }
+  [[nodiscard]] std::uint32_t neighbor(std::uint32_t u, unsigned gen) const {
+    return static_cast<std::uint32_t>(hb_.index_of(
+        hb_.apply(hb_.node_at(u), static_cast<std::uint8_t>(gen))));
   }
 
   Hop inject(const StatelessTraffic::CycleView& tv, Packet& pkt) const {
@@ -94,7 +97,7 @@ class HbRouter {
     return Hop::kMoved;
   }
 
-  Hop advance(Packet& pkt, std::uint32_t at, Tally* links) const {
+  Hop advance(Packet& pkt, std::uint32_t at, std::uint64_t* links) const {
     const HbNode cur = hb_node(pkt.wc, pkt.level);
     if (pkt.route.done()) {
       // Valiant intermediate reached last cycle: aim at the destination.
@@ -105,7 +108,7 @@ class HbRouter {
     const HbHop hop = router_.next_hop(cur, pkt.route);
     ++pkt.hops;
     if (links != nullptr) {
-      ++(*links)[static_cast<std::size_t>(at) * degree_ + hop.gen];
+      ++links[static_cast<std::size_t>(at) * degree_ + hop.gen];
     }
     if (pkt.route.done() && (pkt.flags & kRevisit) == 0) {
       return Hop::kDelivered;
@@ -116,19 +119,7 @@ class HbRouter {
     return Hop::kMoved;
   }
 
-  /// Expands (node, generator) tallies into directed (src, dst) records.
-  void collect_links(const Tally& t, std::vector<LinkCount>& out) const {
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (t[i] == 0) continue;
-      const auto u = static_cast<std::uint32_t>(i / degree_);
-      const HbNode next = hb_.apply(
-          hb_.node_at(u), static_cast<std::uint8_t>(i % degree_));
-      out.emplace_back(
-          (std::uint64_t{u} << 32) | static_cast<std::uint32_t>(
-                                         hb_.index_of(next)),
-          t[i]);
-    }
-  }
+  void release(const Packet&) const {}
 
  private:
   [[nodiscard]] HbNode hb_node(std::uint32_t wc, std::uint32_t level) const {
@@ -143,35 +134,41 @@ class HbRouter {
   bool valiant_;
 };
 
-/// A source-routed packet. It owns its node sequence, so route memory is
-/// bounded by the packets in flight.
+/// A source-routed packet: its route is the port word in the router's slot
+/// `slot`, and `pos` indexes the next port to take from `at`.
 struct PathPacket {
-  std::vector<std::uint32_t> path;
-  std::uint32_t pos = 0;  // index of the current node in `path`
+  std::uint32_t at = 0;
+  std::uint32_t slot = 0;
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
   std::uint32_t injected_at = 0;
   std::uint32_t hops = 0;
+  std::uint32_t pos = 0;
   std::uint8_t flags = 0;
 };
+static_assert(std::is_trivially_copyable_v<PathPacket>);
 
 /// Any SimTopology, source-routed at injection with the network's own
 /// algorithm. A packet whose next hop has died re-plans from where it is.
-/// The fault set and the link tally are run-wide, so this router runs as
-/// one shard.
+/// Words live in recycled slots (a free list of byte vectors), so route
+/// memory is bounded by the packets in flight and a steady-state run
+/// allocates nothing. The fault set, the slots and the link tally are
+/// run-wide, so this router runs as one shard.
 class PathRouter {
  public:
   using Packet = PathPacket;
-  using Tally = std::unordered_map<std::uint64_t, std::uint64_t>;
   static constexpr bool kFaults = true;
 
   PathRouter(const SimTopology& topo, RoutingMode routing)
-      : topo_(topo), valiant_(routing == RoutingMode::kValiant) {}
+      : topo_(topo),
+        degree_(topo.degree_hint()),
+        valiant_(routing == RoutingMode::kValiant) {}
 
-  [[nodiscard]] std::uint32_t node(const Packet& p) const {
-    return p.path[p.pos];
+  [[nodiscard]] std::uint32_t node(const Packet& p) const { return p.at; }
+  [[nodiscard]] unsigned degree() const { return degree_; }
+  [[nodiscard]] std::uint32_t neighbor(std::uint32_t u, unsigned port) const {
+    return topo_.neighbor(u, port);
   }
-  [[nodiscard]] Tally tally(std::uint32_t) const { return {}; }
 
   [[nodiscard]] bool alive(std::uint32_t v) const {
     return faulty_.empty() || faulty_[v] == 0;
@@ -184,52 +181,68 @@ class PathRouter {
     return true;
   }
 
-  Hop inject(const StatelessTraffic::CycleView& tv, Packet& pkt) const {
-    if (!faulty_.empty()) return detour(pkt, pkt.src);
+  /// Takes a slot for the packet's word; release() returns it.
+  Hop inject(const StatelessTraffic::CycleView& tv, Packet& pkt) {
+    pkt.at = pkt.src;
+    if (free_.empty()) {
+      pkt.slot = static_cast<std::uint32_t>(words_.size());
+      words_.emplace_back();
+    } else {
+      pkt.slot = free_.back();
+      free_.pop_back();
+    }
+    if (!faulty_.empty()) return detour(pkt);
     // Valiant: src -> w -> dst, two concatenated routes (w not an endpoint).
     const std::uint32_t w = valiant_ ? tv.intermediate(pkt.src) : pkt.dst;
-    pkt.path = topo_.route(pkt.src, w == pkt.src ? pkt.dst : w);
-    if (pkt.path.back() != pkt.dst) {
-      const std::vector<std::uint32_t> tail = topo_.route(w, pkt.dst);
-      pkt.path.insert(pkt.path.end(), tail.begin() + 1, tail.end());
-    }
+    std::vector<std::uint8_t>& word = words_[pkt.slot];
+    word.clear();
+    topo_.route_word(pkt.src, w == pkt.src ? pkt.dst : w, word);
+    if (w != pkt.src && w != pkt.dst) topo_.route_word(w, pkt.dst, word);
     return Hop::kMoved;
   }
 
-  Hop advance(Packet& pkt, std::uint32_t, Tally* links) const {
-    if (!alive(pkt.path[pkt.pos + 1])) {
-      const Hop planned = detour(pkt, node(pkt));
-      if (planned != Hop::kMoved) return planned;
-    }
-    const std::uint32_t from = node(pkt);
-    ++pkt.pos;
-    ++pkt.hops;
-    if (links != nullptr) ++(*links)[(std::uint64_t{from} << 32) | node(pkt)];
-    return pkt.pos + 1 < pkt.path.size() ? Hop::kMoved : Hop::kDelivered;
-  }
+  void release(const Packet& p) { free_.push_back(p.slot); }
 
-  void collect_links(const Tally& t, std::vector<LinkCount>& out) const {
-    out.insert(out.end(), t.begin(), t.end());
+  Hop advance(Packet& pkt, std::uint32_t at, std::uint64_t* links) {
+    std::uint8_t port = words_[pkt.slot][pkt.pos];
+    std::uint32_t next = topo_.neighbor(at, port);
+    if (!alive(next)) {
+      const Hop planned = detour(pkt);
+      if (planned != Hop::kMoved) return planned;
+      port = words_[pkt.slot][0];
+      next = topo_.neighbor(at, port);
+    }
+    if (links != nullptr) {
+      ++links[static_cast<std::size_t>(at) * degree_ + port];
+    }
+    pkt.at = next;
+    ++pkt.hops;
+    return ++pkt.pos < words_[pkt.slot].size() ? Hop::kMoved : Hop::kDelivered;
   }
 
  private:
-  /// Plans `pkt` from `from` around the faults. A dead destination is
-  /// unroutable by design.
-  Hop detour(Packet& pkt, std::uint32_t from) const {
+  /// Re-plans `pkt` from where it is around the faults. A dead destination
+  /// is unroutable by design.
+  Hop detour(Packet& pkt) {
     if (!alive(pkt.dst)) return Hop::kNoPath;
-    SimFaultRoute r = topo_.route_avoiding(from, pkt.dst, faulty_);
-    if (!r.ok()) {
-      return r.status == FaultRouteStatus::kUnsupported ? Hop::kUnsupported
-                                                        : Hop::kNoPath;
+    std::vector<std::uint8_t>& word = words_[pkt.slot];
+    word.clear();
+    const FaultRouteStatus status =
+        topo_.route_avoiding_word(pkt.at, pkt.dst, faulty_, {}, word);
+    if (status != FaultRouteStatus::kOk) {
+      return status == FaultRouteStatus::kUnsupported ? Hop::kUnsupported
+                                                      : Hop::kNoPath;
     }
-    pkt.path = std::move(r.path);
     pkt.pos = 0;
     return Hop::kMoved;
   }
 
   const SimTopology& topo_;
+  unsigned degree_;
   bool valiant_;
   std::vector<char> faulty_;  // empty while every node is healthy
+  std::vector<std::vector<std::uint8_t>> words_;  // route slots
+  std::vector<std::uint32_t> free_;               // released slots
 };
 
 /// A delivered packet's trace span, held until the cycle's barrier.
@@ -332,8 +345,11 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
     sh.parked.assign(local, 0);
     sh.slots.resize(static_cast<std::size_t>(local) * sr);
   }
-  // Sink runs only: link tallies and per-node queue-length integrals.
-  typename Router::Tally links = router.tally(sink != nullptr ? n : 0);
+  // Sink runs only: node x port link tallies and per-node queue-length
+  // integrals.
+  const unsigned ports = router.degree();
+  std::vector<std::uint64_t> links(
+      sink != nullptr ? static_cast<std::size_t>(n) * ports : 0, 0);
   std::vector<std::uint64_t> node_occ(sink != nullptr ? n : 0, 0);
 
   sync::Exchange<Packet> exchange(plan.shards());
@@ -372,6 +388,7 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
           lost += std::erase_if(sh.cur, [&](const Packet& p) {
             if (router.node(p) != dead) return false;
             sh.drop(p, Hop::kLost);
+            router.release(p);
             return true;
           });
         }
@@ -390,8 +407,7 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
       for (std::uint64_t si = s_begin; si < s_end; ++si) {
         const auto s = static_cast<unsigned>(si);
         Shard<Router>& sh = shard[s];
-        typename Router::Tally* const tally =
-            sink != nullptr ? &links : nullptr;
+        std::uint64_t* const tally = sink != nullptr ? links.data() : nullptr;
 
         // Injection: fresh packets append behind every resident one, in
         // ascending node order.
@@ -411,9 +427,10 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
             if (measuring) sh.stats.record_injection();
             const Hop planned = router.inject(tv, pkt);
             if (planned == Hop::kMoved) {
-              sh.cur.push_back(std::move(pkt));
+              sh.cur.push_back(pkt);
             } else {
               sh.drop(pkt, planned);
+              router.release(pkt);
             }
           }
         }
@@ -443,7 +460,10 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
                      sh.parked[local]++] =
                 static_cast<std::uint32_t>(sh.moved.size());
             sh.moved.push_back(std::move(pkt));
-          } else if (hop == Hop::kDelivered) {
+            continue;
+          }
+          router.release(pkt);
+          if (hop == Hop::kDelivered) {
             if (pkt.flags & kMeasured) {
               sh.stats.record_delivery(cycle + 1 - pkt.injected_at,
                                        pkt.hops);
@@ -563,14 +583,27 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
   // The link table is ordered by (src, dst) -- the packed key -- so the
   // export is canonical whatever the router's tally order.
   std::vector<LinkCount> by_key;
-  router.collect_links(links, by_key);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (links[i] == 0) continue;
+    const auto u = static_cast<std::uint32_t>(i / ports);
+    by_key.emplace_back(
+        (std::uint64_t{u} << 32) |
+            router.neighbor(u, static_cast<unsigned>(i % ports)),
+        links[i]);
+  }
   std::sort(by_key.begin(), by_key.end());
+  // Ports that share a link (equal keys) merge into one record.
   std::uint64_t moves_total = 0;
   sink->links().reserve(sink->links().size() + by_key.size());
-  for (const auto& [key, count] : by_key) {
+  for (std::size_t i = 0; i < by_key.size(); ++i) {
+    const auto [key, count] = by_key[i];
+    moves_total += count;
+    if (i > 0 && by_key[i - 1].first == key) {
+      sink->links().back().forwarded += count;
+      continue;
+    }
     sink->links().push_back({static_cast<std::uint32_t>(key >> 32),
                              static_cast<std::uint32_t>(key), count, {}});
-    moves_total += count;
   }
 
   obs::MetricsRegistry& reg = sink->metrics();

@@ -10,8 +10,10 @@
 //    Butterfly::step or cube-bit flip, and the per-link tally is keyed by
 //    the hop's generator byte -- no per-packet allocation, ever. The path
 //    router serves any SimTopology: it source-routes at injection with the
-//    topology's own algorithm, and each packet owns its node vector, so
-//    route memory is bounded by the packets in flight.
+//    topology's own algorithm as a port word (SimTopology::route_word) in
+//    a slot recycled through a free list, so route memory is bounded by
+//    the packets in flight and a steady-state run allocates nothing; its
+//    link tally is a flat node x port array.
 //  * Per-shard dense arenas: nodes are partitioned into contiguous shards
 //    (sync::ShardPlan); each shard keeps its resident packets in one dense
 //    vector swept sequentially once per cycle -- per-node FIFO order is the

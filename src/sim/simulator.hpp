@@ -3,7 +3,8 @@
 // Model (deliberately simple and deterministic -- the paper's claims are
 // about path structure, not microarchitecture):
 //  * packets are source routed at injection with the topology's own
-//    algorithm (kNative), or through a random intermediate (kValiant);
+//    algorithm (kNative), or through a random intermediate (kValiant), as
+//    port words (SimTopology::route_word);
 //  * every node forwards at most `service_rate` packets per cycle from its
 //    FIFO (the router bottleneck); buffers are unbounded, so contention
 //    shows up as queueing latency rather than drops;
@@ -16,9 +17,9 @@
 //    top of its cycle, and the packets queued at the dying node are lost
 //    and counted as drops; dead nodes neither send nor receive traffic;
 //  * while the fault set is non-empty, injection plans with
-//    SimTopology::route_avoiding (the Theorem-5 family on HB), otherwise
-//    with the native or Valiant route; a packet whose next hop has died
-//    re-plans from where it is the same way;
+//    SimTopology::route_avoiding_word (the Theorem-5 family on HB),
+//    otherwise with the native or Valiant route; a packet whose next hop
+//    has died re-plans from where it is the same way;
 //  * a failed plan drops the packet, counted under sim.dropped_unroutable
 //    (the faults cut the pair off) or sim.dropped_unsupported (the
 //    topology has no fault routing).

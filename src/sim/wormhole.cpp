@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_set>
@@ -20,18 +21,20 @@
 //  * A packet is a plain record (PktState): endpoints, hop count, stream
 //    cursor, flags, and an offset into three append-only *route arenas*
 //    local to the run -- per hop, the channel id, the VC class, and the VC
-//    the worm holds there once its head has allocated one. Routes are
-//    resolved to channel ids once, at injection, so the advance loop never
-//    looks a channel up; the node a hop enters is chan_ends[c].second.
+//    the worm holds there once its head has allocated one. Port words
+//    (SimTopology::route_word) are resolved to channel ids once, at
+//    injection, so the advance loop never looks a channel up; the node a
+//    hop enters is chan_ends[c].second.
 //  * The online fault re-planner never edits a route in place: it copies
 //    the kept prefix (channels, classes and held VCs) plus the escape
 //    suffix to the arena tail and repoints the packet's offset. Buffered
 //    flits are named by (packet, hop), and the prefix keeps its indices.
-//  * Channel ids come from a dense table of degree_hint() (dst, id) slots
-//    per source node, filled in first-registration order (injection order,
-//    then re-plan order), which is also the advance loop's scan order. A
-//    route leaving a node over more distinct links than degree_hint() is a
-//    topology bug and throws std::logic_error.
+//  * Channel ids come from a dense (node, port) -> id table of
+//    degree_hint() entries per node, filled on first use: ids follow
+//    first-registration order (injection order, then re-plan order), which
+//    is also the advance loop's scan order. Words take the lowest port to
+//    each neighbor, so a link is one channel. A word with a port >=
+//    degree_hint() is a topology bug and throws std::logic_error.
 //  * No flit is stored. A VC is held by one hop of one worm from head
 //    allocation to tail release, and that hop's flits enter it in index
 //    order, at most one per cycle; so a VC is a record (VcState) of owner,
@@ -94,33 +97,28 @@ struct PktState {
 };
 static_assert(std::is_trivially_copyable_v<PktState>);
 
-/// One entry of the dense channel table; dst == kNoChan marks a free slot.
-struct ChanSlot {
-  std::uint32_t dst;
-  std::uint32_t id;
-};
-constexpr std::uint32_t kNoChan = std::numeric_limits<std::uint32_t>::max();
-
-/// Appends the per-hop VC classes of `path` to `cls`, from the ring
-/// structure: direction of a hop is the +-1 movement of (id % arity); a
-/// direction reversal starts a new monotone segment; crossing the wrap edge
-/// bumps the within-segment dateline bit. Non-ring hops (cube edges: level
-/// unchanged) keep the current class and do not end a segment.
+/// Appends the VC classes of the hops `chans` (channel ids, whose ends are
+/// `ends`) to `cls`, from the ring structure: direction of a hop is the +-1
+/// movement of (id % arity); a direction reversal starts a new monotone
+/// segment; crossing the wrap edge bumps the within-segment dateline bit.
+/// Non-ring hops (cube edges: level unchanged) keep the current class and
+/// do not end a segment.
 /// kFaultAdaptive uses the same six segment-dateline base classes; its
 /// seventh (escape) class is never assigned here -- only the online
 /// re-planner places hops there.
-void append_hop_classes(const std::vector<std::uint32_t>& path,
-                        unsigned arity, VcPolicy policy,
-                        std::vector<std::uint8_t>& cls) {
+void append_hop_classes(
+    std::span<const std::uint32_t> chans,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ends,
+    unsigned arity, VcPolicy policy, std::vector<std::uint8_t>& cls) {
   if (policy == VcPolicy::kAnyFree || arity == 0) {
-    cls.insert(cls.end(), path.size() - 1, 0);
+    cls.insert(cls.end(), chans.size(), 0);
     return;
   }
   int last_dir = 0;       // 0 = none yet
   unsigned segment = 0;   // monotone segment index (0..2 for our routers)
   unsigned wrapped = 0;   // crossed wrap within this segment
-  for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-    std::uint32_t lu = path[h] % arity, lv = path[h + 1] % arity;
+  for (const std::uint32_t c : chans) {
+    std::uint32_t lu = ends[c].first % arity, lv = ends[c].second % arity;
     int dir = 0;
     bool wrap = false;
     if (lv == (lu + 1) % arity && lu != lv) {
@@ -285,9 +283,9 @@ WormholeStats run_wormhole(const SimTopology& topo,
   // and re-plan); the advance loop works off the route arenas' channel ids.
   // All per-channel state is in flat arrays indexed by channel id (and
   // vi = c*vcs + q per VC).
-  const unsigned slots = topo.degree_hint();
-  std::vector<ChanSlot> chan_table(std::size_t{n} * slots,
-                                   ChanSlot{kNoChan, 0});
+  const unsigned ports = topo.degree_hint();
+  // (node, port) -> channel id; kFree until the channel is registered.
+  std::vector<std::uint32_t> chan_id(std::size_t{n} * ports, kFree);
   std::uint32_t num_chans = 0;
   std::vector<VcState> vc;  // num_chans * vcs
   std::vector<ChanState> chans;
@@ -300,28 +298,27 @@ WormholeStats run_wormhole(const SimTopology& topo,
   std::vector<std::uint64_t> occ_since;            // first cycle not yet
                                                    // integrated, per VC
 
-  auto channel = [&](std::uint32_t u, std::uint32_t v) -> std::uint32_t {
-    ChanSlot* row = chan_table.data() + std::size_t{u} * slots;
-    for (unsigned k = 0; k < slots; ++k) {
-      if (row[k].dst == v) return row[k].id;
-      if (row[k].dst != kNoChan) continue;
-      row[k] = {v, num_chans};
-      ++num_chans;
-      vc.resize(std::size_t{num_chans} * vcs);
-      chans.push_back({0, 0, have_faults && edge_blocked(u, v)});
-      chan_ends.emplace_back(u, v);
-      active.resize((num_chans + 63) / 64, 0);
-      if (sink != nullptr) {
-        link_forwarded.push_back(0);
-        occ_integral.resize(std::size_t{num_chans} * vcs, 0);
-        occ_since.resize(std::size_t{num_chans} * vcs, 0);
-      }
-      return row[k].id;
+  auto channel = [&](std::uint32_t u, unsigned port) -> std::uint32_t {
+    if (port >= ports) {
+      throw std::logic_error("run_wormhole: a route leaves node " +
+                             std::to_string(u) + " on port " +
+                             std::to_string(port) + " >= degree_hint() = " +
+                             std::to_string(ports));
     }
-    throw std::logic_error("run_wormhole: routes leave node " +
-                           std::to_string(u) + " over more than " +
-                           std::to_string(slots) +
-                           " (degree_hint()) distinct links");
+    std::uint32_t& id = chan_id[std::size_t{u} * ports + port];
+    if (id != kFree) return id;
+    const std::uint32_t v = topo.neighbor(u, port);
+    id = num_chans++;
+    vc.resize(std::size_t{num_chans} * vcs);
+    chans.push_back({0, 0, have_faults && edge_blocked(u, v)});
+    chan_ends.emplace_back(u, v);
+    active.resize((num_chans + 63) / 64, 0);
+    if (sink != nullptr) {
+      link_forwarded.push_back(0);
+      occ_integral.resize(std::size_t{num_chans} * vcs, 0);
+      occ_since.resize(std::size_t{num_chans} * vcs, 0);
+    }
+    return id;
   };
 
   // -- route arenas ----------------------------------------------------------
@@ -331,14 +328,17 @@ WormholeStats run_wormhole(const SimTopology& topo,
   std::vector<std::uint32_t> route_chan;
   std::vector<std::uint8_t> route_cls;
   std::vector<std::uint8_t> route_vc;
-  // Appends the channels of `path` to route_chan; returns the hop count.
-  auto append_channels = [&](const std::vector<std::uint32_t>& path) {
-    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      route_chan.push_back(channel(path[h], path[h + 1]));
+  // Appends the channels of `word`, walked from `u`, to route_chan.
+  auto append_channels = [&](std::uint32_t u,
+                             const std::vector<std::uint8_t>& word) {
+    for (const std::uint8_t port : word) {
+      const std::uint32_t c = channel(u, port);
+      route_chan.push_back(c);
+      u = chan_ends[c].second;
     }
     route_vc.resize(route_chan.size());
-    return path.size() - 1;
   };
+  std::vector<std::uint8_t> word;  // scratch: the route being resolved
   // Narrows an arena offset / hop count to the PktState field widths (hop
   // indices are 16-bit in every VC record).
   auto arena_offset = [](std::size_t at) {
@@ -509,12 +509,15 @@ WormholeStats run_wormhole(const SimTopology& topo,
     for (const auto& [lu, lv] : faults->links) {
       if (lu == cur) banned_scratch.push_back(lv);
     }
-    const SimFaultRoute r =
-        topo.route_avoiding(cur, p.dst, node_fault, banned_scratch);
-    if (!r.ok() || r.path.size() < 2) return false;
+    word.clear();
+    if (topo.route_avoiding_word(cur, p.dst, node_fault, banned_scratch,
+                                 word) != FaultRouteStatus::kOk ||
+        word.empty()) {
+      return false;
+    }
     ++p.replans;
     ++stats.misroutes;
-    stats.escape_hops += r.path.size() - 1;
+    stats.escape_hops += word.size();
     const std::size_t at = route_chan.size();
     auto copy_prefix = [&](auto& arena) {
       arena.resize(at + keep);
@@ -523,10 +526,10 @@ WormholeStats run_wormhole(const SimTopology& topo,
     copy_prefix(route_chan);
     copy_prefix(route_cls);
     copy_prefix(route_vc);
-    const std::size_t suffix = append_channels(r.path);
-    route_cls.insert(route_cls.end(), suffix, escape_cls);
+    append_channels(cur, word);
+    route_cls.insert(route_cls.end(), word.size(), escape_cls);
     p.route = arena_offset(at);
-    p.hops = hop_count(keep + suffix);
+    p.hops = hop_count(keep + word.size());
     return true;
   };
 
@@ -645,16 +648,19 @@ WormholeStats run_wormhole(const SimTopology& topo,
         if (!coin.injects(rng())) continue;
         std::uint32_t dst = traffic.destination(src);
         if (have_faults && node_dead(dst)) continue;  // dead destination
-        const std::vector<std::uint32_t> path = topo.route(src, dst);
-        if (path.size() < 2) continue;
+        word.clear();
+        topo.route_word(src, dst, word);
+        if (word.empty()) continue;
         PktState p;
         p.injected_at = cycle;
         p.src = src;
         p.dst = dst;
         p.measured = measuring;
         p.route = arena_offset(route_chan.size());
-        p.hops = hop_count(append_channels(path));
-        append_hop_classes(path, ring_arity, config.policy, route_cls);
+        p.hops = hop_count(word.size());
+        append_channels(src, word);
+        append_hop_classes(std::span(route_chan).subspan(p.route), chan_ends,
+                           ring_arity, config.policy, route_cls);
         if (p.measured) stats.packets.record_injection();
         if (inject_ts != nullptr) inject_ts->bump(cycle);
         pkts.push_back(p);

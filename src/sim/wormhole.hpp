@@ -28,10 +28,11 @@
 //  * kFaultAdaptive -- the 6 segment-dateline classes plus one reserved
 //    *escape* class (Duato-style): a packet whose next hop is blocked by a
 //    static node/link fault re-plans the rest of its route online via the
-//    Theorem-5 disjoint-path alternatives (SimTopology::route_avoiding) and
-//    runs the replanned suffix entirely in the escape class, which routes
-//    minimally on the fault-free subnetwork. Needs >= 7 VCs. Required
-//    whenever a fault set is passed to run_wormhole.
+//    Theorem-5 disjoint-path alternatives
+//    (SimTopology::route_avoiding_word) and runs the replanned suffix
+//    entirely in the escape class, which routes minimally on the
+//    fault-free subnetwork. Needs >= 7 VCs. Required whenever a fault set
+//    is passed to run_wormhole.
 //
 // The minimum VC count for any policy is vc_classes(policy);
 // validate_wormhole_config derives its diagnostic from that function, so
@@ -138,8 +139,8 @@ struct WormholeStats {
 /// datapath: faulty sources never inject, packets to faulty destinations
 /// are skipped uncounted (mirroring the store-and-forward engine), and a
 /// head flit whose next hop is faulted re-plans online through
-/// topo.route_avoiding, escalating the replanned suffix to the escape VC
-/// class. Requires config.policy == VcPolicy::kFaultAdaptive (throws
+/// topo.route_avoiding_word, escalating the replanned suffix to the escape
+/// VC class. Requires config.policy == VcPolicy::kFaultAdaptive (throws
 /// std::invalid_argument otherwise) and, for the node mask, exactly
 /// num_nodes() entries. Worms with no surviving route (or past
 /// config.misroute_limit re-plans) are killed in place and counted in

@@ -115,18 +115,23 @@ TEST(Wormhole, RejectsVcCountsAndDepthsBeyondTheRecordWidths) {
   EXPECT_TRUE(validate_wormhole_config(cfg).empty());
 }
 
-/// K4 with direct routes: every node sends over three distinct links, while
-/// degree_hint() claims `hint` of them.
+/// K4 with direct routes: port k of v leads to the k-th other node, so
+/// every node sends on ports 0..2, while degree_hint() claims `hint` ports.
 class CompleteGraphK4 final : public SimTopology {
  public:
   explicit CompleteGraphK4(unsigned hint) : hint_(hint) {}
   [[nodiscard]] std::string name() const override { return "K4"; }
   [[nodiscard]] std::uint32_t num_nodes() const override { return 4; }
   [[nodiscard]] unsigned degree_hint() const override { return hint_; }
-  [[nodiscard]] std::vector<std::uint32_t> route(
-      std::uint32_t src, std::uint32_t dst) const override {
-    if (src == dst) return {src};
-    return {src, dst};
+  [[nodiscard]] std::uint32_t neighbor(std::uint32_t v,
+                                       unsigned port) const override {
+    return port < v ? port : port + 1;
+  }
+  void route_word(std::uint32_t src, std::uint32_t dst,
+                  std::vector<std::uint8_t>& out) const override {
+    if (src != dst) {
+      out.push_back(static_cast<std::uint8_t>(dst < src ? dst : dst - 1));
+    }
   }
 
  private:
@@ -134,8 +139,9 @@ class CompleteGraphK4 final : public SimTopology {
 };
 
 TEST(Wormhole, RoutesBeyondDegreeHintThrowLogicError) {
-  // The channel table holds degree_hint() links per node; a topology whose
-  // routes use more must fail loudly, never overflow into a neighbor's row.
+  // The channel table holds degree_hint() ports per node; a topology whose
+  // routes use a higher port must fail loudly, never overflow into a
+  // neighbor's row.
   WormholeConfig cfg;
   cfg.vcs = 1;
   cfg.policy = VcPolicy::kAnyFree;

@@ -51,6 +51,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -331,9 +332,15 @@ bool check_horizon(const Config& cfg, bool store_forward) {
   return false;
 }
 
+/// A failed artifact write; main() prints "cannot write <path>" and exits 1.
+struct WriteError : std::runtime_error {
+  explicit WriteError(const std::string& path)
+      : std::runtime_error("cannot write " + path) {}
+};
+
 /// An output file named on the command line. open() runs before the
 /// engine starts, so a bad path fails before any work; the artifact is
-/// written after the run.
+/// written after the run, and close() reports a write that failed.
 struct OutFile {
   std::string path;
   std::ofstream os;
@@ -347,6 +354,13 @@ struct OutFile {
     std::cerr << "cannot open " << path << "\n";
     return false;
   }
+
+  /// Closes a requested file; throws WriteError when any write failed.
+  void close() {
+    if (path.empty()) return;
+    os.close();
+    if (!os) throw WriteError(path);
+  }
 };
 
 /// Writes a requested artifact and a trailing newline; returns false, and
@@ -356,6 +370,7 @@ bool write_file(OutFile& file, Writer&& writer) {
   if (file.path.empty()) return false;
   writer(file.os);
   file.os << '\n';
+  file.close();
   return true;
 }
 
@@ -485,14 +500,29 @@ struct Streaming {
     flags.push_back(toggle("--progress", progress, true));
   }
 
+  /// The exposition path: --prom-out, else FILE.prom beside --stream-out.
+  [[nodiscard]] std::string prom_path() const {
+    if (!prom_out.empty() || stream_out.empty()) return prom_out;
+    return stream_out + ".prom";
+  }
+
+  /// True when every requested export path can be written; otherwise
+  /// prints "cannot open <path>". The Snapshotter writes best-effort, so
+  /// this runs before the engine, beside OutFile::open.
+  bool open() const {
+    for (const std::string& path : {stream_out, prom_path()}) {
+      if (path.empty() || std::ofstream(path, std::ios::app)) continue;
+      std::cerr << "cannot open " << path << "\n";
+      return false;
+    }
+    return true;
+  }
+
   void start(const char* job) {
     if (!stream_out.empty() || !prom_out.empty()) {
       hbnet::obs::SnapshotterOptions opts;
       opts.stream_path = stream_out;
-      opts.prom_path = !prom_out.empty()
-                           ? prom_out
-                           : (stream_out.empty() ? std::string()
-                                                 : stream_out + ".prom");
+      opts.prom_path = prom_path();
       opts.interval_ms = interval_ms;
       opts.job = job;
       snapshotter =
@@ -601,6 +631,7 @@ int cmd_export(const HyperButterfly& hb, Args args, bool dot) {
   const hbnet::Graph g = hb.to_graph();
   if (!dot) {
     write_edge_list(os, g);
+    file.close();
     return 0;
   }
   hbnet::DotOptions opts;
@@ -612,6 +643,7 @@ int cmd_export(const HyperButterfly& hb, Args args, bool dot) {
                           hb.butterfly().label(v.bfly));
   }
   write_dot(os, g, opts);
+  file.close();
   return 0;
 }
 
@@ -656,7 +688,7 @@ struct ExactFlags {
 /// Corollary-1 value m+4.
 int run_exact_connectivity(const HyperButterfly& hb, ExactFlags& ef,
                            Streaming& streaming) {
-  if (!ef.metrics.open()) return 1;
+  if (!ef.metrics.open() || !streaming.open()) return 1;
   const unsigned m = hb.cube_dimension();
   const unsigned n = hb.butterfly_dimension();
   hbnet::obs::MetricsRegistry metrics;
@@ -878,7 +910,7 @@ int cmd_wormhole(const HyperButterfly& hb, Args args) {
     }
   }
   hbnet::obs::Sink sink;
-  if (!exports.open(sink)) return 1;
+  if (!exports.open(sink) || !streaming.open()) return 1;
   streaming.start("wormhole");
   // The butterfly level coordinate is node id mod n: the ring arity the
   // dateline VC classes are computed from.
@@ -915,7 +947,7 @@ int cmd_sim(const HyperButterfly& hb, Args args) {
     return usage();
   }
   hbnet::obs::Sink sink;
-  if (!exports.open(sink)) return 1;
+  if (!exports.open(sink) || !streaming.open()) return 1;
   streaming.start("sim");
   // Telemetry aggregation is pay-for-what-you-watch: skip it entirely
   // when nothing will be exported (at 10^6+ nodes the link/occupancy
@@ -981,7 +1013,7 @@ int cmd_campaign(const HyperButterfly& hb, Args args) {
           : !check_horizon(cfg.wormhole, false)) {
     return usage();
   }
-  if (!metrics.open() || !csv.open()) return 1;
+  if (!metrics.open() || !csv.open() || !streaming.open()) return 1;
   streaming.start("campaign");
   const camp::CampaignResult result =
       camp::run_campaign(cfg, streaming.board_or_null());
@@ -997,6 +1029,7 @@ int cmd_campaign(const HyperButterfly& hb, Args args) {
   }
   if (!csv.path.empty()) {
     camp::write_campaign_csv(csv.os, result);
+    csv.close();
     std::cout << "csv:     " << csv.path << "\n";
   }
   return 0;
@@ -1081,6 +1114,9 @@ int main(int argc, char** argv) {
   hbnet::obs::FlightRecorder::install_crash_dump();
   try {
     return run(argc, argv);
+  } catch (const WriteError& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

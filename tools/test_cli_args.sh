@@ -214,6 +214,33 @@ expect_reject_silent "wormhole --trace-out bad path" \
 expect_reject_silent "analyze --metrics-out bad path" \
   analyze 1 3 --exact-connectivity --metrics-out "$bad/m.json"
 expect_reject_silent "dot bad path" dot 1 3 "$bad/g.dot"
+# The live-telemetry exports are checked with the artifacts, before the run.
+expect_reject_silent "sim --stream-out bad path" \
+  sim 1 3 --cycles 50 --stream-out "$bad/x.ndjson"
+expect_reject_silent "sim --prom-out bad path" \
+  sim 1 3 --cycles 50 --prom-out "$bad/x.prom"
+expect_reject_silent "analyze --stream-out bad path" \
+  analyze 1 3 --exact-connectivity --stream-out "$bad/x.ndjson"
+expect_reject_silent "analyze --prom-out bad path" \
+  analyze 1 3 --exact-connectivity --prom-out "$bad/x.prom"
+
+# A write that fails after the run (a full device) names the file and
+# exits 1.
+if [ -w /dev/full ]; then
+  for args in "wormhole 1 3 --cycles 50 --metrics-out /dev/full" \
+              "sim 1 3 --cycles 50 --links-csv /dev/full" \
+              "campaign 1 3 --cycles 50 --csv /dev/full"; do
+    # shellcheck disable=SC2086  # $args is a word list on purpose
+    if "$cli" $args >/dev/null 2>/tmp/hbnet_cli_args_err.$$; then
+      echo "FAIL: write to /dev/full exits 0: $cli $args" >&2
+      fails=$((fails + 1))
+    elif ! grep -qF "cannot write /dev/full" /tmp/hbnet_cli_args_err.$$; then
+      echo "FAIL: write to /dev/full not reported: $cli $args" >&2
+      fails=$((fails + 1))
+    fi
+    rm -f /tmp/hbnet_cli_args_err.$$
+  done
+fi
 
 # Well-formed commands must still pass.
 if ! "$cli" info 2 3 >/dev/null; then
