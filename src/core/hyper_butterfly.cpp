@@ -76,7 +76,7 @@ CayleySpec HyperButterfly::cayley_spec() const {
         {g < m_ ? "h" + std::to_string(g)
                 : to_string(static_cast<BflyGen>(g - m_)),
          [this, g](NodeId id) -> NodeId {
-           return static_cast<NodeId>(index_of(apply(node_at(id), g)));
+           return static_cast<NodeId>(neighbor(id, g));
          }});
   }
   return spec;

@@ -164,6 +164,10 @@ class HyperButterfly {
     return {static_cast<CubeWord>(wc >> n_),
             {static_cast<std::uint32_t>(wc & ((HbIndex{1} << n_) - 1)), level}};
   }
+  /// apply() on dense indices: the node generator `gen` leads to from `id`.
+  [[nodiscard]] HbIndex neighbor(HbIndex id, std::uint8_t gen) const {
+    return index_of(apply(node_at(id), gen));
+  }
   /// True iff the vertex is valid for this instance.
   [[nodiscard]] bool contains(HbNode v) const {
     return v.cube < (CubeWord{1} << m_) && v.bfly.word < (1u << n_) &&

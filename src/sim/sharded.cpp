@@ -81,8 +81,8 @@ class HbRouter {
   }
   [[nodiscard]] unsigned degree() const { return degree_; }
   [[nodiscard]] std::uint32_t neighbor(std::uint32_t u, unsigned gen) const {
-    return static_cast<std::uint32_t>(hb_.index_of(
-        hb_.apply(hb_.node_at(u), static_cast<std::uint8_t>(gen))));
+    return static_cast<std::uint32_t>(
+        hb_.neighbor(u, static_cast<std::uint8_t>(gen)));
   }
 
   Hop inject(const StatelessTraffic::CycleView& tv, Packet& pkt) const {
@@ -222,9 +222,11 @@ class PathRouter {
 
  private:
   /// Re-plans `pkt` from where it is around the faults. A dead destination
-  /// is unroutable by design.
+  /// is unroutable by design; a packet already at its destination (a
+  /// Valiant first leg through dst) is delivered where it is, without a hop.
   Hop detour(Packet& pkt) {
     if (!alive(pkt.dst)) return Hop::kNoPath;
+    if (pkt.at == pkt.dst) return Hop::kDelivered;
     std::vector<std::uint8_t>& word = words_[pkt.slot];
     word.clear();
     const FaultRouteStatus status =
@@ -592,16 +594,15 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
         links[i]);
   }
   std::sort(by_key.begin(), by_key.end());
-  // Ports that share a link (equal keys) merge into one record.
+  // Keys are unique: a route hop always takes the lowest port to its next
+  // node, so no two tallied ports of a node share a link.
   std::uint64_t moves_total = 0;
   sink->links().reserve(sink->links().size() + by_key.size());
   for (std::size_t i = 0; i < by_key.size(); ++i) {
     const auto [key, count] = by_key[i];
+    HBNET_DCHECK_MSG(i == 0 || by_key[i - 1].first != key,
+                     "two ports of a node tallied on one link");
     moves_total += count;
-    if (i > 0 && by_key[i - 1].first == key) {
-      sink->links().back().forwarded += count;
-      continue;
-    }
     sink->links().push_back({static_cast<std::uint32_t>(key >> 32),
                              static_cast<std::uint32_t>(key), count, {}});
   }

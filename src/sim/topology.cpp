@@ -47,16 +47,21 @@ std::vector<std::uint32_t> SimTopology::neighbors(std::uint32_t v) const {
 namespace {
 
 /// Appends the ports of `path`, a walk of `net`'s nodes on `topo`, each hop
-/// on the lowest port that reaches its next node.
+/// on the lowest port that reaches its next node. Throws std::logic_error
+/// on a hop that is not an edge.
 template <class Net, class Node>
 void append_ports(const SimTopology& topo, const Net& net,
                   const std::vector<Node>& path,
                   std::vector<std::uint8_t>& out) {
+  const unsigned degree = topo.degree_hint();
   for (std::size_t h = 1; h < path.size(); ++h) {
     const auto cur = static_cast<std::uint32_t>(net.index_of(path[h - 1]));
     const auto next = static_cast<std::uint32_t>(net.index_of(path[h]));
     unsigned port = 0;
-    while (topo.neighbor(cur, port) != next) ++port;
+    while (port < degree && topo.neighbor(cur, port) != next) ++port;
+    if (port == degree) {
+      throw std::logic_error(topo.name() + ": route hop is not an edge");
+    }
     out.push_back(static_cast<std::uint8_t>(port));
   }
 }
@@ -203,8 +208,8 @@ class HyperButterflySim final : public SimTopology {
   [[nodiscard]] unsigned degree_hint() const override { return hb_.degree(); }
   [[nodiscard]] std::uint32_t neighbor(std::uint32_t v,
                                        unsigned port) const override {
-    return static_cast<std::uint32_t>(hb_.index_of(
-        hb_.apply(hb_.node_at(v), static_cast<std::uint8_t>(port))));
+    return static_cast<std::uint32_t>(
+        hb_.neighbor(v, static_cast<std::uint8_t>(port)));
   }
   /// The Section-3 route, walked in closed form by HbImplicitRouter.
   void route_word(std::uint32_t src, std::uint32_t dst,

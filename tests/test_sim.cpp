@@ -11,6 +11,7 @@
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
+#include "sim/traffic.hpp"
 
 namespace hbnet {
 namespace {
@@ -266,6 +267,64 @@ TEST(Simulator, FaultEventsWithoutFtRoutingDropAtInjection) {
   EXPECT_GT(unsupported->value(), stats.injected() / 2);
   EXPECT_LT(stats.delivered() * 2, stats.injected());
   EXPECT_EQ(stats.delivered() + stats.dropped(), stats.injected());
+}
+
+TEST(Simulator, ValiantPacketAtItsDestinationDeliversWhenNextHopDies) {
+  // A Valiant packet whose first leg src -> w passes through dst sits at
+  // dst mid-route. If its next hop dies then, the re-plan finds it already
+  // home: it is delivered there with the hops it took, and no link out of
+  // dst is counted. Scans seeds for a run that injects exactly one such
+  // packet, with the engine's own traffic draw (seed ^ 0x9e3779b97f4a7c15).
+  auto topo = make_hyper_butterfly_sim(1, 3);
+  const std::uint32_t n = topo->num_nodes();
+  SimConfig cfg;
+  cfg.injection_rate = 1.0 / n;
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = 1;
+  cfg.drain_cycles = 100;
+  cfg.routing = RoutingMode::kValiant;
+  std::uint32_t src = 0, dst = 0, w = 0, k = 0;
+  std::vector<std::uint32_t> leg;
+  for (cfg.seed = 1; cfg.seed < 10000; ++cfg.seed) {
+    const StatelessTraffic traffic(cfg.pattern, n,
+                                   cfg.seed ^ 0x9e3779b97f4a7c15ull,
+                                   cfg.injection_rate);
+    const StatelessTraffic::CycleView tv = traffic.at(0);
+    std::vector<std::uint32_t> injecting;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (tv.injects(v)) injecting.push_back(v);
+    }
+    if (injecting.size() != 1) continue;
+    src = injecting[0];
+    dst = tv.destination(src);
+    w = tv.intermediate(src);
+    if (w == src || w == dst) continue;
+    leg = topo->route(src, w);
+    for (std::uint32_t i = 1; i + 1 < leg.size(); ++i) {
+      if (leg[i] == dst) k = i;
+    }
+    if (k != 0) break;
+  }
+  ASSERT_NE(k, 0u) << "no seed injects one packet through its destination";
+
+  // The fault-free run takes both legs: the prediction above is the run.
+  const SimStats full = run_simulation(*topo, cfg);
+  ASSERT_EQ(full.injected(), 1u);
+  EXPECT_EQ(full.mean_hops(),
+            static_cast<double>(leg.size() - 1 + topo->route(w, dst).size() -
+                                1));
+
+  // Kill the hop after dst before the packet gets there.
+  obs::Sink sink;
+  const SimStats stats = run_simulation_with_fault_events(
+      *topo, cfg, {{1, leg[k + 1]}}, &sink);
+  ASSERT_EQ(stats.injected(), 1u);
+  EXPECT_EQ(stats.delivered(), 1u);
+  EXPECT_EQ(stats.mean_hops(), static_cast<double>(k));
+  const obs::Counter* moves = sink.metrics().find_counter("sim.packet_moves");
+  ASSERT_NE(moves, nullptr);
+  EXPECT_EQ(moves->value(), k);
+  for (const obs::LinkStats& l : sink.links()) EXPECT_NE(l.src, dst);
 }
 
 TEST(Simulator, ValiantOnHyperDeBruijnConserves) {

@@ -20,8 +20,9 @@ run reports failed checks.
         --record /tmp/ab/runs.txt
     python3 tools/ab.py --replay /tmp/ab/runs.txt
 
-Each call runs for --seconds, by default BENCHMARK.json's run_seconds.
---record keeps every run's stdout, and --replay analyses such a file again
+Each call runs for BENCHMARK.json's run_seconds, so both sides are
+measured at the benchmark's own run length; the warm-up call runs for
+WARMUP_SECONDS. --record keeps every run's stdout, and --replay analyses such a file again
 without building or running anything. In it, a line `### <side> <seed>
 <pair|holdout>` starts each run's output.
 """
@@ -39,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "WORKTREE"
 SIDES = ("base", "head")
+WARMUP_SECONDS = 1
 
 
 def parse_seeds(text):
@@ -191,9 +193,6 @@ def main():
     ap.add_argument("--workload")
     ap.add_argument("--seeds", default="11-20")
     ap.add_argument("--holdout", type=int)
-    ap.add_argument("--seconds", type=int,
-                    default=benchmark_spec().get("run_seconds", 20),
-                    help="run length per call (default: BENCHMARK.json's)")
     ap.add_argument("--scratch", type=Path)
     ap.add_argument("--record", type=Path, help="write every run's stdout")
     ap.add_argument("--replay", type=Path, help="analyse a --record file")
@@ -202,6 +201,9 @@ def main():
         return analyse(read_record(args.replay))
     if not (args.base and args.head and args.workload and args.scratch):
         ap.error("--base, --head, --workload and --scratch are required")
+    seconds = benchmark_spec().get("run_seconds")
+    if seconds is None:
+        raise SystemExit("ab: BENCHMARK.json has no run_seconds")
 
     scratch = args.scratch.resolve()
     scratch.mkdir(parents=True, exist_ok=True)
@@ -216,11 +218,11 @@ def main():
             materialize(rev, tree)
             trees[side] = (tree, scratch / f"{side}-build")
             print(f"ab: {side} = {rev}, warming up", file=sys.stderr)
-            run_bench(*trees[side], log, args.workload, 0, 1)
+            run_bench(*trees[side], log, args.workload, 0, WARMUP_SECONDS)
         for seed, role, head_first in schedule:
             for side in (SIDES[::-1] if head_first else SIDES):
                 text = run_bench(*trees[side], log, args.workload, seed,
-                                 args.seconds)
+                                 seconds)
                 runs.append((side, seed, role, text))
                 print(f"ab: {side} seed {seed} done", file=sys.stderr)
     if args.record:
