@@ -84,8 +84,8 @@ BENCHMARK(BM_VertexConnectivityThreads)
 
 /// The ConnectivitySweep engine on its fast path, driven exactly the way
 /// `hbnet_cli analyze --exact-connectivity` drives it: single-source
-/// schedule (HB is a Cayley graph, hence vertex transitive), cube-orbit
-/// target reduction, structural pruning, per-worker VertexFlow kernels.
+/// schedule (HB is a Cayley graph, hence vertex transitive), orbit target
+/// reduction, structural pruning, per-worker VertexFlow kernels.
 /// Range is (m, threads, sparsify); compare against
 /// BM_VertexConnectivityThreads for the source-set-reduction speedup.
 /// On HB sparsify is a byte-identity no-op (kappa = degree, so the
@@ -181,8 +181,8 @@ BENCHMARK(BM_VertexConnectivitySparsifyDense)
     ->Unit(benchmark::kMillisecond);
 
 /// One Menger solve as the kappa sweep runs it: source 0 of HB(5,6)
-/// against a fixed set of 64 cube-orbit targets (every 36th of the 2298 in
-/// the schedule), limit m+4 = 9, on the 9-certificate. kernel:0 is the
+/// against a fixed set of 64 orbit targets (every 18th of the 1196 in the
+/// schedule), limit m+4 = 9, on the 9-certificate. kernel:0 is the
 /// explicit vertex-split Dinic reference (detail::split_solve), kernel:1
 /// the implicit-split VertexFlow the sweep uses. One iteration solves all
 /// 64 targets; the solves_per_s counter gives the per-solve rate.
@@ -202,7 +202,7 @@ void BM_VertexFlowSolve(benchmark::State& state) {
     }
   }
   std::vector<hbnet::NodeId> sample;
-  for (std::size_t i = 0; i < targets.size() && sample.size() < 64; i += 36) {
+  for (std::size_t i = 0; i < targets.size() && sample.size() < 64; i += 18) {
     sample.push_back(targets[i]);
   }
   const bool implicit = state.range(0) != 0;

@@ -81,7 +81,8 @@ BENCHMARK(BM_FaultRoute)->Arg(0)->Arg(3)->Arg(6)->Unit(benchmark::kMicrosecond);
 // route_avoiding) around m+3 random node faults. Args: m, n, warm. Warm:
 // every relative position is already planned, so a call replays stored
 // generator bytes. Cold: every call plans a new relative position (one
-// Theorem-5 construction, with max flow on the B_n layer).
+// Theorem-5 construction; max flow on the B_n layer only when its
+// butterfly position is new to the planner).
 void BM_RouteAvoiding(benchmark::State& state) {
   const auto m = static_cast<unsigned>(state.range(0));
   const auto n = static_cast<unsigned>(state.range(1));

@@ -42,9 +42,13 @@
 // relative position u^-1·v. Pairs with the same relative position therefore
 // get the same family as generator sequences, which is what lets the
 // fault planner (core/fault_routing.hpp) plan each relative position once
-// and replay it from any source. The members are listed in construction
-// order (Case 1-3 order above); the fault router inspects them by
-// (length, construction index).
+// and replay it from any source. Q_1..Q_4 depend only on the butterfly
+// part b' of the relative position (theorem5_butterfly_paths), so the
+// planner runs one B_n flow per butterfly position, not per relative
+// position. The same translation argument lets audit_disjoint_paths check
+// only the families from e. The members are listed in construction order
+// (Case 1-3 order above); the fault router inspects them by (length,
+// construction index).
 
 #include <atomic>
 #include <mutex>
@@ -62,12 +66,12 @@ namespace {
 
 using HbPath = std::vector<HbNode>;
 
-/// The 4 internally disjoint b->b' paths in B_n, as butterfly vertex
-/// sequences. Uses unit-capacity max flow on the materialized layer; when
-/// b ~ b' the direct edge becomes path 0 and the remaining three avoid it.
-std::vector<std::vector<BflyNode>> butterfly_disjoint_paths(
-    const Butterfly& bf, const Graph& layer, BflyNode b, BflyNode b2) {
-  const NodeId s = bf.index_of(b), t = bf.index_of(b2);
+}  // namespace
+
+BflyPaths theorem5_butterfly_paths(const HyperButterfly& hb, BflyNode b2) {
+  const Butterfly& bf = hb.butterfly();
+  const Graph& layer = hb.butterfly_graph();
+  const NodeId s = bf.index_of(BflyNode{}), t = bf.index_of(b2);
   std::vector<Path> raw;
   if (layer.has_edge(s, t)) {
     raw.push_back({s, t});
@@ -79,10 +83,10 @@ std::vector<std::vector<BflyNode>> butterfly_disjoint_paths(
   }
   if (raw.size() != 4) {
     throw std::logic_error(
-        "butterfly_disjoint_paths: expected exactly 4 disjoint paths, got " +
+        "theorem5_butterfly_paths: expected exactly 4 disjoint paths, got " +
         std::to_string(raw.size()));
   }
-  std::vector<std::vector<BflyNode>> out;
+  BflyPaths out;
   out.reserve(4);
   for (const Path& p : raw) {
     std::vector<BflyNode> nodes;
@@ -93,9 +97,9 @@ std::vector<std::vector<BflyNode>> butterfly_disjoint_paths(
   return out;
 }
 
-/// The Case 1-3 family from the identity e = (0, (0, 0)) to v != e, in
-/// construction order.
-std::vector<HbPath> family_from_identity(const HyperButterfly& hb, HbNode v) {
+std::vector<std::vector<HbNode>> theorem5_family(const HyperButterfly& hb,
+                                                 HbNode v,
+                                                 const BflyPaths& Q) {
   const Hypercube& cube = hb.hypercube();
   const Butterfly& bfly = hb.butterfly();
   const unsigned m = hb.cube_dimension();
@@ -135,8 +139,7 @@ std::vector<HbPath> family_from_identity(const HyperButterfly& hb, HbNode v) {
       p.push_back(v);
       paths.push_back(std::move(p));
     }
-    for (const auto& q : butterfly_disjoint_paths(bfly, hb.butterfly_graph(),
-                                                  b, b2)) {
+    for (const auto& q : Q) {
       HbPath lifted;
       lifted.reserve(q.size());
       for (BflyNode z : q) lifted.push_back({h, z});
@@ -147,7 +150,6 @@ std::vector<HbPath> family_from_identity(const HyperButterfly& hb, HbNode v) {
 
   // Case 3: both parts differ.
   const auto P = cube.disjoint_paths(h, h2);
-  const auto Q = butterfly_disjoint_paths(bfly, hb.butterfly_graph(), b, b2);
   // Spines: the direct edge (length-1 path) when present, else index 0.
   std::size_t i0 = 0, j0 = 0;
   for (std::size_t i = 0; i < P.size(); ++i) {
@@ -190,14 +192,16 @@ std::vector<HbPath> family_from_identity(const HyperButterfly& hb, HbNode v) {
   return paths;
 }
 
-}  // namespace
-
 std::vector<std::vector<HbNode>> HyperButterfly::disjoint_paths(
     HbNode u, HbNode v) const {
   if (u == v) {
     throw std::invalid_argument("HyperButterfly::disjoint_paths: u == v");
   }
-  std::vector<HbPath> paths = family_from_identity(*this, relative(u, v));
+  const HbNode r = relative(u, v);
+  const BflyPaths q = r.bfly == BflyNode{}
+                          ? BflyPaths{}
+                          : theorem5_butterfly_paths(*this, r.bfly);
+  std::vector<HbPath> paths = theorem5_family(*this, r, q);
   for (HbPath& p : paths) {
     for (HbNode& x : p) x = translate(u, x);
   }
@@ -213,23 +217,21 @@ DisjointPathsAudit audit_disjoint_paths(const HyperButterfly& hb,
   // happens-before every pool worker starts.
   (void)hb.butterfly_graph();
   const std::uint64_t n = hb.num_nodes();
-  const std::uint64_t total = n * (n - 1);  // ordered pairs, k -> (u, v)
   const std::uint32_t expected = hb.degree();
-  std::atomic<std::uint64_t> first_bad{total};  // lowest failing pair index
+  // One family per target v != e; translation covers every other source.
+  const std::uint64_t targets = n - 1;
+  std::atomic<std::uint64_t> first_bad{targets};  // lowest failing task
   std::mutex mu;
   std::vector<std::pair<std::uint64_t, std::string>> failures;
   par::ThreadPool pool(threads);
-  pool.parallel_for(total, [&](std::uint64_t k) {
-    // Cheap early exit once some lower pair already failed; harmless for
+  pool.parallel_for(targets, [&](std::uint64_t k) {
+    // Cheap early exit once some lower target already failed; harmless for
     // determinism because only the minimum failure index is reported.
     if (k > first_bad.load(std::memory_order_relaxed)) return;
-    const std::uint64_t u = k / (n - 1);
-    std::uint64_t v = k % (n - 1);
-    if (v >= u) ++v;
+    const std::uint64_t v = k + 1;
     std::string error;
     try {
-      const auto family =
-          hb.disjoint_paths(hb.node_at(u), hb.node_at(v));
+      const auto family = hb.disjoint_paths(HbNode{}, hb.node_at(v));
       if (family.size() != expected) {
         std::ostringstream os;
         os << "expected " << expected << " paths, got " << family.size();
@@ -244,8 +246,8 @@ DisjointPathsAudit audit_disjoint_paths(const HyperButterfly& hb,
               static_cast<NodeId>(hb.index_of(w)));
           paths.push_back(std::move(ids));
         }
-        PathFamilyCheck check = check_disjoint_paths(
-            g, paths, static_cast<NodeId>(u), static_cast<NodeId>(v));
+        PathFamilyCheck check =
+            check_disjoint_paths(g, paths, 0, static_cast<NodeId>(v));
         if (!check.ok) error = check.error;
       }
     } catch (const std::exception& e) {
@@ -257,18 +259,18 @@ DisjointPathsAudit audit_disjoint_paths(const HyperButterfly& hb,
                              seen, k, std::memory_order_relaxed)) {
       }
       std::ostringstream os;
-      os << "pair (" << u << " -> " << v << "): " << error;
+      os << "pair (0 -> " << v << "): " << error;
       std::lock_guard<std::mutex> lock(mu);
       // Completion order varies run to run, but the reported failure is
-      // selected below by the minimal pair index k (first_bad), which is
+      // selected below by the minimal task index k (first_bad), which is
       // order-independent.
       failures.emplace_back(k, os.str());  // hblint: allow(parallel-capture)
     }
   });
   DisjointPathsAudit audit;
-  audit.pairs_checked = total;
+  audit.pairs_checked = n * (n - 1);
   const std::uint64_t bad = first_bad.load();
-  if (bad != total) {
+  if (bad != targets) {
     audit.ok = false;
     for (const auto& [k, msg] : failures) {
       if (k == bad) audit.error = msg;

@@ -85,12 +85,10 @@ FaultRouteResult route_around_faults_impl(const HyperButterfly& hb, HbNode u,
   return r;
 }
 
-}  // namespace
-
-void HbFaultPlanner::plan(const HyperButterfly& hb, HbNode r,
-                          std::vector<std::uint8_t>& out) {
-  const std::vector<std::vector<HbNode>> family =
-      hb.disjoint_paths(HbNode{}, r);
+/// Appends `family` (from the identity) to `out` in the stored form.
+void append_family(const HyperButterfly& hb,
+                   const std::vector<std::vector<HbNode>>& family,
+                   std::vector<std::uint8_t>& out) {
   std::vector<std::size_t> order(family.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
@@ -102,8 +100,42 @@ void HbFaultPlanner::plan(const HyperButterfly& hb, HbNode r,
     for (std::size_t i = 1; i < path.size(); ++i) {
       out.push_back(generator_byte(hb, path[i - 1], path[i]));
     }
-    out.push_back(kEnd);
+    out.push_back(HbFaultPlanner::kEnd);
   }
+}
+
+}  // namespace
+
+void HbFaultPlanner::plan(const HyperButterfly& hb, HbNode r,
+                          std::vector<std::uint8_t>& out) {
+  append_family(hb, hb.disjoint_paths(HbNode{}, r), out);
+}
+
+BflyPaths HbFaultPlanner::butterfly_paths(BflyNode b) {
+  const Butterfly& bfly = hb_->butterfly();
+  if (bfly_offset_.empty()) bfly_offset_.assign(bfly.num_nodes(), kUnplanned);
+  std::uint32_t& at = bfly_offset_[bfly.index_of(b)];
+  if (at == kUnplanned) {
+    at = static_cast<std::uint32_t>(bfly_arena_.size());
+    const unsigned m = hb_->cube_dimension();
+    for (const std::vector<BflyNode>& q : theorem5_butterfly_paths(*hb_, b)) {
+      for (std::size_t i = 1; i < q.size(); ++i) {
+        bfly_arena_.push_back(static_cast<std::uint8_t>(
+            generator_byte(*hb_, {0, q[i - 1]}, {0, q[i]}) - m));
+      }
+      bfly_arena_.push_back(kEnd);
+    }
+  }
+  BflyPaths out(Butterfly::degree());
+  const std::uint8_t* p = bfly_arena_.data() + at;
+  for (std::vector<BflyNode>& q : out) {
+    q.push_back(BflyNode{});
+    for (; *p != kEnd; ++p) {
+      q.push_back(bfly.apply(q.back(), static_cast<BflyGen>(*p)));
+    }
+    ++p;
+  }
+  return out;
 }
 
 const std::uint8_t* HbFaultPlanner::family(HbNode r) {
@@ -111,7 +143,9 @@ const std::uint8_t* HbFaultPlanner::family(HbNode r) {
   std::uint32_t& at = offset_[hb_->index_of(r)];
   if (at == kUnplanned) {
     const auto start = static_cast<std::uint32_t>(arena_.size());
-    plan(*hb_, r, arena_);
+    const BflyPaths q =
+        r.bfly == BflyNode{} ? BflyPaths{} : butterfly_paths(r.bfly);
+    append_family(*hb_, theorem5_family(*hb_, r, q), arena_);
     at = start;
   }
   return arena_.data() + at;

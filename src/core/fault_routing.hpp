@@ -43,12 +43,16 @@ struct FaultRouteResult {
 ///
 /// A family is stored as m+4 members, each a sequence of generator bytes
 /// (HyperButterfly::apply) closed by kEnd, in (length, construction index)
-/// order. The planner fills one flat byte
-/// arena lazily: the first route to a relative position runs the Theorem-5
-/// construction (unit-capacity max flow on the B_n layer) once, and every
-/// later route from any source replays the bytes. Nothing is allocated
-/// before the first planned route. Results never depend on what the memo
-/// already holds. One planner must not serve concurrent calls.
+/// order. The planner fills one flat byte arena lazily: the first route to
+/// a relative position runs the Theorem-5 construction once, and every
+/// later route from any source replays the bytes. The construction's
+/// butterfly paths Q_1..Q_4 depend only on the butterfly part of the
+/// relative position, so they get a second lazy arena (BflyGen bytes, 4
+/// members closed by kEnd per butterfly position): unit-capacity max flow
+/// on the B_n layer runs once per butterfly position, not once per
+/// relative position. Nothing is allocated before the first planned route.
+/// Results never depend on what either memo already holds. One planner
+/// must not serve concurrent calls.
 class HbFaultPlanner {
  public:
   static constexpr std::uint8_t kEnd = 0xff;
@@ -141,9 +145,14 @@ class HbFaultPlanner {
  private:
   static constexpr std::uint32_t kUnplanned = ~std::uint32_t{0};
 
+  /// Q_1..Q_4 to butterfly position b != (0, 0), planned on first use.
+  [[nodiscard]] BflyPaths butterfly_paths(BflyNode b);
+
   const HyperButterfly* hb_;
   std::vector<std::uint32_t> offset_;  // arena offset per relative position
   std::vector<std::uint8_t> arena_;
+  std::vector<std::uint32_t> bfly_offset_;  // per butterfly position
+  std::vector<std::uint8_t> bfly_arena_;
 };
 
 /// Routes u -> v avoiding `faults` using the Theorem-5 disjoint-path family;

@@ -226,20 +226,43 @@ class HbImplicitRouter {
   Butterfly bfly_;
 };
 
+/// Butterfly vertex sequences, one per path.
+using BflyPaths = std::vector<std::vector<BflyNode>>;
+
+/// Q_1..Q_4 of the Theorem-5 construction: four internally disjoint B_n
+/// paths from (0, 0) to b != (0, 0), by unit-capacity max flow on
+/// hb.butterfly_graph(); when b is adjacent to (0, 0) the direct edge is
+/// Q_1. They depend on b alone, so HbFaultPlanner plans them once per
+/// butterfly position. Implemented in core/disjoint_paths.cpp.
+[[nodiscard]] BflyPaths theorem5_butterfly_paths(const HyperButterfly& hb,
+                                                 BflyNode b);
+
+/// The Theorem-5 family from the identity e to r != e, in construction
+/// order, built on q = theorem5_butterfly_paths(hb, r.bfly) (q is not read,
+/// and may be empty, when r.bfly == (0, 0)). disjoint_paths(u, v) is the
+/// translate by u of theorem5_family(hb, u^-1·v, ...).
+[[nodiscard]] std::vector<std::vector<HbNode>> theorem5_family(
+    const HyperButterfly& hb, HbNode r, const BflyPaths& q);
+
 /// Result of sweeping the Theorem-5 construction over vertex pairs.
 struct DisjointPathsAudit {
   bool ok = true;
-  std::uint64_t pairs_checked = 0;  // == all ordered pairs when ok
-  std::string error;  // lowest-pair-index violation when !ok, else empty
+  std::uint64_t pairs_checked = 0;  // all ordered pairs, N(N-1)
+  std::string error;  // lowest-target violation "pair (0 -> v): ..." when
+                      // !ok, else empty
 };
 
-/// Verifies Theorem 5 operationally: for every ordered pair (u, v) of
-/// distinct vertices, constructs the m+4 disjoint paths and validates them
+/// Verifies Theorem 5 operationally for every ordered pair (u, v) of
+/// distinct vertices, modulo translation: the family of (u, v) is the
+/// translate by u of the family of (e, u^-1·v), and left translation is a
+/// label-preserving automorphism, so it suffices to construct the m+4
+/// paths from e to each of the N-1 other vertices and validate them
 /// against the materialized graph (count, endpoints, edges, internal
-/// disjointness). The pair sweep runs on the hbnet::par pool (`threads`;
+/// disjointness). pairs_checked still counts all N(N-1) ordered pairs that
+/// this covers. The sweep runs on the hbnet::par pool (`threads`;
 /// 0 = par::default_threads()); the reported violation, if any, is the one
-/// with the lowest pair index, so the outcome is thread-count independent.
-/// Implemented in core/disjoint_paths.cpp.
+/// with the lowest target index, so the outcome is thread-count
+/// independent. Implemented in core/disjoint_paths.cpp.
 [[nodiscard]] DisjointPathsAudit audit_disjoint_paths(const HyperButterfly& hb,
                                                       unsigned threads = 0);
 

@@ -48,6 +48,33 @@ Graph to_graph(const AdjacencyProvider& adj) {
   return Graph(std::move(offsets), std::move(columns));
 }
 
+/// The sorted adjacency of `s`, copied out of the provider.
+std::vector<NodeId> adjacency_of(const AdjacencyProvider& adj, NodeId s) {
+  NeighborScratch scratch(adj);
+  const std::span<const NodeId> nb = adj.neighbors(s, scratch.data());
+  return {nb.begin(), nb.end()};
+}
+
+/// The targets of source `s`: every non-neighbor, ascending (merge walk
+/// against the sorted adjacency); with an orbit map, only orbit
+/// representatives (kappa(s, t) == kappa(s, rep(t)), so the minimum over
+/// representatives is the minimum over all targets).
+std::vector<NodeId> targets_of(NodeId n, NodeId s,
+                               const std::vector<NodeId>& s_adj,
+                               const std::function<NodeId(NodeId)>& rep) {
+  std::vector<NodeId> targets;
+  targets.reserve(n - 1 - static_cast<NodeId>(s_adj.size()));
+  std::size_t j = 0;
+  for (NodeId t = 0; t < n; ++t) {
+    if (t == s) continue;
+    while (j < s_adj.size() && s_adj[j] < t) ++j;
+    if (j < s_adj.size() && s_adj[j] == t) continue;
+    if (rep && rep(t) != t) continue;
+    targets.push_back(t);
+  }
+  return targets;
+}
+
 }  // namespace
 
 namespace detail {
@@ -124,8 +151,13 @@ std::string serialize_checkpoint(const SweepState& st) {
      << "schedule "
      << (st.orbit ? "single-source-orbits"
                   : st.single_source ? "single-source" : "even-tarjan")
-     << " block=" << st.block_size << '\n'
-     << "progress stages=" << st.stages_done << " blocks=" << st.blocks_done
+     << " block=" << st.block_size << '\n';
+  if (st.orbit) {
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016" PRIx64, st.orbit_digest);
+    os << "targets count=" << st.orbit_targets << " fnv=" << digest << '\n';
+  }
+  os << "progress stages=" << st.stages_done << " blocks=" << st.blocks_done
      << " bound=" << st.bound << '\n'
      << "work solves=" << st.solves << " pruned=" << st.pruned << '\n'
      << "complete " << (st.complete ? 1 : 0) << '\n';
@@ -162,8 +194,18 @@ std::optional<SweepState> parse_checkpoint(const std::string& text) {
   } else if (sched != "even-tarjan") {
     return std::nullopt;
   }
-  if (!std::getline(is, line) ||
-      std::sscanf(line.c_str(),
+  if (!std::getline(is, line)) return std::nullopt;
+  // The orbit schedule's target-list line; a checkpoint without it parses
+  // (orbit_targets == 0) and is then refused as a schedule mismatch.
+  if (st.orbit && line.starts_with("targets ")) {
+    if (std::sscanf(line.c_str(),
+                    "targets count=%" SCNu64 " fnv=%" SCNx64,
+                    &st.orbit_targets, &st.orbit_digest) != 2 ||
+        !std::getline(is, line)) {
+      return std::nullopt;
+    }
+  }
+  if (std::sscanf(line.c_str(),
                   "progress stages=%" SCNu32 " blocks=%" SCNu32
                   " bound=%" SCNu32,
                   &st.stages_done, &st.blocks_done, &st.bound) != 3) {
@@ -256,8 +298,14 @@ void ConnectivitySweep::init() {
                      std::make_pair(adj_.degree(b), b);
             });
   if (state_.orbit) {
-    HBNET_DCHECK_MSG(opts_.orbit_rep(source_order_[0]) == source_order_[0],
+    const NodeId s = source_order_[0];
+    HBNET_DCHECK_MSG(opts_.orbit_rep(s) == s,
                      "orbit_rep must fix the scanned source");
+    const std::vector<NodeId> targets =
+        targets_of(n, s, adjacency_of(adj_, s), opts_.orbit_rep);
+    state_.orbit_targets = targets.size();
+    state_.orbit_digest = detail::kFnv1aBasis;
+    for (NodeId t : targets) detail::fnv1a_mix(state_.orbit_digest, t);
   }
   if (!opts_.checkpoint_path.empty()) {
     if (std::optional<SweepState> loaded =
@@ -268,6 +316,10 @@ void ConnectivitySweep::init() {
       }
       if (err.empty() && loaded->orbit != state_.orbit) {
         err = "checkpoint schedule mismatch (orbit reduction)";
+      }
+      if (err.empty() && (loaded->orbit_targets != state_.orbit_targets ||
+                          loaded->orbit_digest != state_.orbit_digest)) {
+        err = "checkpoint schedule mismatch (orbit target list)";
       }
       if (err.empty() && loaded->block_size != state_.block_size) {
         err = "checkpoint block size mismatch";
@@ -391,28 +443,9 @@ ExactConnectivityResult ConnectivitySweep::run() {
     const NodeId s = source_order_[state_.stages_done];
     // The source adjacency is read once per stage and shared by every
     // worker (pruning intersects against it).
-    std::vector<NodeId> s_adj;
-    {
-      NeighborScratch s_scratch(adj_);
-      const std::span<const NodeId> nb = adj_.neighbors(s, s_scratch.data());
-      s_adj.assign(nb.begin(), nb.end());
-    }
-    // Targets: every non-neighbor of s, ascending (merge walk against the
-    // sorted adjacency); under the orbit schedule, only orbit
-    // representatives (kappa(s, t) == kappa(s, rep(t)), so the minimum
-    // over representatives is the minimum over all targets).
-    std::vector<NodeId> targets;
-    targets.reserve(n - 1 - static_cast<NodeId>(s_adj.size()));
-    {
-      std::size_t j = 0;
-      for (NodeId t = 0; t < n; ++t) {
-        if (t == s) continue;
-        while (j < s_adj.size() && s_adj[j] < t) ++j;
-        if (j < s_adj.size() && s_adj[j] == t) continue;
-        if (state_.orbit && opts_.orbit_rep(t) != t) continue;
-        targets.push_back(t);
-      }
-    }
+    const std::vector<NodeId> s_adj = adjacency_of(adj_, s);
+    const std::vector<NodeId> targets =
+        targets_of(n, s, s_adj, opts_.orbit_rep);
     const std::uint32_t num_blocks = static_cast<std::uint32_t>(
         (targets.size() + opts_.block_size - 1) / opts_.block_size);
     if (num_blocks == 0) {

@@ -85,9 +85,14 @@ struct SweepOptions {
   /// automorphisms fixing the scanned source, and must satisfy rep(rep(v))
   /// == rep(v) and rep(source) == source. Only targets that are their own
   /// representative are solved -- exact because kappa(source, v) ==
-  /// kappa(source, rep(v)). Requires vertex_transitive; changes the
-  /// checkpoint schedule token (a non-orbit checkpoint restarts cleanly).
-  /// For HB(m,n) use hb_cube_orbit_representative (topology/hb_implicit.hpp).
+  /// kappa(source, rep(v)), and with `sparsify` too: a k-certificate C keeps
+  /// kappa_C(s, t) == min(k, kappa_G(s, t)), so C agrees on t and rep(t)
+  /// even where C itself is not invariant under the automorphism. Requires
+  /// vertex_transitive. The checkpoint records the schedule token plus the
+  /// count and digest of the resulting target list, so a checkpoint written
+  /// under another map (or none) restarts cleanly.
+  /// For HB(m,n) use hb_cube_orbit_representative (topology/hb_implicit.hpp):
+  /// cube-coordinate permutations and the butterfly level reflection.
   std::function<NodeId(NodeId)> orbit_rep;
   /// Stop (with ExactConnectivityResult::complete == false) after this many
   /// blocks in this run; 0 = run to completion. Test hook for kill/resume.
@@ -126,6 +131,11 @@ struct SweepState {
   bool single_source = false;
   bool orbit = false;  // single-source with target-orbit reduction
   std::uint32_t block_size = 0;
+  // Orbit schedule only: size and FNV-1a digest of the scanned source's
+  // target list, so a checkpoint never resumes block positions of another
+  // representative map's targets (0 / 0 = not recorded).
+  std::uint64_t orbit_targets = 0;
+  std::uint64_t orbit_digest = 0;
   // Position: stages_done sources fully scanned, plus blocks_done blocks of
   // the current stage. Normalized: a finished stage rolls over to
   // (stages_done + 1, 0) before being persisted.

@@ -79,6 +79,12 @@ std::string validate(const SweepState& st) {
   if (st.orbit && !st.single_source) {
     return "orbit schedule recorded without single-source";
   }
+  if (!st.orbit && (st.orbit_targets != 0 || st.orbit_digest != 0)) {
+    return "orbit target list recorded without the orbit schedule";
+  }
+  if (st.orbit_targets > st.num_nodes) {
+    return "orbit target count exceeds the node count";
+  }
   return {};
 }
 

@@ -1,5 +1,6 @@
 #include "topology/hb_implicit.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -74,13 +75,22 @@ std::string HbImplicitAdjacency::describe() const {
 }
 
 NodeId hb_cube_orbit_representative(unsigned m, unsigned n, NodeId v) {
+  (void)m;
   const NodeId per_cube = static_cast<NodeId>(n) << n;  // n * 2^n indices
   const NodeId cube = v / per_cube;
-  const NodeId rest = v % per_cube;
-  const int weight = std::popcount(cube);
-  (void)m;
-  const NodeId rep_cube = (NodeId{1} << weight) - 1;  // low-bits mask
-  return rep_cube * per_cube + rest;
+  const NodeId rest = v % per_cube;  // word * n + level
+  const NodeId word = rest / n;
+  const NodeId level = rest % n;
+  // The level reflection: (w, l) -> (reverse_n(w), -l mod n).
+  NodeId reversed = 0;
+  for (unsigned k = 0; k < n; ++k) {
+    reversed |= ((word >> k) & 1) << (n - 1 - k);
+  }
+  const NodeId reflected = reversed * n + (level == 0 ? 0 : n - level);
+  // The cube part is the most significant, so the orbit minimum is the
+  // low-bits mask of the same popcount over the smaller butterfly part.
+  const NodeId rep_cube = (NodeId{1} << std::popcount(cube)) - 1;
+  return rep_cube * per_cube + std::min(rest, reflected);
 }
 
 }  // namespace hbnet

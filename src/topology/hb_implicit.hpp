@@ -5,9 +5,9 @@
 // Vertex ids use the same dense index as HyperButterfly::index_of --
 // ((cube << n) | word) * n + level -- so results (kappa, BFS distances,
 // sweep checkpoint positions) are directly comparable with the CSR path, and
-// the cube-permutation orbit reduction below applies to both adjacency
-// modes. Memory per instance: O(1); HB(5,4) needs 2048 * 9 / 2 = 9216 CSR
-// edge slots materialized, zero here.
+// the orbit reduction below (cube permutations and the level reflection)
+// applies to both adjacency modes. Memory per instance: O(1); HB(5,4)
+// needs 2048 * 9 / 2 = 9216 CSR edge slots materialized, zero here.
 #pragma once
 
 #include <cstdint>
@@ -56,14 +56,23 @@ class HbImplicitAdjacency final : public AdjacencyProvider {
   unsigned m_, n_;
 };
 
-/// Orbit representative of `v` under the cube-bit permutation subgroup of
-/// Aut(HB(m,n)): every permutation pi of the m hypercube coordinates maps
-/// (c, w, l) -> (pi(c), w, l) and is an automorphism fixing vertex 0, so
-/// kappa(0, v) depends on the cube part only through its popcount. The
-/// representative keeps (word, level) and canonicalizes the cube part to
-/// the low-bits mask of the same popcount -- the minimum index in the
-/// orbit. Feed this to SweepOptions::orbit_rep to shrink the single-source
-/// target set by a factor of 2^m / (m+1).
+/// Orbit representative of `v` under S_m x <sigma>, a subgroup of the
+/// automorphisms of HB(m,n) that fix vertex 0 = (0, (0, 0)):
+///  * every permutation pi of the m hypercube coordinates maps
+///    (c, w, l) -> (pi(c), w, l);
+///  * the butterfly level reflection sigma maps (c, w, l) ->
+///    (c, reverse_n(w), -l mod n), where reverse_n moves word bit k to bit
+///    n-1-k. It swaps g with g^-1 and f with f^-1, so it maps every edge to
+///    an edge, and it commutes with every pi.
+/// So kappa(0, v) == kappa(0, rep(v)). The representative is the minimum
+/// index in the orbit: the cube part becomes the low-bits mask of the same
+/// popcount, and the butterfly part the smaller of (w, l) and sigma(w, l).
+/// The reduction stays exact when the sweep solves on a k-certificate C
+/// (SweepOptions::sparsify): C need not be sigma-invariant, but it keeps
+/// kappa_C(0, t) == min(k, kappa_G(0, t)) == kappa_C(0, sigma(t)).
+/// Feed this to SweepOptions::orbit_rep: it shrinks the single-source
+/// target set by about 2^(m+1) / (m+1) (HB(5,6): 12,278 non-neighbors of
+/// vertex 0 -> 1,196 targets).
 [[nodiscard]] NodeId hb_cube_orbit_representative(unsigned m, unsigned n,
                                                   NodeId v);
 

@@ -1,12 +1,11 @@
 // The neighborhood-provider layer (graph/adjacency.hpp): CSR / implicit
 // equivalence on real HB instances, fingerprint compatibility between the
 // generic digest and graph_fingerprint, Nagamochi-Ibaraki certificate
-// properties (edge bound, cut preservation, determinism), and the
-// cube-orbit representative map.
+// properties (edge bound, cut preservation, determinism), and the orbit
+// representative map (cube permutations and the level reflection).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -128,20 +127,84 @@ TEST(Adjacency, ConnectivityEntryPointsAcceptProviders) {
   EXPECT_EQ(edge_connectivity(csr, 0, /*sparsify=*/true), 6u);
 }
 
-TEST(OrbitRepresentative, IsCanonicalAndPreservesKappa) {
-  const unsigned m = 3, n = 3;
-  HyperButterfly hb(m, n);
-  const NodeId per_cube = static_cast<NodeId>(n) << n;
-  for (NodeId v = 0; v < hb.num_nodes(); ++v) {
-    const NodeId rep = hb_cube_orbit_representative(m, n, v);
-    // Idempotent, fixes the scanned source's cube class, keeps (word,level).
-    EXPECT_EQ(hb_cube_orbit_representative(m, n, rep), rep);
-    EXPECT_EQ(rep % per_cube, v % per_cube);
-    // The representative's cube part is the low-bits mask of equal popcount.
-    const unsigned pc = std::popcount(v / per_cube);
-    EXPECT_EQ(rep / per_cube, (NodeId{1} << pc) - 1);
+/// The butterfly level reflection sigma(c, w, l) = (c, reverse_n(w),
+/// -l mod n), written out from its definition.
+HbNode reflect(unsigned n, HbNode v) {
+  std::uint32_t reversed = 0;
+  for (unsigned k = 0; k < n; ++k) {
+    if ((v.bfly.word >> k) & 1) reversed |= 1u << (n - 1 - k);
   }
-  EXPECT_EQ(hb_cube_orbit_representative(m, n, 0), 0u);
+  return {v.cube, {reversed, (n - v.bfly.level) % n}};
+}
+
+/// Brute-force orbit minimum of v under the group generated by the cube-bit
+/// transpositions (i, i+1) and sigma.
+NodeId orbit_minimum(const HyperButterfly& hb, NodeId v) {
+  const unsigned m = hb.cube_dimension(), n = hb.butterfly_dimension();
+  std::vector<char> seen(hb.num_nodes(), 0);
+  std::vector<NodeId> stack{v};
+  seen[v] = 1;
+  NodeId best = v;
+  while (!stack.empty()) {
+    const HbNode x = hb.node_at(stack.back());
+    stack.pop_back();
+    std::vector<HbNode> images{reflect(n, x)};
+    for (unsigned i = 0; i + 1 < m; ++i) {
+      HbNode y = x;
+      const CubeWord lo = (x.cube >> i) & 1, hi = (x.cube >> (i + 1)) & 1;
+      if (lo != hi) y.cube ^= CubeWord{3} << i;
+      images.push_back(y);
+    }
+    for (const HbNode& y : images) {
+      const auto id = static_cast<NodeId>(hb.index_of(y));
+      if (seen[id] == 0) {
+        seen[id] = 1;
+        best = std::min(best, id);
+        stack.push_back(id);
+      }
+    }
+  }
+  return best;
+}
+
+TEST(OrbitRepresentative, LevelReflectionIsAutomorphismFixingIdentity) {
+  for (unsigned m = 1; m <= 3; ++m) {
+    for (unsigned n = 3; n <= 8; ++n) {
+      const HyperButterfly hb(m, n);
+      const Graph g = hb.to_graph();
+      EXPECT_EQ(hb.index_of(reflect(n, HbNode{})), 0u);
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const HbNode su = reflect(n, hb.node_at(u));
+        ASSERT_EQ(hb.index_of(reflect(n, su)), u) << "not an involution";
+        const auto image = static_cast<NodeId>(hb.index_of(su));
+        for (NodeId v : g.neighbors(u)) {
+          const HbNode sv = reflect(n, hb.node_at(v));
+          ASSERT_TRUE(g.has_edge(image, static_cast<NodeId>(hb.index_of(sv))))
+              << "HB(" << m << "," << n << ") edge " << u << "-" << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(OrbitRepresentative, IsCanonicalAndPreservesKappa) {
+  for (auto [m, n] : {std::pair<unsigned, unsigned>{2, 3}, {3, 3}, {2, 4}}) {
+    const HyperButterfly hb(m, n);
+    const Graph g = hb.to_graph();
+    for (NodeId v = 0; v < hb.num_nodes(); ++v) {
+      const NodeId rep = hb_cube_orbit_representative(m, n, v);
+      // The minimum id of the orbit under cube permutations and sigma.
+      ASSERT_EQ(rep, orbit_minimum(hb, v))
+          << "HB(" << m << "," << n << ") v=" << v;
+      EXPECT_EQ(hb_cube_orbit_representative(m, n, rep), rep);
+      // Same local connectivity from the fixed source 0.
+      if (v != 0) {
+        EXPECT_EQ(max_disjoint_paths(g, 0, v), max_disjoint_paths(g, 0, rep))
+            << "v=" << v;
+      }
+    }
+    EXPECT_EQ(hb_cube_orbit_representative(m, n, 0), 0u);
+  }
 }
 
 TEST(SparseCertificate, EdgeBoundAndDegenerateInputs) {

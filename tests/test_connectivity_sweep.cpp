@@ -6,6 +6,8 @@
 // the SweepState validators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <random>
@@ -665,6 +667,176 @@ TEST(ConnectivitySweep, OrbitCheckpointDoesNotCrossResume) {
   ExactConnectivityResult r = sweep.run();  // restarts cleanly
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.kappa, 6u);
+  std::remove(path.c_str());
+}
+
+/// The orbit schedule's target count on HB(m,n): non-neighbors of vertex 0
+/// that are their own representative.
+std::uint64_t orbit_target_count(unsigned m, unsigned n) {
+  const HbImplicitAdjacency adj(m, n);
+  std::vector<NodeId> scratch(adj.max_degree());
+  const std::span<const NodeId> nb = adj.neighbors(0, scratch.data());
+  std::uint64_t count = 0;
+  for (NodeId t = 1; t < adj.num_nodes(); ++t) {
+    if (!std::binary_search(nb.begin(), nb.end(), t) &&
+        hb_cube_orbit_representative(m, n, t) == t) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+/// The cube-permutation-only representative: the map before the level
+/// reflection joined the schedule.
+NodeId cube_only_representative(unsigned n, NodeId v) {
+  const NodeId per_cube = static_cast<NodeId>(n) << n;
+  const NodeId low_mask = (NodeId{1} << std::popcount(v / per_cube)) - 1;
+  return low_mask * per_cube + v % per_cube;
+}
+
+TEST(ConnectivitySweep, OrbitScheduleMatchesPlainAcrossThreads) {
+  struct Case {
+    unsigned m, n;
+    std::uint64_t targets;  // of the 89, 184 and 249 non-neighbors of 0
+  };
+  for (const Case c : {Case{2, 3, 38}, Case{3, 3, 52}, Case{2, 4, 104}}) {
+    ASSERT_EQ(orbit_target_count(c.m, c.n), c.targets);
+    const Graph g = HyperButterfly(c.m, c.n).to_graph();
+    for (unsigned threads : {1u, 2u, 4u}) {
+      SweepOptions plain;
+      plain.vertex_transitive = true;
+      plain.threads = threads;
+      const ExactConnectivityResult a = ConnectivitySweep(g, plain).run();
+
+      SweepOptions orbit = plain;
+      orbit.orbit_rep = [m = c.m, n = c.n](NodeId v) {
+        return hb_cube_orbit_representative(m, n, v);
+      };
+      const ExactConnectivityResult b = ConnectivitySweep(g, orbit).run();
+      ASSERT_TRUE(a.complete);
+      ASSERT_TRUE(b.complete);
+      EXPECT_EQ(a.kappa, c.m + 4);
+      EXPECT_EQ(b.kappa, a.kappa);
+      EXPECT_EQ(b.solves, c.targets)
+          << "HB(" << c.m << "," << c.n << ") at " << threads << " threads";
+      EXPECT_EQ(b.pruned, 0u);
+    }
+  }
+}
+
+TEST(ConnectivitySweep, CubeOnlyOrbitCheckpointIsNotResumed) {
+  // A checkpoint written under the cube-only map holds block positions in
+  // a longer target list; resuming it under the reflected map would skip
+  // targets. It must restart, and the restarted proof must complete.
+  const unsigned m = 2, n = 4;
+  Graph g = HyperButterfly(m, n).to_graph();
+  const std::string path = temp_path("cube_only_orbit");
+  std::remove(path.c_str());
+
+  SweepOptions old_schedule;
+  old_schedule.vertex_transitive = true;
+  old_schedule.checkpoint_path = path;
+  old_schedule.block_size = 16;
+  old_schedule.max_blocks = 3;
+  old_schedule.orbit_rep = [](NodeId v) {
+    return cube_only_representative(n, v);
+  };
+  ExactConnectivityResult partial = ConnectivitySweep(g, old_schedule).run();
+  ASSERT_FALSE(partial.complete);
+  ASSERT_NE(slurp(path).find("single-source-orbits"), std::string::npos);
+
+  SweepOptions opts = old_schedule;
+  opts.max_blocks = 0;
+  opts.orbit_rep = [](NodeId v) {
+    return hb_cube_orbit_representative(m, n, v);
+  };
+  ConnectivitySweep sweep(g, opts);
+  EXPECT_FALSE(sweep.resumed());
+  EXPECT_NE(sweep.resume_note().find("checkpoint schedule mismatch"),
+            std::string::npos)
+      << sweep.resume_note();
+  ExactConnectivityResult r = sweep.run();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.kappa, m + 4);
+  EXPECT_EQ(r.solves, orbit_target_count(m, n));
+  std::remove(path.c_str());
+}
+
+TEST(ConnectivitySweep, OrbitCheckpointRecordsTargetList) {
+  const unsigned m = 2, n = 3;
+  Graph g = HyperButterfly(m, n).to_graph();
+  const std::string full_path = temp_path("orbit_full");
+  const std::string path = temp_path("orbit_steps");
+  std::remove(full_path.c_str());
+  std::remove(path.c_str());
+
+  SweepOptions base;
+  base.vertex_transitive = true;
+  base.block_size = 8;
+  base.orbit_rep = [](NodeId v) {
+    return hb_cube_orbit_representative(m, n, v);
+  };
+  SweepOptions one_shot = base;
+  one_shot.checkpoint_path = full_path;
+  ASSERT_TRUE(ConnectivitySweep(g, one_shot).run().complete);
+  const std::string reference = slurp(full_path);
+  EXPECT_NE(reference.find("\ntargets count=38 fnv="), std::string::npos)
+      << reference;
+
+  // Kill/resume under the same map still resumes, byte-identically.
+  ExactConnectivityResult step;
+  int runs = 0;
+  for (; runs < 100; ++runs) {
+    SweepOptions opts = base;
+    opts.checkpoint_path = path;
+    opts.max_blocks = 1;
+    ConnectivitySweep sweep(g, opts);
+    if (runs > 0) {
+      EXPECT_TRUE(sweep.resumed()) << sweep.resume_note();
+    }
+    step = sweep.run();
+    if (step.complete) break;
+  }
+  ASSERT_TRUE(step.complete);
+  EXPECT_GT(runs, 0);
+  EXPECT_EQ(slurp(path), reference);
+
+  // A partial orbit checkpoint without the target-list line parses, but
+  // restarts as a schedule mismatch.
+  SweepOptions partial = base;
+  partial.checkpoint_path = path;
+  partial.max_blocks = 1;
+  std::remove(path.c_str());
+  ASSERT_FALSE(ConnectivitySweep(g, partial).run().complete);
+  std::string text = slurp(path);
+  const std::size_t at = text.find("targets count=");
+  ASSERT_NE(at, std::string::npos);
+  text.erase(at, text.find('\n', at) + 1 - at);
+  const std::optional<SweepState> legacy = parse_checkpoint(text);
+  ASSERT_TRUE(legacy.has_value());
+  EXPECT_EQ(legacy->orbit_targets, 0u);
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+  }
+  SweepOptions resume = base;
+  resume.checkpoint_path = path;
+  ConnectivitySweep sweep(g, resume);
+  EXPECT_FALSE(sweep.resumed());
+  EXPECT_NE(sweep.resume_note().find("checkpoint schedule mismatch"),
+            std::string::npos)
+      << sweep.resume_note();
+  EXPECT_EQ(sweep.run().kappa, m + 4);
+  EXPECT_EQ(slurp(path), reference);
+
+  // A target-list line outside the orbit schedule is malformed.
+  std::string plain = reference;
+  plain.replace(plain.find("single-source-orbits"), 20, "single-source");
+  EXPECT_FALSE(parse_checkpoint(plain).has_value());
+  SweepState bad = *parse_checkpoint(reference);
+  bad.orbit = false;
+  EXPECT_NE(check::validate(bad), "");
+  std::remove(full_path.c_str());
   std::remove(path.c_str());
 }
 

@@ -142,6 +142,30 @@ TEST(FaultPlanner, WarmPlannerMatchesFreshPlanner) {
   }
 }
 
+TEST(FaultPlanner, ButterflyPathMemoMatchesOneShotPlanEverywhere) {
+  // The planner plans Q_1..Q_4 once per butterfly position and reuses them
+  // for every cube part. In either planning order (so the Q memo is cold
+  // for some positions and warm for others) every stored family equals the
+  // one-shot plan() bytes, which run the B_n flow afresh.
+  for (const auto& [m, n] : {std::pair{1u, 5u}, std::pair{2u, 4u},
+                             std::pair{3u, 3u}}) {
+    const HyperButterfly hb(m, n);
+    const auto num = static_cast<std::uint32_t>(hb.num_nodes());
+    for (const bool ascending : {true, false}) {
+      HbFaultPlanner planner(hb);
+      for (std::uint32_t k = 1; k < num; ++k) {
+        const HbNode r = hb.node_at(ascending ? k : num - k);
+        std::vector<std::uint8_t> planned;
+        HbFaultPlanner::plan(hb, r, planned);
+        const std::uint8_t* memo = planner.family(r);
+        ASSERT_EQ(std::vector<std::uint8_t>(memo, memo + planned.size()),
+                  planned)
+            << "HB(" << m << "," << n << ") r=" << hb.index_of(r);
+      }
+    }
+  }
+}
+
 TEST(FaultPlanner, FamilyIsOrderedByLengthThenConstruction) {
   const HyperButterfly hb(2, 3);
   HbFaultPlanner planner(hb);

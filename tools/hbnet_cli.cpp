@@ -112,8 +112,10 @@ int usage() {
          "                                 Nagamochi-Ibaraki certificates\n"
          "                                 --implicit: generator-arithmetic\n"
          "                                 adjacency, no materialized CSR\n"
-         "                                 --no-orbits: disable the cube-\n"
-         "                                 permutation target reduction\n"
+         "                                 --no-orbits: solve every target,\n"
+         "                                 not one per orbit under cube-bit\n"
+         "                                 permutations and the butterfly\n"
+         "                                 level reflection\n"
          "                                 --max-blocks: stop after N blocks\n"
          "                                 (resume via --checkpoint)\n"
          "  wormhole <m> <n> [options]     flit-level wormhole run on HB(m,n)\n"
@@ -678,7 +680,7 @@ struct ExactFlags {
   OutFile metrics;
   bool sparsify = false;   // run flows on Nagamochi-Ibaraki certificates
   bool implicit = false;   // generator-arithmetic adjacency, no CSR build
-  bool orbits = true;      // cube-permutation target reduction
+  bool orbits = true;      // target reduction modulo automorphisms of e
   std::uint64_t max_blocks = 0;  // 0 = run to completion
 };
 
@@ -719,8 +721,8 @@ int run_exact_connectivity(const HyperButterfly& hb, ExactFlags& ef,
   opts.sparsify = ef.sparsify;
   opts.max_blocks = ef.max_blocks;
   if (ef.orbits) {
-    // Cube-bit permutations are automorphisms fixing vertex 0, so targets
-    // collapse to one representative per cube popcount class.
+    // Cube-bit permutations and the butterfly level reflection are
+    // automorphisms fixing vertex 0, so one target per orbit is solved.
     opts.orbit_rep = [m, n](hbnet::NodeId v) {
       return hbnet::hb_cube_orbit_representative(m, n, v);
     };
