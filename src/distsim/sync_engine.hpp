@@ -3,8 +3,8 @@
 //
 // Both synchronous simulators in the library -- the distsim protocol engine
 // (engine.hpp) and the sharded store-and-forward packet engine
-// (sim/sharded.hpp) -- run the same cycle discipline on top of these two
-// primitives:
+// (sim/sharded.hpp) -- build their cycles from these two primitives. The
+// protocol engine runs three steps per round:
 //
 //   1. compute: every shard processes its own nodes in ascending id order,
 //      pushing outbound messages into its Exchange row (no shared writes);
@@ -12,6 +12,11 @@
 //      completion *is* the barrier), then
 //   3. deliver: every shard drains its Exchange column, sender shards in
 //      ascending order.
+//
+// The packet engine fuses steps 1 and 3 over two Exchanges: in one
+// parallel phase each shard drains its column of last cycle's Exchange (the
+// inbox) while it pushes this cycle's moves into the other (the outbox),
+// and the two swap at the barrier.
 //
 // Determinism contract: shards are CONTIGUOUS id ranges and drain() visits
 // sender shards in ascending order, so the delivery order at any node is
@@ -71,8 +76,9 @@ class ShardPlan {
 
 /// Batched shard-to-shard message buffers: one cell per (from, to) pair,
 /// laid out from-major so each compute-phase writer owns a contiguous row.
-/// push() is only safe from the thread running shard `from`; drain() is only
-/// safe after the barrier, from the thread running shard `to`.
+/// push() is only safe from the thread running shard `from`; drain() and
+/// erase_if() are only safe after the barrier, from the thread running
+/// shard `to`.
 template <typename Msg>
 class Exchange {
  public:
@@ -93,6 +99,17 @@ class Exchange {
       for (Msg& m : c) fn(m);
       c.clear();
     }
+  }
+
+  /// Erases every message bound for shard `to` that `pred` accepts; the
+  /// survivors keep their order. Returns the number erased.
+  template <typename Pred>
+  std::uint64_t erase_if(unsigned to, Pred&& pred) {
+    std::uint64_t erased = 0;
+    for (unsigned from = 0; from < shards_; ++from) {
+      erased += std::erase_if(cell(from, to), pred);
+    }
+    return erased;
   }
 
   /// Total queued messages (post-barrier use only).

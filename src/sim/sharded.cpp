@@ -252,39 +252,25 @@ struct Span {
   std::uint32_t node, src, dst, injected_at, hops;
 };
 
-/// Per-shard state. Only the owning worker touches it between barriers.
+/// Per-shard state. Only the worker running the shard touches it between
+/// barriers.
 ///
-/// Queues are not linked lists: each shard keeps its resident packets in
-/// one dense arena, `cur`, ordered oldest-first, with same-cycle arrivals in
-/// ascending-sender order (the Exchange guarantee). A node's FIFO is the
-/// subsequence of its packets in that order, so one sequential sweep of
-/// `cur` services every queue: the first service_rate packets seen for a
-/// node are forwarded, the rest are keepers, compacted in place behind a
-/// write cursor. Idle nodes cost nothing -- the sweep touches packets, not
-/// nodes.
-///
-/// Forwarded packets are appended to the sequential `moved` buffer, and
-/// their indices parked in per-node `slots` (4 bytes each, service_rate per
-/// node). A second pass walks the `frontier` bitset of serviced nodes in
-/// ascending order and emits the parked moves to the Exchange. That restores
-/// the canonical ascending-sender emission order no matter where the sweep
-/// encountered each packet, which is what keeps results byte-identical
-/// across every shard count.
+/// Queues are not linked lists. A node's FIFO is the subsequence of its
+/// packets in one sweep order -- the shard's keepers in `cur` (oldest
+/// first), then last cycle's arrivals straight out of the inbox Exchange
+/// (ascending sender), then this cycle's injections (ascending node) -- so
+/// one sequential sweep services every queue: the first service_rate
+/// packets seen for a node are forwarded, the rest are keepers. Keepers
+/// already in `cur` are compacted in place behind a write cursor; waiting
+/// arrivals and injections are appended behind them. Idle nodes cost
+/// nothing -- the sweep touches packets, not nodes.
 template <class Router>
 struct Shard {
   using Packet = typename Router::Packet;
 
   std::uint32_t begin = 0, end = 0;  // global node range [begin, end)
 
-  std::vector<Packet> cur;    // resident arena, keepers compacted in place
-  std::vector<Packet> moved;  // this cycle's forwarded packets, sweep order
-  // Bitset over local nodes serviced this cycle (cleared lazily by the
-  // emission pass, so drain-phase cycles with few packets stay O(packets)).
-  std::vector<std::uint64_t> frontier;
-  std::vector<std::uint8_t> served;  // services consumed this cycle
-  std::vector<std::uint8_t> parked;  // move slots filled this cycle
-  std::vector<std::uint32_t> slots;  // (end - begin) * service_rate
-                                     // indices into `moved`
+  std::vector<Packet> cur;  // keepers, in FIFO order
 
   SimStats stats;  // measured packets
   // Every packet, measured or not: conservation and progress.
@@ -299,6 +285,26 @@ struct Shard {
     unroutable += why == Hop::kNoPath ? 1 : 0;
     unsupported += why == Hop::kUnsupported ? 1 : 0;
   }
+};
+
+/// One pool worker's per-cycle service state, borrowed by every shard the
+/// worker runs and empty again when the shard's turn ends, so which worker
+/// runs which shard never shows in a result. Forwarded packets are appended
+/// to the sequential `moved` buffer and their indices parked in per-node
+/// `slots` (service_rate per node); the emission pass walks the `frontier`
+/// bitset of serviced nodes in ascending order and pushes the parked moves
+/// to the outbox. That restores the canonical ascending-sender order no
+/// matter where the sweep met each packet, which is what keeps results
+/// byte-identical across every shard count. Padded to its own cache lines:
+/// adjacent workers' vector headers would otherwise share one.
+template <class Packet>
+struct alignas(128) CycleScratch {
+  std::vector<Packet> moved;  // this shard's forwarded packets, sweep order
+  std::vector<std::uint64_t> frontier;  // local nodes serviced (bitset)
+  std::vector<std::uint8_t> served;     // services consumed per local node
+  std::vector<std::uint8_t> parked;     // move slots filled per local node
+  std::vector<std::uint32_t> slots;     // local node x service_rate indices
+                                        // into `moved`
 };
 
 template <class Router>
@@ -319,10 +325,9 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
 
   const unsigned workers = par::resolve_threads(threads);
   // Auto-sharding targets ~16K nodes per shard: small enough that a shard's
-  // resident packets, service arrays and move slots stay cache-resident for
-  // the whole compute phase (the exchange then acts as a radix partition of
-  // the cross-shard traffic), while never dropping below one shard per
-  // worker.
+  // packets and the service scratch sized to it stay cache-resident while
+  // the shard is swept (the exchange then acts as a radix partition of the
+  // cross-shard traffic), while never dropping below one shard per worker.
   const unsigned num_shards =
       shards != 0 ? shards : std::max<unsigned>(workers, (n + 16383) / 16384);
   const sync::ShardPlan plan(n, num_shards);
@@ -337,25 +342,34 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
   const bool tracing = HBNET_TRACE_ACTIVE(sink);
 
   std::vector<Shard<Router>> shard(plan.shards());
+  std::uint32_t widest = 0;
   for (unsigned s = 0; s < plan.shards(); ++s) {
     Shard<Router>& sh = shard[s];
     sh.begin = static_cast<std::uint32_t>(plan.begin(s));
     sh.end = static_cast<std::uint32_t>(plan.end(s));
-    const std::uint32_t local = sh.end - sh.begin;
-    sh.frontier.assign((local + 63) / 64, 0);
-    sh.served.assign(local, 0);
-    sh.parked.assign(local, 0);
-    sh.slots.resize(static_cast<std::size_t>(local) * sr);
+    widest = std::max(widest, sh.end - sh.begin);
+  }
+  par::ThreadPool pool(workers);
+  std::vector<CycleScratch<Packet>> scratch(pool.size());
+  for (CycleScratch<Packet>& scr : scratch) {
+    scr.frontier.assign((widest + 63) / 64, 0);
+    scr.served.assign(widest, 0);
+    scr.parked.assign(widest, 0);
+    scr.slots.resize(static_cast<std::size_t>(widest) * sr);
   }
   // Sink runs only: node x port link tallies and per-node queue-length
-  // integrals.
+  // integrals. A packet counts at the node holding it at the end of each
+  // cycle: a keeper when the sweep keeps it, an arrival when the next
+  // cycle's sweep (or a fault event, or the end of the run) takes it out of
+  // the inbox.
   const unsigned ports = router.degree();
   std::vector<std::uint64_t> links(
       sink != nullptr ? static_cast<std::size_t>(n) * ports : 0, 0);
   std::vector<std::uint64_t> node_occ(sink != nullptr ? n : 0, 0);
 
-  sync::Exchange<Packet> exchange(plan.shards());
-  par::ThreadPool pool(workers);
+  // Last cycle's moves are read from `inbox` while this cycle's are pushed
+  // to `outbox`; the two swap at the end of every cycle.
+  sync::Exchange<Packet> inbox(plan.shards()), outbox(plan.shards());
 
   obs::ProgressBoard::Slot* const prog_cycle =
       progress != nullptr ? &progress->slot("sim.cycle") : nullptr;
@@ -380,22 +394,27 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
   std::uint64_t in_flight = 0, created = 0, delivered = 0;  // every packet
   for (; cycle < horizon; ++cycle) {
     if constexpr (Router::kFaults) {
-      // Fault arrivals: the node dies and the packets queued there are lost.
+      // Fault arrivals: the node dies and the packets queued there -- its
+      // keepers and last cycle's arrivals -- are lost.
       for (; next_event < events.size() && events[next_event].cycle <= cycle;
            ++next_event) {
         const std::uint32_t dead = events[next_event].node;
         if (!router.kill(dead)) continue;
-        [[maybe_unused]] std::uint64_t lost = 0;
-        for (Shard<Router>& sh : shard) {
-          lost += std::erase_if(sh.cur, [&](const Packet& p) {
-            if (router.node(p) != dead) return false;
-            sh.drop(p, Hop::kLost);
-            router.release(p);
-            return true;
-          });
-        }
-        HBNET_TRACE_INSTANT(sink, "fault", "node_death", 0, dead, cycle,
-                            {{"node", dead}, {"lost_packets", lost}});
+        const unsigned s = plan.shard_of(dead);
+        Shard<Router>& sh = shard[s];
+        auto lose = [&](const Packet& p) {
+          if (router.node(p) != dead) return false;
+          sh.drop(p, Hop::kLost);
+          router.release(p);
+          return true;
+        };
+        [[maybe_unused]] const std::uint64_t keepers =
+            std::erase_if(sh.cur, lose);
+        const std::uint64_t arrivals = inbox.erase_if(s, lose);
+        if (!node_occ.empty()) node_occ[dead] += arrivals;
+        HBNET_TRACE_INSTANT(
+            sink, "fault", "node_death", 0, dead, cycle,
+            {{"node", dead}, {"lost_packets", keepers + arrivals}});
       }
     }
 
@@ -403,16 +422,74 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
     const bool measuring = cycle >= config.warmup_cycles && injecting;
     const StatelessTraffic::CycleView tv = traffic.at(cycle);
 
-    // Compute phase: inject, sweep, emit -- all moves into the exchange.
-    pool.parallel_for_chunks(plan.shards(), 1, [&](std::uint64_t s_begin,
+    // The one parallel phase: each shard sweeps its keepers, its arrivals
+    // and its injections, then emits its moves to the outbox.
+    pool.parallel_for_chunks(plan.shards(), 1, [&](unsigned worker,
+                                                   std::uint64_t s_begin,
                                                    std::uint64_t s_end) {
+      CycleScratch<Packet>& scr = scratch[worker];
+      std::uint64_t* const tally = sink != nullptr ? links.data() : nullptr;
       for (std::uint64_t si = s_begin; si < s_end; ++si) {
         const auto s = static_cast<unsigned>(si);
         Shard<Router>& sh = shard[s];
-        std::uint64_t* const tally = sink != nullptr ? links.data() : nullptr;
 
-        // Injection: fresh packets append behind every resident one, in
-        // ascending node order.
+        // Services `pkt` at `node` unless the node has used its budget this
+        // cycle; false means the packet waits (a keeper).
+        auto serve = [&](Packet& pkt, std::uint32_t node) {
+          const std::uint32_t local = node - sh.begin;
+          if (scr.served[local] >= sr) return false;
+          if (scr.served[local] == 0) {
+            scr.frontier[local >> 6] |= std::uint64_t{1} << (local & 63);
+          }
+          ++scr.served[local];
+
+          const Hop hop = router.advance(pkt, node, tally);
+          if (hop == Hop::kMoved) {
+            scr.slots[static_cast<std::size_t>(local) * sr +
+                      scr.parked[local]++] =
+                static_cast<std::uint32_t>(scr.moved.size());
+            scr.moved.push_back(std::move(pkt));
+            return true;
+          }
+          router.release(pkt);
+          if (hop == Hop::kDelivered) {
+            if (pkt.flags & kMeasured) {
+              sh.stats.record_delivery(cycle + 1 - pkt.injected_at, pkt.hops);
+            }
+            ++sh.delivered;
+            if (tracing) {
+              sh.spans.push_back(
+                  {node, pkt.src, pkt.dst, pkt.injected_at, pkt.hops});
+            }
+          } else {
+            sh.drop(pkt, hop);
+          }
+          return true;
+        };
+
+        // Keepers: serviced or moved down to the write cursor `kept` (never
+        // past their read index).
+        std::size_t kept = 0;
+        for (Packet& pkt : sh.cur) {
+          const std::uint32_t node = router.node(pkt);
+          if (serve(pkt, node)) continue;
+          if (!node_occ.empty()) ++node_occ[node];
+          Packet& to = sh.cur[kept++];
+          if (&to != &pkt) to = std::move(pkt);
+        }
+        sh.cur.resize(kept);
+
+        // Arrivals, sender shards ascending: each held its node at the end
+        // of the last cycle.
+        inbox.drain(s, [&](Packet& pkt) {
+          const std::uint32_t node = router.node(pkt);
+          if (!node_occ.empty()) ++node_occ[node];
+          if (serve(pkt, node)) return;
+          if (!node_occ.empty()) ++node_occ[node];
+          sh.cur.push_back(std::move(pkt));
+        });
+
+        // Injections, in ascending node order.
         if (injecting) {
           for (std::uint32_t id = sh.begin; id < sh.end; ++id) {
             if (!tv.injects(id)) continue;
@@ -428,105 +505,51 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
             ++sh.created;
             if (measuring) sh.stats.record_injection();
             const Hop planned = router.inject(tv, pkt);
-            if (planned == Hop::kMoved) {
-              sh.cur.push_back(pkt);
-            } else {
+            if (planned != Hop::kMoved) {
               sh.drop(pkt, planned);
               router.release(pkt);
+              continue;
             }
+            if (serve(pkt, id)) continue;
+            if (!node_occ.empty()) ++node_occ[id];
+            sh.cur.push_back(pkt);
           }
         }
-
-        // Sweep: one sequential pass over the resident arena. Per-node
-        // FIFO order == arena order, so the first service_rate packets
-        // seen for a node are serviced; the rest become keepers, moved
-        // down to the write cursor `kept` (never past their read index).
-        std::size_t kept = 0;
-        for (Packet& pkt : sh.cur) {
-          const std::uint32_t node = router.node(pkt);
-          const std::uint32_t local = node - sh.begin;
-          if (sh.served[local] >= sr) {
-            if (!node_occ.empty()) ++node_occ[node];
-            Packet& to = sh.cur[kept++];
-            if (&to != &pkt) to = std::move(pkt);
-            continue;
-          }
-          if (sh.served[local] == 0) {
-            sh.frontier[local >> 6] |= std::uint64_t{1} << (local & 63);
-          }
-          ++sh.served[local];
-
-          const Hop hop = router.advance(pkt, node, tally);
-          if (hop == Hop::kMoved) {
-            sh.slots[static_cast<std::size_t>(local) * sr +
-                     sh.parked[local]++] =
-                static_cast<std::uint32_t>(sh.moved.size());
-            sh.moved.push_back(std::move(pkt));
-            continue;
-          }
-          router.release(pkt);
-          if (hop == Hop::kDelivered) {
-            if (pkt.flags & kMeasured) {
-              sh.stats.record_delivery(cycle + 1 - pkt.injected_at,
-                                       pkt.hops);
-            }
-            ++sh.delivered;
-            if (tracing) {
-              sh.spans.push_back(
-                  {node, pkt.src, pkt.dst, pkt.injected_at, pkt.hops});
-            }
-          } else {
-            sh.drop(pkt, hop);
-          }
-        }
-        sh.cur.resize(kept);
 
         // Emission: walk the serviced frontier in ascending node order and
-        // push parked moves to the exchange. This -- not the sweep order --
+        // push parked moves to the outbox. This -- not the sweep order --
         // fixes the delivery order, so it is shard-count independent.
-        // Resets the per-cycle service state as it goes (O(serviced)).
-        for (std::size_t w = 0; w < sh.frontier.size(); ++w) {
-          std::uint64_t bits = sh.frontier[w];
+        // Resets the service state as it goes (O(serviced)).
+        for (std::size_t w = 0; w < scr.frontier.size(); ++w) {
+          std::uint64_t bits = scr.frontier[w];
           if (bits == 0) continue;
-          sh.frontier[w] = 0;
+          scr.frontier[w] = 0;
           while (bits != 0) {
             const auto local = static_cast<std::uint32_t>(
                 (w << 6) + static_cast<unsigned>(std::countr_zero(bits)));
             bits &= bits - 1;
-            const unsigned nmoves = sh.parked[local];
-            sh.served[local] = 0;
-            sh.parked[local] = 0;
+            const unsigned nmoves = scr.parked[local];
+            scr.served[local] = 0;
+            scr.parked[local] = 0;
             const std::uint32_t* const slot =
-                &sh.slots[static_cast<std::size_t>(local) * sr];
+                &scr.slots[static_cast<std::size_t>(local) * sr];
             for (unsigned k = 0; k < nmoves; ++k) {
-              Packet& p = sh.moved[slot[k]];
+              Packet& p = scr.moved[slot[k]];
               const unsigned to = plan.shard_of(router.node(p));
-              exchange.push(s, to, std::move(p));
+              outbox.push(s, to, std::move(p));
             }
           }
         }
-        sh.moved.clear();
+        scr.moved.clear();
       }
     });
-    // parallel_for_chunks returning IS the barrier: every shard has pushed
-    // all of its moves.
-
-    // Deliver phase: exchange columns drain behind the compacted keepers
-    // (sender shards ascending => global ascending sender order).
-    pool.parallel_for_chunks(plan.shards(), 1, [&](std::uint64_t s_begin,
-                                                   std::uint64_t s_end) {
-      for (std::uint64_t si = s_begin; si < s_end; ++si) {
-        const auto s = static_cast<unsigned>(si);
-        Shard<Router>& sh = shard[s];
-        exchange.drain(s, [&sh, &router, &node_occ](Packet& p) {
-          if (!node_occ.empty()) ++node_occ[router.node(p)];
-          sh.cur.push_back(std::move(p));
-        });
-      }
-    });
+    // parallel_for_chunks returning IS the barrier: every shard has drained
+    // its inbox column and pushed all of its moves.
+    std::swap(inbox, outbox);
 
     const std::uint64_t was_created = created, was_delivered = delivered;
-    in_flight = created = delivered = 0;
+    in_flight = inbox.in_flight();  // this cycle's moves
+    created = delivered = 0;
     for (const Shard<Router>& sh : shard) {
       in_flight += sh.cur.size();
       created += sh.created;
@@ -561,6 +584,13 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
     }
     HBNET_TRACE_COUNTER(sink, "in_flight_packets", 0, cycle, in_flight);
     if (!injecting && in_flight == 0) break;
+  }
+  // The horizon can stop the run with arrivals still in the inbox: they are
+  // in flight, and they held their nodes at the end of the last cycle.
+  if (!node_occ.empty()) {
+    for (unsigned s = 0; s < plan.shards(); ++s) {
+      inbox.drain(s, [&](const Packet& p) { ++node_occ[router.node(p)]; });
+    }
   }
 
   // Merge phase (serial, shard-ascending => shard-count independent).

@@ -15,19 +15,24 @@
 //    the packets in flight and a steady-state run allocates nothing; its
 //    link tally is a flat node x port array.
 //  * Per-shard dense arenas: nodes are partitioned into contiguous shards
-//    (sync::ShardPlan); each shard keeps its resident packets in one dense
-//    vector swept sequentially once per cycle -- per-node FIFO order is the
-//    subsequence order, so there are no queue structures at all. Keepers
-//    (packets whose node has used its service budget) are compacted in
-//    place behind a write cursor. Serviced moves are appended to a
-//    sequential buffer, their 4-byte indices parked in per-node slots
-//    (local nodes x service_rate x 4 B per shard), and a second pass over
-//    a bitset frontier emits them in ascending node order (the canonical
-//    order that makes results independent of the shard count).
-//  * Synchronous rounds over sync::Exchange: every cycle is compute-local
-//    (inject + sweep, all moves batched into per-(from,to)-shard cells)
-//    -> barrier -> deliver (drain cells, sender shards ascending), the same
-//    discipline as the distsim protocol engine.
+//    (sync::ShardPlan). A shard keeps only its keepers (packets whose node
+//    used its service budget) in one dense vector. Each cycle one
+//    sequential sweep visits the keepers, then last cycle's arrivals
+//    straight out of the inbox exchange, then this cycle's injections --
+//    per-node FIFO order is the subsequence order, so there are no queue
+//    structures at all. Keepers are compacted in place behind a write
+//    cursor; waiting arrivals and injections are appended behind them.
+//    Serviced moves are appended to a sequential buffer, their 4-byte
+//    indices parked in per-node slots, and a second pass over a bitset
+//    frontier emits them in ascending node order (the canonical order that
+//    makes results independent of the shard count). That service scratch
+//    is one cache-line-padded struct per pool worker, not per shard, and is
+//    empty again whenever a shard's turn ends.
+//  * One parallel phase per cycle over two sync::Exchanges: every shard
+//    drains its column of the inbox (sender shards ascending) while it
+//    pushes its moves into its row of the outbox; the pool's return is the
+//    barrier, and the two exchanges swap. Arrivals are never copied into
+//    the arena only to be read back out.
 //
 // Determinism contract: traffic is counter-based (StatelessTraffic -- a
 // pure hash of seed/cycle/node), shards are contiguous, and delivery order

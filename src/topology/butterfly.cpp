@@ -36,6 +36,14 @@ CoveringWalkPlan plan_cycle_walk(const char* who, unsigned n, unsigned start,
   // extreme d(c) = n - (smallest required residue >= reach). Cost is
   // monotone in d, so only d(c) -- bumped to n-delta when tau = delta-n
   // needs the deeper left extreme -- can be optimal: O(n) candidates.
+  //
+  // d(c) is constant on runs of c that start at c = 0 and just past each
+  // required residue r: at c = r+1 for edges, c = r for vertices. Within a
+  // run every candidate's cost grows by 2 per step of c, so past a run's
+  // start only c = delta (where tau = delta first fits) and c = n (tau = n)
+  // admit a new candidate. Visiting just those c picks the same walk as
+  // visiting every c: a skipped c never beats an earlier candidate of its
+  // run.
   if (n == 0 || n > 64) {
     throw std::invalid_argument(std::string(who) + ": n must be in [1,64]");
   }
@@ -61,27 +69,42 @@ CoveringWalkPlan plan_cycle_walk(const char* who, unsigned n, unsigned start,
     return above == 0 ? ni : r + std::countr_zero(above);
   };
 
-  int best_cost = std::numeric_limits<int>::max();
-  CoveringWalkPlan best;
-  auto consider = [&](int c, int d, int tau) {
-    if (d > ni || tau < -d || tau > c) return;
-    for (const bool left_first : {true, false}) {
-      const int cost = 2 * (c + d) + (left_first ? -tau : tau);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = {static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(d),
-                static_cast<std::int8_t>(tau), left_first};
-      }
-    }
+  // The candidates at one c, in the order a strict-< scan tries them:
+  //   0: d(c) with tau = delta, once c >= delta;
+  //   1: max(d(c), n - delta) with tau = delta - n;
+  //   2: d(n) with tau = n, only at c = n when delta = 0.
+  // Of the two sweep orders only the cheaper can be a new minimum: left
+  // extreme first for tau >= 0 (it is tried first, so it wins a tie), right
+  // first for tau < 0. The scan's first strict minimum is the least
+  // (cost, c, candidate) triple, so one packed key and branch-free minima
+  // find it; the winner's left extreme is recomputed at the end.
+  const int far = ni - delta;
+  auto d_at = [&](int c) { return ni - suffix_min(visiting ? c + 1 : c); };
+  auto key = [](int cost, int c, int cand) {
+    return cost << 9 | c << 2 | cand;  // c <= 64, cost <= 4n
   };
-  for (int c = 0; c <= ni; ++c) {
-    const int reach = visiting ? c + 1 : c;
-    const int d_min = ni - suffix_min(reach);
-    consider(c, d_min, delta);
-    consider(c, std::max(d_min, ni - delta), delta - ni);
-    if (c == ni && delta == 0) consider(c, d_min, ni);
+  int best = std::numeric_limits<int>::max();
+  auto consider_at = [&](int c) {
+    const int d = d_at(c);
+    const int first = c >= delta ? key(2 * (c + d) - delta, c, 0) : best;
+    best = std::min({best, first, key(2 * (c + std::max(d, far)) - far, c, 1)});
+  };
+  // Bit c of `starts` marks a c < n to visit; c = n comes last.
+  std::uint64_t starts = ((visiting ? rot : rot << 1) | 1 |
+                          (std::uint64_t{1} << delta)) &
+                         mask;
+  while (starts != 0) {
+    consider_at(std::countr_zero(starts));
+    starts &= starts - 1;
   }
-  return best;
+  consider_at(ni);
+  if (delta == 0) best = std::min(best, key(2 * (ni + d_at(ni)) - ni, ni, 2));
+
+  const int c = best >> 2 & 127, cand = best & 3;
+  const int d = cand == 1 ? std::max(d_at(c), far) : d_at(c);
+  const int tau = cand == 0 ? delta : cand == 1 ? delta - ni : ni;
+  return {static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(d),
+          static_cast<std::int8_t>(tau), cand != 1};
 }
 
 }  // namespace

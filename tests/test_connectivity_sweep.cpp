@@ -603,7 +603,9 @@ TEST(ConnectivitySweep, KillResumeWithSparsifyAcrossThreadCounts) {
       opts.checkpoint_path = path;
       opts.max_blocks = 1;
       ConnectivitySweep sweep(g, opts);
-      if (runs > 0) EXPECT_TRUE(sweep.resumed()) << sweep.resume_note();
+      if (runs > 0) {
+        EXPECT_TRUE(sweep.resumed()) << sweep.resume_note();
+      }
       step = sweep.run();
       if (step.complete) break;
     }

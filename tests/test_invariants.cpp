@@ -29,7 +29,9 @@ TEST_P(InvariantParam, DistanceIsAMetric) {
     EXPECT_EQ(ab, ba);                     // symmetry
     EXPECT_EQ(hb.distance(a, a), 0u);      // identity
     EXPECT_LE(ac, ab + bc);                // triangle inequality
-    if (!(a == b)) EXPECT_GE(ab, 1u);      // positivity
+    if (!(a == b)) {
+      EXPECT_GE(ab, 1u);  // positivity
+    }
     EXPECT_LE(ab, m + 3 * n / 2);          // measured diameter bound
   }
 }

@@ -539,7 +539,9 @@ void validate_trace(const std::string& text, std::size_t expect_events) {
       // B/E streams must be time-ordered within a lane for nesting to be
       // meaningful.
       auto it = last_ts.find(lane);
-      if (it != last_ts.end()) EXPECT_GE(ts, it->second);
+      if (it != last_ts.end()) {
+        EXPECT_GE(ts, it->second);
+      }
       last_ts[lane] = ts;
     }
     if (ph == "B") {

@@ -1,8 +1,9 @@
 // Sharded synchronous packet engine: covering-walk plan optimality, the
 // implicit router's hop-for-hop equivalence with the materialized
-// route_generators(), conservation laws, Valiant mode, and the determinism
+// route_generators(), conservation laws, Valiant mode, the determinism
 // contract -- stats and exported artifacts are byte-identical for every
-// --threads x --shards combination.
+// --threads x --shards combination -- and the engine's double-buffered
+// exchange and its occupancy accounting.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,6 +15,7 @@
 
 #include "core/hyper_butterfly.hpp"
 #include "cycle_walk_reference.hpp"
+#include "distsim/sync_engine.hpp"
 #include "obs/sink.hpp"
 #include "sim/hb_route.hpp"
 #include "sim/sharded.hpp"
@@ -298,6 +300,117 @@ TEST(ShardedSim, MatchesPinnedParentStatsUnderCongestion) {
       {7573, 7566, 7, 25, 8, 17, 0x401f2681407d9901ull, 0x40118e9548572914ull},
       "fault events");
 }
+
+TEST(SyncExchange, EraseIfKeepsSurvivorsInOrder) {
+  sync::Exchange<int> ex(3);
+  for (unsigned from = 0; from < 3; ++from) {
+    for (int k = 0; k < 4; ++k) {
+      const int base = static_cast<int>(from) * 100 + k;
+      ex.push(from, 0, base);
+      ex.push(from, 1, base + 10);
+      ex.push(from, 2, base + 20);
+    }
+  }
+  // Column 1 holds 10..13, 110..113, 210..213; the odd ones go.
+  EXPECT_EQ(ex.erase_if(1, [](int m) { return m % 2 != 0; }), 6u);
+  EXPECT_EQ(ex.erase_if(1, [](int) { return false; }), 0u);
+  const auto drained = [&ex](unsigned to) {
+    std::vector<int> got;
+    ex.drain(to, [&got](int m) { got.push_back(m); });
+    return got;
+  };
+  EXPECT_EQ(drained(1), (std::vector<int>{10, 12, 110, 112, 210, 212}));
+  EXPECT_EQ(drained(0), (std::vector<int>{0, 1, 2, 3, 100, 101, 102, 103,
+                                          200, 201, 202, 203}));
+  EXPECT_EQ(drained(2), (std::vector<int>{20, 21, 22, 23, 120, 121, 122,
+                                          123, 220, 221, 222, 223}));
+  EXPECT_EQ(ex.in_flight(), 0u);
+}
+
+#if HBNET_TRACE
+struct OccupancyTally {
+  std::uint64_t occupancy = 0;     // sum over nodes of node_occupancy
+  std::uint64_t counter_sum = 0;   // sum over cycles of in_flight_packets
+  std::uint64_t last_in_flight = 0;
+  std::uint64_t lost = 0;          // node_death lost_packets, summed
+};
+
+OccupancyTally tally_occupancy(const obs::Sink& sink) {
+  OccupancyTally t;
+  for (const std::uint64_t v : sink.node_occupancy()) t.occupancy += v;
+  for (const obs::TraceEvent& ev : sink.trace()->events()) {
+    for (const auto& [key, value] : ev.args) {
+      if (ev.name == "in_flight_packets" && key == "value") {
+        t.counter_sum += value;
+        t.last_in_flight = value;
+      }
+      if (ev.name == "node_death" && key == "lost_packets") t.lost += value;
+    }
+  }
+  return t;
+}
+
+// A packet counts toward node_occupancy[v] once for every cycle it ends at
+// v, and toward the in_flight_packets counter once for every cycle it ends
+// in flight, so the two sums agree. Arrivals wait in the inbox until the
+// next cycle's sweep, so this pins that each is counted exactly once even
+// when a node death erases it or the horizon stops the run first.
+TEST(ShardedSim, NodeOccupancyIntegratesInFlightCounter) {
+  const HyperButterfly hb(2, 4);
+  SimConfig cfg = congested_config();
+  cfg.measure_cycles = 80;
+
+  SimConfig cut = cfg;  // the horizon stops the run with packets in flight
+  cut.drain_cycles = 2;
+  for (const SimConfig& c : {cfg, cut}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      for (const unsigned shards : {1u, 4u, 0u}) {
+        obs::Sink sink;
+        sink.enable_trace();
+        (void)run_simulation_sharded(hb, c, shards, threads, &sink);
+        const OccupancyTally t = tally_occupancy(sink);
+        const std::string what = "drain=" + std::to_string(c.drain_cycles) +
+                                 " threads=" + std::to_string(threads) +
+                                 " shards=" + std::to_string(shards);
+        EXPECT_GT(t.occupancy, 0u) << what;
+        EXPECT_EQ(t.occupancy, t.counter_sum) << what;
+        EXPECT_EQ(t.last_in_flight > 0, c.drain_cycles == 2) << what;
+      }
+    }
+  }
+
+  // The path router with static faults and with node deaths. At the
+  // largest service rate no packet ever waits, so every packet a death
+  // takes is an arrival still in the inbox.
+  const auto topo = make_hyper_butterfly_sim(2, 4);
+  std::vector<char> faulty(topo->num_nodes(), 0);
+  faulty[3] = faulty[100] = faulty[201] = 1;
+  std::vector<FaultEvent> deaths;
+  for (std::uint32_t k = 0; k < 24; ++k) {
+    deaths.push_back({40 + k, (k * 37 + 11) % topo->num_nodes()});
+  }
+  for (const SimConfig& base : {cfg, cut}) {
+    SimConfig busy = base;
+    busy.service_rate = 255;
+    for (const SimConfig& c : {base, busy}) {
+      obs::Sink static_sink, event_sink;
+      static_sink.enable_trace();
+      event_sink.enable_trace();
+      (void)run_simulation(*topo, c, faulty, &static_sink);
+      (void)run_simulation_with_fault_events(*topo, c, deaths, &event_sink);
+      const OccupancyTally st = tally_occupancy(static_sink);
+      const OccupancyTally ev = tally_occupancy(event_sink);
+      const std::string what = "drain=" + std::to_string(c.drain_cycles) +
+                               " service_rate=" +
+                               std::to_string(c.service_rate);
+      EXPECT_EQ(st.occupancy, st.counter_sum) << what;
+      EXPECT_EQ(ev.occupancy, ev.counter_sum) << what;
+      EXPECT_GT(ev.lost, 0u) << what;
+      EXPECT_EQ(ev.last_in_flight > 0, c.drain_cycles == 2) << what;
+    }
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace hbnet

@@ -2,8 +2,9 @@
 # Store-and-forward determinism contract, enforced end to end through the
 # CLI: `hbnet_cli sim` must produce byte-identical results for every
 # --threads x --shards combination, including no --shards at all (auto).
-# Metrics JSON, the per-link CSV, and the stdout summary are compared
-# byte-for-byte across threads {1, 2, 8} x shards {1, 4, auto} against the
+# Metrics JSON, the per-link CSV, the Chrome trace (packet spans and the
+# in-flight counter) and the stdout summary are compared byte-for-byte
+# across threads {1, 2, 8} x shards {1, 4, auto} against the
 # single-threaded single-shard baseline, for both the native and Valiant
 # routing modes, on two loads: HB(2,4) at rate 0.08, where queues stay
 # short, and HB(2,5) at rate 0.25, where they grow long and most packets
@@ -29,13 +30,15 @@ run_sim() {
   # grep's.
   if ! "$cli" sim $load --cycles 200 \
     --threads "$threads" $shard_flag \
-    --metrics-out "$work/m$tag.json" --links-csv "$work/l$tag.csv" "$@" \
+    --metrics-out "$work/m$tag.json" --links-csv "$work/l$tag.csv" \
+    --trace-out "$work/r$tag.json" "$@" \
     > "$work/raw$tag.txt" 2>/dev/null; then
     echo "FAIL: sim $load --threads $threads $shard_flag $* exited" \
          "nonzero" >&2
     exit 1
   fi
-  grep -v -e '^metrics:' -e '^links:' "$work/raw$tag.txt" > "$work/t$tag.txt"
+  grep -v -e '^metrics:' -e '^links:' -e '^trace:' "$work/raw$tag.txt" \
+    > "$work/t$tag.txt"
 }
 
 for load in "2 4 --rate 0.08" "2 5 --rate 0.25"; do
@@ -46,7 +49,7 @@ for load in "2 4 --rate 0.08" "2 5 --rate 0.25"; do
       for shards in 1 4 auto; do
         tag="$threads-$shards$suffix"
         run_sim "$threads" "$shards" "$tag" $mode
-        for kind in m l t; do
+        for kind in m l r t; do
           ext=json; [ "$kind" = l ] && ext=csv; [ "$kind" = t ] && ext=txt
           if ! cmp -s "$work/${kind}base$suffix.$ext" \
                       "$work/$kind$tag.$ext"; then
