@@ -1,6 +1,8 @@
 #include "graph/adjacency.hpp"
 
+#include "check/check.hpp"
 #include "graph/connectivity_sweep.hpp"
+#include "graph/validate.hpp"
 
 namespace hbnet {
 
@@ -39,6 +41,22 @@ std::uint64_t AdjacencyProvider::fingerprint() const {
 
 std::uint64_t CsrAdjacency::fingerprint() const {
   return graph_fingerprint(g_);
+}
+
+Graph to_graph(const AdjacencyProvider& adj) {
+  const NodeId n = adj.num_nodes();
+  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
+  std::vector<NodeId> columns;
+  columns.reserve(2 * adj.num_edges());
+  NeighborScratch scratch(adj);
+  for (NodeId v = 0; v < n; ++v) {
+    const std::span<const NodeId> nb = adj.neighbors(v, scratch.data());
+    columns.insert(columns.end(), nb.begin(), nb.end());
+    offsets[v + 1] = columns.size();
+  }
+  Graph g(std::move(offsets), std::move(columns));
+  HBNET_DCHECK_OK(check::validate(g));
+  return g;
 }
 
 }  // namespace hbnet

@@ -129,4 +129,9 @@ class CsrAdjacency final : public AdjacencyProvider {
   const Graph& g_;
 };
 
+/// A CSR copy of the provider's graph: its rows, in vertex order. The
+/// provider contract (sorted rows, no loops, no duplicates) makes this the
+/// graph GraphBuilder would build from the same edges, without the sort.
+[[nodiscard]] Graph to_graph(const AdjacencyProvider& adj);
+
 }  // namespace hbnet

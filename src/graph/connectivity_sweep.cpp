@@ -33,21 +33,6 @@ struct BlockTally {
   obs::Histogram flows;
 };
 
-/// One CSR copy of a provider's graph (neighbor lists are already sorted).
-Graph to_graph(const AdjacencyProvider& adj) {
-  const NodeId n = adj.num_nodes();
-  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
-  std::vector<NodeId> columns;
-  columns.reserve(2 * adj.num_edges());
-  NeighborScratch scratch(adj);
-  for (NodeId v = 0; v < n; ++v) {
-    const std::span<const NodeId> nb = adj.neighbors(v, scratch.data());
-    columns.insert(columns.end(), nb.begin(), nb.end());
-    offsets[v + 1] = columns.size();
-  }
-  return Graph(std::move(offsets), std::move(columns));
-}
-
 /// The sorted adjacency of `s`, copied out of the provider.
 std::vector<NodeId> adjacency_of(const AdjacencyProvider& adj, NodeId s) {
   NeighborScratch scratch(adj);
@@ -477,11 +462,12 @@ ExactConnectivityResult ConnectivitySweep::run() {
       const std::uint64_t begin = std::uint64_t{b} * opts_.block_size;
       const std::uint64_t end =
           std::min<std::uint64_t>(targets.size(), begin + opts_.block_size);
-      const std::uint64_t chunk =
-          std::max<std::uint64_t>(1, (end - begin) / (8 * pool.size()));
       for (BlockTally& tally : tallies) tally = BlockTally{};
+      // Targets are claimed one at a time: a solve costs far more than a
+      // claim, and a worker that runs out waits at most one solve for the
+      // block's last one.
       pool.parallel_for_chunks(
-          end - begin, chunk,
+          end - begin, 1,
           [&](unsigned worker, std::uint64_t lo, std::uint64_t hi) {
             BlockTally& tally = tallies[worker];
             VertexFlow& kernel = flows[worker];

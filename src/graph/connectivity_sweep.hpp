@@ -108,8 +108,11 @@ struct SweepOptions {
   /// (relaxed atomic stores on a dedicated channel; sweep results,
   /// metrics, and checkpoint bytes are unaffected).
   obs::ProgressBoard* progress = nullptr;
-  /// Called after every completed block (and stage rollover) with the
-  /// persisted state and the block count of the stage in progress.
+  /// Called after every persisted state with that state and the block
+  /// count of the stage the completed block belongs to. A stage's last
+  /// block arrives already rolled over to (next stage, block 0); a call
+  /// that completes no block (a stage without targets, or the final
+  /// completion) passes 0.
   std::function<void(const struct SweepState&, std::uint32_t stage_blocks)>
       on_block;
 };
@@ -209,7 +212,6 @@ class ConnectivitySweep {
   [[nodiscard]] const std::string& resume_note() const { return resume_note_; }
 
  private:
-  void run_stage(unsigned stage_threads);
   [[nodiscard]] std::uint32_t sources_needed() const;
   void init();
 

@@ -176,9 +176,13 @@ class alignas(64) VertexFlow {
   bool build_levels();
   void expand_forward();
   void expand_backward();
-  void reach(Side& side, std::uint32_t own, NodeId v, unsigned state,
-             std::uint32_t dist);
-  std::uint32_t next_state(std::uint32_t x, std::uint32_t q);
+  // The per-arc steps of the level search and the DFS, forced inline into
+  // their loops (defined in maxflow.cpp, their only caller).
+  [[gnu::always_inline]] inline void reach(Side& side, std::uint32_t own,
+                                           NodeId v, unsigned state,
+                                           std::uint32_t dist);
+  [[gnu::always_inline]] inline std::uint32_t next_state(std::uint32_t x,
+                                                         std::uint32_t q);
   void push_path();
 
   const Graph* g_;

@@ -9,8 +9,11 @@ namespace hbnet {
 SparseCertificate sparse_certificate(const AdjacencyProvider& adj,
                                      std::uint32_t k) {
   const NodeId n = adj.num_nodes();
+  if (k == 0 || n == 0) return {GraphBuilder(n).build(), k};
+  // Edge (x,y) lands in forest r(y)+1 <= deg(y): at k >= max degree every
+  // edge is kept, and the certificate is the graph itself.
+  if (k >= adj.max_degree()) return {to_graph(adj), k};
   GraphBuilder builder(n);
-  if (k == 0 || n == 0) return {builder.build(), k};
 
   // Scan-first search: always scan an unscanned vertex with maximum scan
   // count r. The bucket queue holds one entry per r-increment; entries go

@@ -20,7 +20,10 @@
 // The scan is serial, deterministic (max-r bucket queue with LIFO
 // tie-breaks, no RNG), and O(n + m) plus the certificate's CSR build; it
 // reads adjacency only through the provider interface, so it runs on
-// implicit topologies without materializing them.
+// implicit topologies without materializing them. At k >= max degree the
+// scan would keep every edge (an edge lands in forest r(y)+1 <= deg(y)), so
+// it is skipped and the certificate is a plain CSR copy of the provider
+// (to_graph): the case of every regular graph proved at its degree.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,11 @@
 #include "graph/builder.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/connectivity_sweep.hpp"
+#include "graph/maxflow.hpp"
 #include "graph/sparsify.hpp"
+#include "topology/ccc.hpp"
 #include "topology/hb_implicit.hpp"
+#include "topology/hyper_debruijn.hpp"
 
 namespace hbnet {
 namespace {
@@ -257,6 +260,80 @@ TEST(SparseCertificate, DeterministicAndProviderGeneric) {
   // certificate graphs are byte-for-byte the same CSR.
   EXPECT_EQ(graph_fingerprint(a.graph), graph_fingerprint(b.graph));
   EXPECT_EQ(graph_fingerprint(a.graph), graph_fingerprint(c.graph));
+}
+
+/// Row-by-row equality of a certificate and its provider.
+void expect_same_rows(const AdjacencyProvider& adj, const Graph& cert,
+                      const char* what, std::uint32_t k) {
+  ASSERT_EQ(cert.num_nodes(), adj.num_nodes()) << what << " k=" << k;
+  EXPECT_EQ(cert.num_edges(), adj.num_edges()) << what << " k=" << k;
+  NeighborScratch scratch(adj);
+  for (NodeId v = 0; v < adj.num_nodes(); ++v) {
+    const std::span<const NodeId> want = adj.neighbors(v, scratch.data());
+    const std::span<const NodeId> got = cert.neighbors(v);
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
+        << what << " k=" << k << " row " << v;
+  }
+}
+
+TEST(SparseCertificate, AtMaxDegreeCopiesProviderRows) {
+  // At k >= max degree every edge lands in a kept forest, so the
+  // certificate is the provider's graph, row for row: implicit HB, two
+  // materialized topologies read through the generic provider defaults,
+  // and an irregular random graph.
+  const Graph ccc = CubeConnectedCycles(4).to_graph();
+  const Graph hd = HyperDeBruijn(2, 3).to_graph();
+  const Graph rnd = random_graph(40, 0.3, 7);
+  ASSERT_FALSE(rnd.is_regular());
+  const HbImplicitAdjacency hb(2, 3);
+  const ForwardingProvider ccc_adj(ccc), hd_adj(hd);
+  const CsrAdjacency rnd_adj(rnd);
+  const std::pair<const AdjacencyProvider*, const char*> cases[] = {
+      {&hb, "HB(2,3) implicit"},
+      {&ccc_adj, "CCC(4)"},
+      {&hd_adj, "HD(2,3)"},
+      {&rnd_adj, "random"}};
+  for (const auto& [adj, what] : cases) {
+    const std::uint32_t d = adj->max_degree();
+    for (std::uint32_t k : {d, d + 3, adj->num_nodes()}) {
+      const SparseCertificate cert = sparse_certificate(*adj, k);
+      EXPECT_EQ(cert.k, k);
+      expect_same_rows(*adj, cert.graph, what, k);
+    }
+  }
+}
+
+TEST(SparseCertificate, BelowMaxDegreeStillScans) {
+  // One below the max degree the scan must run. A sparse random graph on
+  // 0..23 beside a K_12 on 24..35: the clique vertex scanned last finds its
+  // 11 neighbors scanned, so one of its edges lands in forest 11 = max
+  // degree and k = 10 drops it. Every local connectivity capped at k stays
+  // exact, including the clique pairs, whose kappa of 11 exceeds k.
+  const Graph sparse = random_graph(24, 0.2, 7);
+  GraphBuilder b(36);
+  for (NodeId u = 0; u < sparse.num_nodes(); ++u) {
+    for (NodeId v : sparse.neighbors(u)) b.add_edge(u, v);
+  }
+  for (NodeId u = 24; u < 36; ++u) {
+    for (NodeId v = u + 1; v < 36; ++v) b.add_edge(u, v);
+  }
+  const Graph g = b.build();
+  ASSERT_LT(sparse.degree_range().second, 11u);
+  ASSERT_EQ(g.degree_range().second, 11u);
+  const std::uint32_t k = 10;
+  const SparseCertificate cert = sparse_certificate(g, k);
+  EXPECT_LT(cert.graph.num_edges(), g.num_edges());
+  VertexFlow on_graph(g), on_cert(cert.graph);
+  const NodeId all = g.num_nodes();
+  for (NodeId s : {0u, 5u, 11u, 24u, 30u}) {
+    for (NodeId t = 1; t < all; t += 2) {
+      if (t == s) continue;
+      const std::uint32_t want = on_graph.solve(s, t, k);
+      EXPECT_EQ(on_cert.solve(s, t, k), want) << "s=" << s << " t=" << t;
+      // A subgraph never has more disjoint paths.
+      EXPECT_LE(on_cert.solve(s, t, all), on_graph.solve(s, t, all));
+    }
+  }
 }
 
 TEST(SparseCertificate, RealWinOnDenseGraph) {

@@ -732,8 +732,13 @@ int run_exact_connectivity(const HyperButterfly& hb, ExactFlags& ef,
   opts.progress = streaming.board_or_null();
   opts.on_block = [](const hbnet::SweepState& st,
                      std::uint32_t stage_blocks) {
-    std::cout << "  stage " << st.stages_done << " block " << st.blocks_done
-              << "/" << stage_blocks << "  bound " << st.bound << "  solves "
+    // A stage's last block arrives rolled over to (next stage, block 0);
+    // the completion call after the last stage has no block at all.
+    if (stage_blocks == 0) return;
+    const bool rolled = st.blocks_done == 0;
+    std::cout << "  stage " << st.stages_done - (rolled ? 1 : 0) << " block "
+              << (rolled ? stage_blocks : st.blocks_done) << "/"
+              << stage_blocks << "  bound " << st.bound << "  solves "
               << st.solves << "  pruned " << st.pruned << "\n";
   };
   hbnet::ConnectivitySweep sweep(*adj, opts);
