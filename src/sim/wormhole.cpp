@@ -1,13 +1,13 @@
 #include "sim/wormhole.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <numeric>
 #include <random>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 #include <unordered_set>
 
 #include "check/check.hpp"
@@ -18,29 +18,42 @@
 // full-scan implementation -- same seed => same WormholeStats, pinned in
 // tests/test_wormhole_determinism.cpp):
 //
-//  * A packet is a plain record (PktState): endpoints, hop count, stream
-//    cursor, flags, and an offset into three append-only *route arenas*
-//    local to the run -- per hop, the channel id, the VC class, and the VC
-//    the worm holds there once its head has allocated one. Port words
-//    (SimTopology::route_word) are resolved to channel ids once, at
-//    injection, so the advance loop never looks a channel up; the node a
+//  * Packet records are recycled through free lists, so the engine's state
+//    is bounded by the packets it holds at once, not by the packets it
+//    ever created. A created packet waits in its source queue as a 40-byte
+//    Pending record (creation ordinal, injection cycle, destination, and
+//    its port word inline when it has at most kInlineHops hops). When its
+//    head starts streaming it moves into a slot (PktState): endpoints,
+//    stream cursor, flags, the count of VCs the worm holds, and its route
+//    -- per hop the channel id, the VC class, and the VC the worm holds
+//    there once its head has allocated one. A slot returns to the free list
+//    once its packet is delivered or killed and holds no VC; its route
+//    vector keeps its capacity, so a steady-state run allocates nothing.
+//    The trace's "pkt" argument is the stored creation ordinal.
+//  * Port words (SimTopology::route_word) are resolved to channel ids once,
+//    at injection, so the advance loop never looks a channel up; the node a
 //    hop enters is chan_ends[c].second.
-//  * The online fault re-planner never edits a route in place: it copies
-//    the kept prefix (channels, classes and held VCs) plus the escape
-//    suffix to the arena tail and repoints the packet's offset. Buffered
-//    flits are named by (packet, hop), and the prefix keeps its indices.
+//  * The online fault re-planner rewrites a route in place from hop `keep`
+//    on: the head flit sits at hop keep - 1, so no flit of the worm holds a
+//    VC at or beyond `keep`, and the kept hops (with their held VCs) and
+//    every buffered flit's (packet, hop) name stay valid.
 //  * Channel ids come from a dense (node, port) -> id table of
 //    degree_hint() entries per node, filled on first use: ids follow
 //    first-registration order (injection order, then re-plan order), which
 //    is also the advance loop's scan order. Words take the lowest port to
 //    each neighbor, so a link is one channel. A word with a port >=
-//    degree_hint() is a topology bug and throws std::logic_error.
+//    degree_hint() is a topology bug and throws std::logic_error. A
+//    channel's ring direction and wrap bit are fixed when it is registered,
+//    so assigning VC classes reads one byte per hop. The per-channel tables
+//    are reserved once for num_nodes * degree_hint channels, so none
+//    reallocates mid-run.
 //  * No flit is stored. A VC is held by one hop of one worm from head
 //    allocation to tail release, and that hop's flits enter it in index
-//    order, at most one per cycle; so a VC is a record (VcState) of owner,
-//    hop, front flit index, count and the cycle of its last push. A head
-//    that arrived this very cycle is exactly count == 1 && stamp == cycle.
-//    Always-on checks hold every push and release to that contract.
+//    order, at most one per cycle; so a VC is a 16-byte record (VcState) of
+//    owner slot, hop, front flit index, count and the 32-bit cycle of its
+//    last push (the horizon is validated below 2^32). A head that arrived
+//    this very cycle is exactly count == 1 && stamp == cycle. Always-on
+//    checks hold every push and release to that contract.
 //  * Each channel keeps a 64-bit mask of its non-empty VCs; arbitration
 //    walks its set bits round-robin from rr, and each VC class owns a
 //    precomputed mask of its VCs, so no empty or foreign VC is probed.
@@ -67,67 +80,137 @@ constexpr std::uint32_t kFree = std::numeric_limits<std::uint32_t>::max();
 /// One virtual channel: the (worm, hop) holding it and the flits
 /// [first, first + count) of that hop it buffers.
 struct VcState {
-  std::uint32_t owner = kFree;  // packet id, kFree = unallocated
+  std::uint32_t owner = kFree;  // packet slot, kFree = unallocated
+  std::uint32_t stamp = 0;      // cycle of the last push
   std::uint16_t hop = 0;        // route position of the buffered flits
   std::uint16_t first = 0;      // index of the front flit, 0 = head
   std::uint16_t count = 0;      // buffered flits
-  std::uint64_t stamp = 0;      // cycle of the last push
 };
+static_assert(sizeof(VcState) == 16);
+
+// A channel's movement on the ring coordinate (node id % arity).
+constexpr std::uint8_t kRingUp = 1;    // +1 step
+constexpr std::uint8_t kRingDown = 2;  // -1 step
+constexpr std::uint8_t kRingWrap = 4;  // the step crosses the wrap edge
+
+/// The kRing* bits of the channel u -> v: direction of the +-1 movement of
+/// (id % arity), and whether it crosses the wrap edge. Non-ring hops (cube
+/// edges: level unchanged) and arity 0 give 0.
+std::uint8_t ring_bits(std::uint32_t u, std::uint32_t v, unsigned arity) {
+  if (arity == 0) return 0;
+  const std::uint32_t lu = u % arity, lv = v % arity;
+  if (lu == lv) return 0;
+  if (lv == (lu + 1) % arity) {
+    return kRingUp | (lu == arity - 1 ? kRingWrap : 0);
+  }
+  if (lu == (lv + 1) % arity) return kRingDown | (lu == 0 ? kRingWrap : 0);
+  return 0;
+}
 
 /// One physical channel's arbitration state.
 struct ChanState {
   std::uint64_t busy = 0;  // bit q set iff VC q buffers a flit
   std::uint8_t rr = 0;     // round-robin arbiter position
   bool blocked = false;    // static fault on the link
+  std::uint8_t ring = 0;   // kRing* bits, fixed at registration
 };
 
-/// One packet. Hop h of its route uses channel route_chan[route + h] in VC
-/// class route_cls[route + h], holding VC route_vc[route + h] there (the
-/// run's route arenas).
+/// One hop of a route.
+struct Hop {
+  std::uint32_t chan = 0;  // channel id
+  std::uint8_t cls = 0;    // VC class
+  std::uint8_t vc = 0;     // VC held there, from head allocation to tail
+                           // release
+};
+
+/// One packet in the network (its head has started streaming); hop h of
+/// its route is route[h].
 struct PktState {
-  std::uint64_t injected_at = 0;
+  std::vector<Hop> route;      // >= 1 hop; capacity kept across reuse
+  std::uint64_t ordinal = 0;   // creation index (the trace's "pkt")
+  std::uint32_t injected_at = 0;
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
-  std::uint32_t route = 0;      // arena offset of hop 0
-  std::uint16_t hops = 0;       // route length, >= 1
-  std::uint16_t next_flit = 0;  // flits not yet streamed into hop 0
   unsigned replans = 0;         // online fault re-plans consumed
+  std::uint16_t next_flit = 0;  // flits not yet streamed into hop 0
+  std::uint16_t held = 0;       // VCs the worm holds
   bool measured = false;
   bool dead = false;  // killed as unroutable; buffered flits drain in place
 };
-static_assert(std::is_trivially_copyable_v<PktState>);
 
-/// Appends the VC classes of the hops `chans` (channel ids, whose ends are
-/// `ends`) to `cls`, from the ring structure: direction of a hop is the +-1
-/// movement of (id % arity); a direction reversal starts a new monotone
-/// segment; crossing the wrap edge bumps the within-segment dateline bit.
-/// Non-ring hops (cube edges: level unchanged) keep the current class and
-/// do not end a segment.
+/// A created packet waiting in its source queue behind the one streaming
+/// there. It gets a PktState slot, and its route hops, only when its head
+/// starts to stream. Until then its port word is kept inline when it fits;
+/// a longer one is planned again then (route_word is a pure function).
+constexpr std::size_t kInlineHops = 18;
+struct Pending {
+  std::uint64_t ordinal = 0;      // creation index
+  std::uint32_t next = kFree;     // next record in the source queue
+  std::uint32_t injected_at = 0;
+  std::uint32_t dst = 0;
+  bool measured = false;
+  std::uint8_t hops = 0;  // inline word length, 0 = not kept
+  std::array<std::uint8_t, kInlineHops> word;
+};
+static_assert(sizeof(Pending) == 40);
+
+/// Records recycled through a free list. size() grows only when every
+/// record is taken, so it is the peak number held at once.
+template <class T>
+class Pool {
+ public:
+  [[nodiscard]] std::uint32_t take() {
+    if (!free_.empty()) {
+      const std::uint32_t id = free_.back();
+      free_.pop_back();
+      return id;
+    }
+    HBNET_CHECK(items_.size() < kFree);
+    items_.emplace_back();
+    return static_cast<std::uint32_t>(items_.size() - 1);
+  }
+  void give(std::uint32_t id) { free_.push_back(id); }
+  T& operator[](std::uint32_t id) { return items_[id]; }
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
+  [[nodiscard]] std::size_t held() const {
+    return items_.size() - free_.size();
+  }
+
+ private:
+  std::vector<T> items_;
+  std::vector<std::uint32_t> free_;
+};
+
+/// A source's queue: the packet streaming from it, then a list of Pending
+/// records in creation order.
+struct SourceQueue {
+  std::uint32_t front = kFree;  // PktState slot, kFree = none streaming
+  std::uint32_t head = kFree;   // first Pending, kFree = none
+  std::uint32_t tail = kFree;   // last Pending
+};
+
+/// Sets the VC classes of `hops` from the ring bits of their channels:
+/// a direction reversal starts a new monotone segment; crossing the wrap
+/// edge bumps the within-segment dateline bit. Non-ring hops keep the
+/// current class and do not end a segment.
 /// kFaultAdaptive uses the same six segment-dateline base classes; its
 /// seventh (escape) class is never assigned here -- only the online
 /// re-planner places hops there.
-void append_hop_classes(
-    std::span<const std::uint32_t> chans,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ends,
-    unsigned arity, VcPolicy policy, std::vector<std::uint8_t>& cls) {
-  if (policy == VcPolicy::kAnyFree || arity == 0) {
-    cls.insert(cls.end(), chans.size(), 0);
+void assign_hop_classes(std::span<Hop> hops,
+                        const std::vector<ChanState>& chans,
+                        VcPolicy policy) {
+  if (policy == VcPolicy::kAnyFree) {
+    for (Hop& h : hops) h.cls = 0;
     return;
   }
   int last_dir = 0;       // 0 = none yet
   unsigned segment = 0;   // monotone segment index (0..2 for our routers)
   unsigned wrapped = 0;   // crossed wrap within this segment
-  for (const std::uint32_t c : chans) {
-    std::uint32_t lu = ends[c].first % arity, lv = ends[c].second % arity;
-    int dir = 0;
-    bool wrap = false;
-    if (lv == (lu + 1) % arity && lu != lv) {
-      dir = 1;
-      wrap = (lu == arity - 1);
-    } else if (lu == (lv + 1) % arity && lu != lv) {
-      dir = -1;
-      wrap = (lu == 0);
-    }
+  for (Hop& h : hops) {
+    const std::uint8_t ring = chans[h.chan].ring;
+    const int dir = (ring & kRingUp) != 0     ? 1
+                    : (ring & kRingDown) != 0 ? -1
+                                              : 0;
     if (dir != 0) {
       if (last_dir != 0 && dir != last_dir) {
         ++segment;
@@ -136,12 +219,12 @@ void append_hop_classes(
       last_dir = dir;
     }
     if (policy == VcPolicy::kDateline) {
-      cls.push_back(static_cast<std::uint8_t>(wrapped ? 1 : 0));
+      h.cls = static_cast<std::uint8_t>(wrapped);
     } else {  // kSegmentDateline / kFaultAdaptive base classes
-      unsigned seg_capped = segment > 2 ? 2 : segment;
-      cls.push_back(static_cast<std::uint8_t>(2 * seg_capped + wrapped));
+      const unsigned seg_capped = segment > 2 ? 2 : segment;
+      h.cls = static_cast<std::uint8_t>(2 * seg_capped + wrapped);
     }
-    if (wrap) wrapped = 1;
+    if ((ring & kRingWrap) != 0) wrapped = 1;
   }
 }
 
@@ -183,6 +266,20 @@ std::string validate_wormhole_config(const WormholeConfig& config) {
     return "wormhole config: buffer_depth must be at most " +
            std::to_string(kMaxFlits) + " (VC flit counts are 16-bit), got " +
            std::to_string(config.buffer_depth);
+  }
+  // Cycle stamps are 32-bit. Each partial sum is checked, so a horizon
+  // that wraps 64 bits is rejected too, not run short.
+  constexpr std::uint64_t kMaxHorizon =
+      std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t warmup = config.warmup_cycles;
+  const std::uint64_t measure = config.measure_cycles;
+  const std::uint64_t drain = config.drain_cycles;
+  if (warmup > kMaxHorizon || measure > kMaxHorizon - warmup ||
+      drain > kMaxHorizon - warmup - measure) {
+    return "wormhole config: warmup + measure + drain cycles must be < 2^32 "
+           "(cycle stamps are 32-bit), got " +
+           std::to_string(warmup) + " + " + std::to_string(measure) + " + " +
+           std::to_string(drain);
   }
   const unsigned need = vc_classes(config.policy);
   if (config.vcs < need) {
@@ -270,7 +367,11 @@ WormholeStats run_wormhole(const SimTopology& topo,
   TrafficGenerator traffic(config.pattern, n,
                            config.seed ^ 0x5bf03635dcd66425ull);
 
-  std::uint64_t cycle = 0;
+  // validate_wormhole_config holds the horizon below 2^32, so cycles fit
+  // the 32-bit VC stamps.
+  const auto horizon = static_cast<std::uint32_t>(
+      config.warmup_cycles + config.measure_cycles + config.drain_cycles);
+  std::uint32_t cycle = 0;
 
   // VC q belongs to class q * classes / vcs (classes partition the range).
   std::vector<std::uint64_t> cls_mask(classes, 0);
@@ -280,12 +381,14 @@ WormholeStats run_wormhole(const SimTopology& topo,
 
   // -- channel storage -----------------------------------------------------
   // The channel table is consulted only when a route is resolved (injection
-  // and re-plan); the advance loop works off the route arenas' channel ids.
-  // All per-channel state is in flat arrays indexed by channel id (and
-  // vi = c*vcs + q per VC).
+  // and re-plan); the advance loop works off the routes' channel ids. All
+  // per-channel state is in flat arrays indexed by channel id (and
+  // vi = c*vcs + q per VC), reserved for every (node, port) up front so
+  // that registering a channel mid-run never reallocates them.
   const unsigned ports = topo.degree_hint();
+  const std::size_t max_chans = std::size_t{n} * ports;
   // (node, port) -> channel id; kFree until the channel is registered.
-  std::vector<std::uint32_t> chan_id(std::size_t{n} * ports, kFree);
+  std::vector<std::uint32_t> chan_id(max_chans, kFree);
   std::uint32_t num_chans = 0;
   std::vector<VcState> vc;  // num_chans * vcs
   std::vector<ChanState> chans;
@@ -297,6 +400,15 @@ WormholeStats run_wormhole(const SimTopology& topo,
   std::vector<std::uint64_t> occ_integral;         // per VC (flit-cycles)
   std::vector<std::uint64_t> occ_since;            // first cycle not yet
                                                    // integrated, per VC
+  vc.reserve(max_chans * vcs);
+  chans.reserve(max_chans);
+  chan_ends.reserve(max_chans);
+  active.reserve((max_chans + 63) / 64);
+  if (sink != nullptr) {
+    link_forwarded.reserve(max_chans);
+    occ_integral.reserve(max_chans * vcs);
+    occ_since.reserve(max_chans * vcs);
+  }
 
   auto channel = [&](std::uint32_t u, unsigned port) -> std::uint32_t {
     if (port >= ports) {
@@ -310,7 +422,8 @@ WormholeStats run_wormhole(const SimTopology& topo,
     const std::uint32_t v = topo.neighbor(u, port);
     id = num_chans++;
     vc.resize(std::size_t{num_chans} * vcs);
-    chans.push_back({0, 0, have_faults && edge_blocked(u, v)});
+    chans.push_back(
+        {0, 0, have_faults && edge_blocked(u, v), ring_bits(u, v, ring_arity)});
     chan_ends.emplace_back(u, v);
     active.resize((num_chans + 63) / 64, 0);
     if (sink != nullptr) {
@@ -321,37 +434,39 @@ WormholeStats run_wormhole(const SimTopology& topo,
     return id;
   };
 
-  // -- route arenas ----------------------------------------------------------
-  // Append-only, one entry per hop of every route ever planned in this run.
-  // route_vc[h] is meaningful from the head's VC allocation at hop h until
-  // the tail releases that VC.
-  std::vector<std::uint32_t> route_chan;
-  std::vector<std::uint8_t> route_cls;
-  std::vector<std::uint8_t> route_vc;
-  // Appends the channels of `word`, walked from `u`, to route_chan.
-  auto append_channels = [&](std::uint32_t u,
-                             const std::vector<std::uint8_t>& word) {
-    for (const std::uint8_t port : word) {
-      const std::uint32_t c = channel(u, port);
-      route_chan.push_back(c);
-      u = chan_ends[c].second;
-    }
-    route_vc.resize(route_chan.size());
+  // -- packet records --------------------------------------------------------
+  Pool<PktState> pkts;  // packets in the network
+  Pool<Pending> pend;   // packets queued behind them
+  std::uint64_t created = 0;
+  // Returns the slot of a delivered or killed packet to the free list once
+  // it holds no VC; a killed worm still draining keeps it until then.
+  auto retire = [&](std::uint32_t pid) {
+    if (pkts[pid].held == 0) pkts.give(pid);
   };
-  std::vector<std::uint8_t> word;  // scratch: the route being resolved
-  // Narrows an arena offset / hop count to the PktState field widths (hop
-  // indices are 16-bit in every VC record).
-  auto arena_offset = [](std::size_t at) {
-    HBNET_CHECK(at <= std::numeric_limits<std::uint32_t>::max());
-    return static_cast<std::uint32_t>(at);
+  // Registers the channels of `word`, walked from `u`, in hop order.
+  auto register_channels = [&](std::uint32_t u,
+                               std::span<const std::uint8_t> word) {
+    for (const std::uint8_t port : word) u = chan_ends[channel(u, port)].second;
   };
-  auto hop_count = [](std::size_t hops) {
+  // Appends the channels of `word`, walked from `u`, to p's route in VC
+  // class `cls`.
+  auto append_channels = [&](PktState& p, std::uint32_t u,
+                             std::span<const std::uint8_t> word,
+                             std::uint8_t cls) {
+    // Hop indices are 16-bit in every VC record.
+    const std::size_t hops = p.route.size() + word.size();
     if (hops > std::numeric_limits<std::uint16_t>::max()) {
       throw std::logic_error("run_wormhole: a route of " +
                              std::to_string(hops) + " hops exceeds 65535");
     }
-    return static_cast<std::uint16_t>(hops);
+    p.route.reserve(hops);
+    for (const std::uint8_t port : word) {
+      const std::uint32_t c = channel(u, port);
+      p.route.push_back({c, cls, 0});
+      u = chan_ends[c].second;
+    }
   };
+  std::vector<std::uint8_t> word;  // scratch: the route being resolved
 
   // Integrates a VC's occupancy up to (but not including) the current
   // cycle's end-of-cycle sample; call BEFORE changing the flit count.
@@ -386,53 +501,76 @@ WormholeStats run_wormhole(const SimTopology& topo,
     }
   };
   auto release = [&](std::size_t vi) {
-    HBNET_CHECK(vc[vi].count == 0);
-    vc[vi].owner = kFree;
+    VcState& s = vc[vi];
+    HBNET_CHECK(s.count == 0);
+    PktState& p = pkts[s.owner];
+    HBNET_DCHECK(p.held > 0);
+    --p.held;
+    s.owner = kFree;
   };
-  // Hands hop h of packet pid the first free VC of the hop's class on
-  // channel c (recorded in route_vc); false when every one is held.
-  auto allocate = [&](std::uint32_t pid, const PktState& p, std::size_t h,
-                      std::uint32_t c) {
-    for (std::uint64_t m = cls_mask[route_cls[p.route + h]]; m != 0;
-         m &= m - 1) {
+  // Hands hop h of packet pid the first free VC of the hop's class on its
+  // channel (recorded in the hop); false when every one is held.
+  auto allocate = [&](std::uint32_t pid, PktState& p, std::size_t h) {
+    Hop& hop = p.route[h];
+    for (std::uint64_t m = cls_mask[hop.cls]; m != 0; m &= m - 1) {
       const auto q = static_cast<unsigned>(std::countr_zero(m));
-      VcState& s = vc[std::size_t{c} * vcs + q];
+      VcState& s = vc[std::size_t{hop.chan} * vcs + q];
       if (s.owner != kFree) continue;
       s.owner = pid;
       s.hop = static_cast<std::uint16_t>(h);
       s.first = 0;
-      route_vc[p.route + h] = static_cast<std::uint8_t>(q);
+      hop.vc = static_cast<std::uint8_t>(q);
+      ++p.held;
       return true;
     }
     return false;
   };
 
-  // The run-long arrays are reserved up front so that none reallocates as
-  // the run goes on: a doubling's transient copy, and whether the heap
-  // block it frees goes back to the kernel, made the peak footprint vary
-  // by megabytes from seed to seed. pkts gets the expected packet count
-  // plus 1/8 (capped, for long horizons that deadlock early); the route
-  // arenas get one spare hop per packet over the mean route length of the
-  // first kRouteSample packets. Outgrowing either just resumes doubling.
-  constexpr std::size_t kRouteSample = 256;
-  const double expect =
-      std::max(0.0, std::min(config.injection_rate, 1.0)) * n *
-      static_cast<double>(config.warmup_cycles + config.measure_cycles);
-  std::vector<PktState> pkts;
-  pkts.reserve(static_cast<std::size_t>(std::min(1.125 * expect, 0x1p22)));
-  std::vector<std::vector<std::uint32_t>> inject_q(n);
-  std::vector<std::uint32_t> inject_head(n, 0);  // index of queue front
-  // Bit src set iff inject_q[src] holds a packet: the streaming worklist.
+  std::vector<SourceQueue> sources(n);
+  // Bit src set iff sources[src] holds a packet: the streaming worklist.
   std::vector<std::uint64_t> queued((n + 63) / 64, 0);
   std::uint64_t in_flight = 0;
   std::uint64_t stall = 0;
   // Drops the front packet of src's queue (fully streamed or killed).
   auto advance_queue = [&](std::uint32_t src) {
-    if (++inject_head[src] == inject_q[src].size()) {
-      inject_q[src].clear();
-      inject_head[src] = 0;
+    sources[src].front = kFree;
+    if (sources[src].head == kFree) {
       queued[src >> 6] &= ~(std::uint64_t{1} << (src & 63));
     }
+  };
+  // Moves the first Pending record of src's queue into a packet slot with
+  // its route resolved (every channel of it was registered at creation),
+  // and makes it the streaming front.
+  auto start_front = [&](std::uint32_t src) -> std::uint32_t {
+    SourceQueue& sq = sources[src];
+    const std::uint32_t qid = sq.head;
+    const Pending& q = pend[qid];
+    sq.head = q.next;
+    if (sq.head == kFree) sq.tail = kFree;
+    const std::uint32_t pid = pkts.take();
+    PktState& p = pkts[pid];
+    p.route.clear();
+    if (q.hops != 0) {
+      append_channels(p, src, std::span(q.word.data(), q.hops), 0);
+    } else {
+      word.clear();
+      topo.route_word(src, q.dst, word);
+      append_channels(p, src, word, 0);
+    }
+    assign_hop_classes(p.route, chans, config.policy);
+    // Field by field, not a fresh PktState: the route keeps its capacity.
+    p.ordinal = q.ordinal;
+    p.injected_at = q.injected_at;
+    p.src = src;
+    p.dst = q.dst;
+    p.replans = 0;
+    p.next_flit = 0;
+    p.held = 0;
+    p.measured = q.measured;
+    p.dead = false;
+    pend.give(qid);
+    sq.front = pid;
+    return pid;
   };
 
   // Observability accumulators. `buffered` counts flits currently sitting
@@ -470,7 +608,8 @@ WormholeStats run_wormhole(const SimTopology& topo,
   // Declares a worm unroutable: drop it from the stats, unblock its source
   // queue if it was still streaming, and mark it dead so any buffered flits
   // drain in place (the advance loop pops dead flits one per channel per
-  // cycle without forwarding them).
+  // cycle without forwarding them). The caller frees the worm's empty VCs
+  // and then retires its slot.
   auto kill_worm = [&](PktState& p) {
     p.dead = true;
     ++stats.unroutable;
@@ -495,16 +634,15 @@ WormholeStats run_wormhole(const SimTopology& topo,
   // Re-plans packet p from the node its hop `keep` leaves to its
   // destination around the static faults via the Theorem-5 alternatives;
   // the replanned suffix runs entirely in the reserved escape class. The
-  // kept hops [0, keep) and the suffix are written to the arena tail and
-  // p.route repointed there, so every buffered flit's hop index stays
-  // valid. May register new channels (growing the flat per-channel
-  // arrays), so callers re-resolve any downstream channel index
-  // afterwards. Returns false when the packet exhausted its misroute budget
-  // or no fault-free alternative exists; the caller then kills the worm.
+  // suffix overwrites hops keep.. in place: the head is at hop keep - 1 (or
+  // not yet streamed when keep == 0), so none of them holds a VC or a flit,
+  // while the kept hops and every buffered flit's hop index stay valid.
+  // Returns false when the packet exhausted its misroute budget or no
+  // fault-free alternative exists; the caller then kills the worm.
   auto replan = [&](PktState& p, std::size_t keep) -> bool {
     if (p.replans >= config.misroute_limit) return false;
     const std::uint32_t cur =
-        keep == 0 ? p.src : chan_ends[route_chan[p.route + keep - 1]].second;
+        keep == 0 ? p.src : chan_ends[p.route[keep - 1].chan].second;
     banned_scratch.clear();
     for (const auto& [lu, lv] : faults->links) {
       if (lu == cur) banned_scratch.push_back(lv);
@@ -518,18 +656,8 @@ WormholeStats run_wormhole(const SimTopology& topo,
     ++p.replans;
     ++stats.misroutes;
     stats.escape_hops += word.size();
-    const std::size_t at = route_chan.size();
-    auto copy_prefix = [&](auto& arena) {
-      arena.resize(at + keep);
-      std::copy_n(arena.begin() + p.route, keep, arena.begin() + at);
-    };
-    copy_prefix(route_chan);
-    copy_prefix(route_cls);
-    copy_prefix(route_vc);
-    append_channels(cur, word);
-    route_cls.insert(route_cls.end(), word.size(), escape_cls);
-    p.route = arena_offset(at);
-    p.hops = hop_count(keep + word.size());
+    p.route.resize(keep);
+    append_channels(p, cur, word, escape_cls);
     return true;
   };
 
@@ -537,8 +665,8 @@ WormholeStats run_wormhole(const SimTopology& topo,
   // flit if it can. True when the channel used its one move this cycle.
   auto advance_vc = [&](std::uint32_t c, unsigned q) {
     const std::size_t vi = std::size_t{c} * vcs + q;
-    // A copy, not a reference: the re-planner below can register new
-    // channels and grow the VC array mid-call.
+    // A copy: the pops and pushes below edit vc[vi], and the flit they
+    // move is the one this snapshot names.
     const VcState s = vc[vi];
     if (s.count == 1 && s.stamp == cycle) return false;  // arrived now
     PktState& p = pkts[s.owner];
@@ -547,64 +675,68 @@ WormholeStats run_wormhole(const SimTopology& topo,
       // packet was dropped), but progress for the stall detector.
       pop_flit(c, q);
       --buffered;
-      if (vc[vi].count == 0) release(vi);
+      if (vc[vi].count == 0) {
+        release(vi);
+        retire(s.owner);
+      }
       ++moves;
       return true;
     }
-    if (s.hop + 1u == p.hops) {
+    if (s.hop + 1u == p.route.size()) {
       pop_flit(c, q);
       --buffered;
       if (sink != nullptr) ++link_forwarded[c];
       if (s.first + 1u == flits) {
         release(vi);
+        HBNET_DCHECK(p.held == 0);
         HBNET_DCHECK(in_flight > 0);
         --in_flight;
         ++delivered_all;
         if (p.measured) {
-          stats.packets.record_delivery(cycle + 1 - p.injected_at, p.hops);
+          stats.packets.record_delivery(cycle + 1 - p.injected_at,
+                                        p.route.size());
         }
         if (deliver_ts != nullptr) deliver_ts->bump(cycle);
         HBNET_TRACE_COMPLETE(sink, "packet", "pkt", 0, p.src, p.injected_at,
                              cycle + 1 - p.injected_at,
-                             {{"pkt", s.owner},
+                             {{"pkt", p.ordinal},
                               {"src", p.src},
                               {"dst", p.dst},
-                              {"hops", p.hops}});
+                              {"hops", p.route.size()}});
+        retire(s.owner);
       }
       ++moves;
       return true;
     }
     const std::size_t next = s.hop + 1u;
-    std::uint32_t c2 = route_chan[p.route + next];
     if (s.first == 0) {
       // The head allocates the next hop's VC; body flits follow into it.
-      if (have_faults && chans[c2].blocked) {
+      if (have_faults && chans[p.route[next].chan].blocked &&
+          !replan(p, next)) {
         // Online fault discovery at VC allocation: the head sits at the
-        // end of channel c and its planned next hop c2 is faulted.
-        if (!replan(p, next)) {
-          kill_worm(p);
-          pop_flit(c, q);
-          --buffered;
-          // Free every VC the worm holds that is already empty: no flit
-          // of it will ever arrive there to drain and free it.
-          for (std::size_t h = 0; h < next; ++h) {
-            const std::size_t at = p.route + h;
-            const std::size_t hv =
-                std::size_t{route_chan[at]} * vcs + route_vc[at];
-            const VcState& held = vc[hv];
-            if (held.owner == s.owner && held.hop == h && held.count == 0) {
-              release(hv);
-            }
+        // end of channel c, its planned next hop is faulted, and no
+        // re-plan is left.
+        kill_worm(p);
+        pop_flit(c, q);
+        --buffered;
+        // Free every VC the worm holds that is already empty: no flit
+        // of it will ever arrive there to drain and free it.
+        for (std::size_t h = 0; h < next; ++h) {
+          const Hop& hop = p.route[h];
+          const std::size_t hv = std::size_t{hop.chan} * vcs + hop.vc;
+          const VcState& held = vc[hv];
+          if (held.owner == s.owner && held.hop == h && held.count == 0) {
+            release(hv);
           }
-          return true;
         }
-        // The re-plan kept hops 0 .. s.hop (this channel included) and
-        // spliced a fresh escape-class suffix.
-        c2 = route_chan[p.route + next];
+        retire(s.owner);
+        return true;
       }
-      if (!allocate(s.owner, p, next, c2)) return false;
+      if (!allocate(s.owner, p, next)) return false;
     }
-    const unsigned q2 = route_vc[p.route + next];
+    const Hop& to = p.route[next];
+    const std::uint32_t c2 = to.chan;
+    const unsigned q2 = to.vc;
     if (vc[std::size_t{c2} * vcs + q2].count >= depth) return false;
     pop_flit(c, q);
     if (sink != nullptr) ++link_forwarded[c];
@@ -630,14 +762,13 @@ WormholeStats run_wormhole(const SimTopology& topo,
     }
   };
 
-  const std::uint64_t horizon =
-      config.warmup_cycles + config.measure_cycles + config.drain_cycles;
   for (; cycle < horizon; ++cycle) {
     bool injecting = cycle < config.warmup_cycles + config.measure_cycles;
     bool measuring = cycle >= config.warmup_cycles && injecting;
     moves = 0;
 
-    // 1. Packet creation. Channels of the native route are registered here;
+    // 1. Packet creation, into a Pending record at the tail of the source's
+    // queue. Channels of the native route are registered here;
     // the online re-planner (phases 2-3) is the only other channel creator.
     // Faulty endpoints mirror the store-and-forward engine: a dead source
     // never draws its injection coin, a packet to a dead destination is
@@ -651,26 +782,24 @@ WormholeStats run_wormhole(const SimTopology& topo,
         word.clear();
         topo.route_word(src, dst, word);
         if (word.empty()) continue;
-        PktState p;
-        p.injected_at = cycle;
-        p.src = src;
-        p.dst = dst;
-        p.measured = measuring;
-        p.route = arena_offset(route_chan.size());
-        p.hops = hop_count(word.size());
-        append_channels(src, word);
-        append_hop_classes(std::span(route_chan).subspan(p.route), chan_ends,
-                           ring_arity, config.policy, route_cls);
-        if (p.measured) stats.packets.record_injection();
-        if (inject_ts != nullptr) inject_ts->bump(cycle);
-        pkts.push_back(p);
-        if (pkts.size() == kRouteSample) {
-          const std::size_t hops =
-              (route_chan.size() / kRouteSample + 1) * pkts.capacity();
-          route_chan.reserve(hops);
-          for (auto* arena : {&route_cls, &route_vc}) arena->reserve(hops);
+        register_channels(src, word);
+        const std::uint32_t qid = pend.take();
+        Pending& q = pend[qid];
+        q.ordinal = created++;
+        q.next = kFree;
+        q.injected_at = cycle;
+        q.dst = dst;
+        q.measured = measuring;
+        q.hops = 0;
+        if (word.size() <= kInlineHops) {
+          q.hops = static_cast<std::uint8_t>(word.size());
+          std::copy(word.begin(), word.end(), q.word.begin());
         }
-        inject_q[src].push_back(static_cast<std::uint32_t>(pkts.size() - 1));
+        SourceQueue& sq = sources[src];
+        (sq.tail == kFree ? sq.head : pend[sq.tail].next) = qid;
+        sq.tail = qid;
+        if (measuring) stats.packets.record_injection();
+        if (inject_ts != nullptr) inject_ts->bump(cycle);
         queued[src >> 6] |= std::uint64_t{1} << (src & 63);
         ++in_flight;
       }
@@ -682,21 +811,24 @@ WormholeStats run_wormhole(const SimTopology& topo,
       for (std::uint64_t bits = queued[w]; bits != 0; bits &= bits - 1) {
         const auto src =
             static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
-        const std::uint32_t pid = inject_q[src][inject_head[src]];
+        const std::uint32_t pid = sources[src].front != kFree
+                                      ? sources[src].front
+                                      : start_front(src);
         PktState& p = pkts[pid];
         if (p.next_flit == 0) {
           // Online discovery at hop-0 VC allocation: re-plan before the
           // head flit ever enters the network, or kill the packet unrouted
           // (no flits exist yet, so the kill only advances the queue).
-          if (have_faults && chans[route_chan[p.route]].blocked &&
+          if (have_faults && chans[p.route[0].chan].blocked &&
               !replan(p, 0)) {
             kill_worm(p);
+            retire(pid);
             continue;
           }
-          if (!allocate(pid, p, 0, route_chan[p.route])) continue;
+          if (!allocate(pid, p, 0)) continue;
         }
-        const std::uint32_t c0 = route_chan[p.route];
-        const unsigned q0 = route_vc[p.route];
+        const std::uint32_t c0 = p.route[0].chan;
+        const unsigned q0 = p.route[0].vc;
         if (vc[std::size_t{c0} * vcs + q0].count >= depth) continue;
         push_flit(c0, q0, pid, 0, p.next_flit);
         ++p.next_flit;
@@ -740,9 +872,11 @@ WormholeStats run_wormhole(const SimTopology& topo,
     }
   }
   stats.cycles = cycle;
+  stats.packet_slots = pkts.size() + pend.size();
+  stats.packet_slots_held = pkts.held() + pend.held();
   HBNET_CHECK_MSG(
-      pkts.size() == delivered_all + stats.unroutable + in_flight,
-      "run_wormhole: created " + std::to_string(pkts.size()) +
+      created == delivered_all + stats.unroutable + in_flight,
+      "run_wormhole: created " + std::to_string(created) +
           " != delivered " + std::to_string(delivered_all) + " + killed " +
           std::to_string(stats.unroutable) + " + in flight " +
           std::to_string(in_flight));
@@ -752,7 +886,8 @@ WormholeStats run_wormhole(const SimTopology& topo,
     // Close the occupancy integrals: every cycle in [0, sampled_end) took
     // an end-of-cycle sample (the loop samples before it breaks, so a break
     // at cycle k includes k).
-    const std::uint64_t sampled_end = cycle < horizon ? cycle + 1 : horizon;
+    const std::uint64_t sampled_end =
+        cycle < horizon ? std::uint64_t{cycle} + 1 : horizon;
     for (std::size_t vi = 0; vi < vc.size(); ++vi) {
       occ_integral[vi] += std::uint64_t{vc[vi].count} *
                           (sampled_end - occ_since[vi]);

@@ -91,6 +91,9 @@ struct WormholeFaults {
   [[nodiscard]] bool any() const { return !nodes.empty() || !links.empty(); }
 };
 
+/// warmup + measure + drain must stay below 2^32 cycles (VC records stamp
+/// cycles in 32 bits); validate_wormhole_config rejects anything larger,
+/// including a sum that wraps 64 bits.
 struct WormholeConfig {
   unsigned vcs = 2;                 // virtual channels per physical channel
                                     // (1 .. 64)
@@ -115,12 +118,22 @@ struct WormholeStats {
   std::uint64_t misroutes = 0;    // online re-plans around discovered faults
   std::uint64_t escape_hops = 0;  // hops assigned to the escape VC class
   std::uint64_t unroutable = 0;   // worms killed: no fault-free route left
+  // Packet records the run allocated: records of packets queued at their
+  // sources plus slots of packets in the network. Each is reused once its
+  // packet moves on (a slot once its packet is delivered, or killed and
+  // drained), so this follows the peak load, not the length of the run.
+  std::uint64_t packet_slots = 0;
+  // Records still taken when the run ended: packets queued or in flight,
+  // and killed worms whose buffered flits had not drained yet.
+  std::uint64_t packet_slots_held = 0;
 };
 
-/// Validates a WormholeConfig against its own policy: empty string when
-/// runnable, otherwise a diagnostic naming the minimum VC count for the
-/// chosen policy (derived from vc_classes(policy), so the message can never
-/// disagree with the enforcement). Guards the classic footgun:
+/// Validates a WormholeConfig: empty string when runnable, otherwise a
+/// diagnostic. It checks the record widths (vcs, flits, buffer depth), the
+/// 2^32-cycle horizon, and the VC count against the policy. The VC-count
+/// diagnostic names the minimum for the chosen policy (derived from
+/// vc_classes(policy), so the message can never disagree with the
+/// enforcement). Guards the classic footgun:
 /// WormholeConfig{} defaults to vcs = 2, which the default kSegmentDateline
 /// policy (6 classes) rejects -- callers sweeping policies must bump vcs
 /// accordingly (the campaign engine defaults its wormhole config to

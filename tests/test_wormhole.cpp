@@ -5,6 +5,9 @@
 // 6-class segment-dateline is deadlock free.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -68,6 +71,37 @@ TEST(Wormhole, RejectsDegenerateConfigs) {
   cfg.vcs = 4;
   cfg.policy = VcPolicy::kSegmentDateline;  // needs 6
   EXPECT_THROW((void)run_wormhole(*topo, cfg), std::invalid_argument);
+}
+
+TEST(Wormhole, RejectsHorizonsPastThirtyTwoBits) {
+  // VC records stamp cycles in 32 bits: warmup + measure + drain must stay
+  // below 2^32. A sum that wraps 64 bits must be rejected too, never run
+  // as a short horizon.
+  auto topo = make_hyper_butterfly_sim(1, 3);
+  WormholeConfig cfg = gentle();
+  cfg.warmup_cycles = 0;
+  cfg.drain_cycles = 0;
+  cfg.measure_cycles = 0xffffffffull;
+  EXPECT_TRUE(validate_wormhole_config(cfg).empty());
+  const std::uint64_t max = ~std::uint64_t{0};
+  const std::uint64_t bad[][3] = {
+      {0, 0x100000000ull, 0},
+      {1, 0xffffffffull, 0},
+      {50, 200, 0xffffffffull},
+      {max, 0, 0},
+      {10, max, 0},     // wraps 64 bits to 9
+      {0, 2, max - 1},  // wraps 64 bits to 0
+  };
+  for (const auto& [warmup, measure, drain] : bad) {
+    cfg.warmup_cycles = warmup;
+    cfg.measure_cycles = measure;
+    cfg.drain_cycles = drain;
+    const std::string err = validate_wormhole_config(cfg);
+    EXPECT_NE(err.find("must be < 2^32"), std::string::npos)
+        << warmup << " + " << measure << " + " << drain << ": " << err;
+    EXPECT_NE(err.find(std::to_string(measure)), std::string::npos) << err;
+    EXPECT_THROW((void)run_wormhole(*topo, cfg, 3), std::invalid_argument);
+  }
 }
 
 TEST(Wormhole, RejectsFlitCountsBeyondSixteenBits) {
@@ -223,6 +257,29 @@ TEST(Wormhole, CccSegmentDatelineCompletes) {
   EXPECT_EQ(s.packets.delivered(), s.packets.injected());
 }
 
+TEST(Wormhole, RoutesLongerThanAQueuedRecordHoldsMatchPins) {
+  // A queued packet keeps its port word inline up to 18 hops and plans a
+  // longer one again when its head starts streaming. CCC(9) has routes of
+  // 19 and 20 hops (about 1 in 600 pairs, so a dozen or so of these
+  // packets): the stats must equal those of the engine that kept every
+  // route from injection on.
+  auto topo = make_ccc_sim(9);
+  WormholeConfig cfg = gentle();
+  cfg.injection_rate = 0.01;
+  cfg.warmup_cycles = 20;
+  cfg.measure_cycles = 200;
+  const WormholeStats s = run_wormhole(*topo, cfg, 9);
+  EXPECT_FALSE(s.deadlocked);
+  EXPECT_EQ(s.packets.injected(), 9119u);
+  EXPECT_EQ(s.packets.delivered(), 9119u);
+  EXPECT_EQ(s.cycles, 250u);
+  EXPECT_EQ(s.packets.latency_percentile(0.5), 20u);
+  EXPECT_EQ(s.packets.latency_percentile(0.99), 36u);
+  EXPECT_EQ(s.packets.max_latency(), 54u);
+  EXPECT_EQ(s.packets.mean_latency(), 20.70479219212633);
+  EXPECT_EQ(s.packets.mean_hops(), 12.098037065467706);
+}
+
 // ---------------------------------------------------------------------------
 // Static faults + Theorem-5 adaptive routing with the reserved escape class.
 
@@ -338,6 +395,109 @@ TEST(WormholeFaults, KilledWormFreesItsEmptyVcs) {
   EXPECT_GT(s.unroutable, 0u);
   EXPECT_EQ(s.packets.delivered() + s.packets.dropped(),
             s.packets.injected());
+}
+
+/// The stats a run that kills worms is pinned by.
+struct KillPin {
+  std::uint64_t injected, delivered, dropped, cycles, max_latency;
+  double mean_latency;
+  std::uint64_t misroutes, escape_hops, unroutable;
+  static KillPin of(const WormholeStats& s) {
+    return {s.packets.injected(),    s.packets.delivered(),
+            s.packets.dropped(),     s.cycles,
+            s.packets.max_latency(), s.packets.mean_latency(),
+            s.misroutes,             s.escape_hops,
+            s.unroutable};
+  }
+  friend bool operator==(const KillPin&, const KillPin&) = default;
+  friend void PrintTo(const KillPin& p, std::ostream* os) {
+    *os << std::setprecision(17) << "{" << p.injected << ", " << p.delivered
+        << ", " << p.dropped << ", " << p.cycles << ", " << p.max_latency
+        << ", " << p.mean_latency << ", " << p.misroutes << ", "
+        << p.escape_hops << ", " << p.unroutable << "}";
+  }
+};
+
+TEST(WormholeFaults, KilledWormsDrainAndReturnEveryRecord) {
+  // Worms killed mid-network (misroute budget 1) and at the source (every
+  // outgoing link of node 0 faulted), then drained. A killed worm's slot
+  // returns to the free list only once its last VC is freed; the stats
+  // must equal those of the engine that kept every packet record for the
+  // whole run, and every record must be free again at the end.
+  auto check = [](const WormholeStats& s, const KillPin& pin,
+                  const char* what) {
+    EXPECT_FALSE(s.deadlocked) << what;
+    EXPECT_EQ(KillPin::of(s), pin) << what;
+    EXPECT_EQ(s.packets.delivered() + s.packets.dropped(),
+              s.packets.injected())
+        << what;
+    EXPECT_GT(s.packet_slots, 0u) << what;
+    EXPECT_EQ(s.packet_slots_held, 0u) << what;
+  };
+  {
+    auto topo = make_hyper_butterfly_sim(2, 3);
+    WormholeFaults wf;
+    wf.nodes.assign(topo->num_nodes(), 0);
+    for (std::uint32_t v : {5u, 18u, 33u, 60u}) wf.nodes[v] = 1;
+    for (std::uint32_t src : {0u, 9u, 22u, 41u, 63u, 70u, 88u}) {
+      wf.links.emplace_back(src, topo->neighbors(src).front());
+      wf.links.emplace_back(src, topo->neighbors(src).back());
+    }
+    WormholeConfig cfg = adaptive(0.05);
+    cfg.vcs = 2 * vc_classes(VcPolicy::kFaultAdaptive);
+    cfg.buffer_depth = 2;
+    cfg.flits_per_packet = 6;
+    cfg.misroute_limit = 1;
+    check(run_wormhole(*topo, cfg, 3, &wf),
+          {1324, 1304, 20, 400, 75, 14.664110429447852, 294, 1017, 22},
+          "misroute budget 1, rate 0.05");
+    cfg.injection_rate = 0.2;  // saturated: thousands of records at once
+    check(run_wormhole(*topo, cfg, 3, &wf),
+          {5333, 5256, 77, 876, 530, 201.12823439878235, 1235, 4244, 87},
+          "misroute budget 1, rate 0.2");
+    // Single-flit worms: the kill itself frees the worm's last VC.
+    cfg.flits_per_packet = 1;
+    cfg.buffer_depth = 1;
+    cfg.injection_rate = 0.1;
+    check(run_wormhole(*topo, cfg, 3, &wf),
+          {2653, 2608, 45, 353, 9, 4.4984662576687118, 629, 2190, 49},
+          "misroute budget 1, single-flit worms");
+  }
+  {
+    auto topo = make_hyper_butterfly_sim(1, 3);
+    WormholeFaults wf;
+    for (std::uint32_t nb : topo->neighbors(0)) wf.links.emplace_back(0, nb);
+    check(run_wormhole(*topo, adaptive(0.05), 3, &wf),
+          {718, 678, 40, 355, 20, 8.222713864306785, 0, 0, 48},
+          "fully blocked source");
+  }
+}
+
+TEST(WormholeFaults, PacketRecordsFollowLoadNotRunLength) {
+  // Packet records are recycled: four times the run length creates about
+  // four times the packets, but the peak number of records held at once
+  // follows the load and barely moves.
+  auto topo = make_hyper_butterfly_sim(2, 4);
+  WormholeFaults wf;
+  wf.nodes.assign(topo->num_nodes(), 0);
+  for (std::uint32_t v : {11u, 60u, 97u, 150u, 201u}) wf.nodes[v] = 1;
+  WormholeConfig cfg = adaptive(0.04);
+  cfg.measure_cycles = 1000;
+  const WormholeStats short_run = run_wormhole(*topo, cfg, 4, &wf);
+  cfg.measure_cycles = 4000;
+  const WormholeStats long_run = run_wormhole(*topo, cfg, 4, &wf);
+  for (const WormholeStats* s : {&short_run, &long_run}) {
+    EXPECT_FALSE(s->deadlocked);
+    EXPECT_EQ(s->packets.delivered(), s->packets.injected());
+    EXPECT_EQ(s->packet_slots_held, 0u);
+  }
+  EXPECT_GT(long_run.packets.injected(), 3.5 * short_run.packets.injected());
+  ASSERT_GT(short_run.packet_slots, 0u);
+  EXPECT_LT(long_run.packet_slots, 1.5 * short_run.packet_slots)
+      << short_run.packet_slots << " records for "
+      << short_run.packets.injected() << " packets, then "
+      << long_run.packet_slots << " for " << long_run.packets.injected();
+  EXPECT_LT(short_run.packet_slots, short_run.packets.injected() / 10);
 }
 
 TEST(WormholeFaults, FaultyEndpointsNeverInject) {

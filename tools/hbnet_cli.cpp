@@ -313,24 +313,21 @@ Flag rate(double& out) {
           }};
 }
 
-/// warmup + cycles + drain must not overflow 64 bits, and the
-/// store-and-forward engine counts cycles in 32 bits.
+/// warmup + cycles + drain must stay below 2^32: both engines count cycles
+/// in 32 bits. Each partial sum is checked, so a sum that wraps 64 bits is
+/// rejected too.
 template <typename Config>
-bool check_horizon(const Config& cfg, bool store_forward) {
+bool check_horizon(const Config& cfg) {
   const std::uint64_t warmup = cfg.warmup_cycles;
   const std::uint64_t cycles = cfg.measure_cycles;
   const std::uint64_t drain = cfg.drain_cycles;
-  const std::uint64_t limit =
-      store_forward ? 0xffffffffu : ~std::uint64_t{0};
+  constexpr std::uint64_t limit = 0xffffffffu;
   if (warmup <= limit && cycles <= limit - warmup &&
       drain <= limit - warmup - cycles) {
     return true;
   }
   std::cerr << "warmup " << warmup << " + cycles " << cycles << " + drain "
-            << drain
-            << (store_forward
-                    ? " must be < 2^32 for the store-and-forward engine\n"
-                    : " overflows 64 bits\n");
+            << drain << " must be < 2^32\n";
   return false;
 }
 
@@ -879,7 +876,7 @@ int cmd_wormhole(const HyperButterfly& hb, Args args) {
                 choice("--policy", cfg.policy, kPolicies),
                 uint("--faults", faults),
                 uint("--link-faults", link_faults)});
-  if (!parse_flags("wormhole", args, flags) || !check_horizon(cfg, false)) {
+  if (!parse_flags("wormhole", args, flags) || !check_horizon(cfg)) {
     return usage();
   }
   auto topo = hbnet::make_hyper_butterfly_sim(m, n);
@@ -920,10 +917,11 @@ int cmd_wormhole(const HyperButterfly& hb, Args args) {
   if (!exports.open(sink) || !streaming.open()) return 1;
   streaming.start("wormhole");
   // The butterfly level coordinate is node id mod n: the ring arity the
-  // dateline VC classes are computed from.
-  const hbnet::WormholeStats s =
-      hbnet::run_wormhole(*topo, cfg, n, wf.any() ? &wf : nullptr, &sink,
-                          streaming.board_or_null());
+  // dateline VC classes are computed from. As on `sim`, telemetry is
+  // gathered only when something will be exported.
+  const hbnet::WormholeStats s = hbnet::run_wormhole(
+      *topo, cfg, n, wf.any() ? &wf : nullptr,
+      exports.any() ? &sink : nullptr, streaming.board_or_null());
   streaming.stop();
   std::cout << "wormhole HB(" << m << "," << n << ") " << topo->num_nodes()
             << " nodes, rate " << cfg.injection_rate << ", " << s.cycles
@@ -950,7 +948,7 @@ int cmd_sim(const HyperButterfly& hb, Args args) {
   flags.push_back(
       toggle("--valiant", cfg.routing, hbnet::RoutingMode::kValiant));
   flags.push_back(uint("--shards", shards));
-  if (!parse_flags("sim", args, flags) || !check_horizon(cfg, true)) {
+  if (!parse_flags("sim", args, flags) || !check_horizon(cfg)) {
     return usage();
   }
   hbnet::obs::Sink sink;
@@ -1016,8 +1014,8 @@ int cmd_campaign(const HyperButterfly& hb, Args args) {
   streaming.add_flags(flags);
   if (!parse_flags("campaign", args, flags)) return usage();
   if (cfg.engine == camp::Engine::kStoreForward
-          ? !check_horizon(cfg.sim, true)
-          : !check_horizon(cfg.wormhole, false)) {
+          ? !check_horizon(cfg.sim)
+          : !check_horizon(cfg.wormhole)) {
     return usage();
   }
   if (!metrics.open() || !csv.open() || !streaming.open()) return 1;

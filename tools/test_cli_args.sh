@@ -110,13 +110,15 @@ expect_reject "bad wormhole fault count" wormhole 2 3 --faults 3x
 expect_reject "wormhole faults without adaptive policy" wormhole 2 3 --faults 2
 expect_reject "wormhole link faults without adaptive policy" wormhole 2 3 --link-faults 2
 
-# Run horizons: warmup + cycles + drain must fit 64 bits, and 32 bits on
-# the store-and-forward engine; 2^64 - 1 is an ordinary value, not "unset".
+# Run horizons: warmup + cycles + drain must stay below 2^32 on both
+# engines, wrapped past 64 bits or not; 2^64 - 1 is an ordinary value, not
+# "unset".
 expect_reject "sim horizon at 2^32" sim 1 3 --shards 1 --cycles 4294967296
 expect_reject "sim horizon at 2^32 without warmup or drain" sim 1 3 --warmup 0 --drain 0 --cycles 4294967296
 expect_reject "sim warmup at 2^64 - 1" sim 1 3 --warmup 18446744073709551615
 expect_reject "wormhole horizon wrapping 64 bits" wormhole 1 3 --cycles 18446744073709551615 --warmup 10 --drain 0
 expect_reject "wormhole warmup at 2^64 - 1" wormhole 1 3 --warmup 18446744073709551615
+expect_reject "wormhole horizon past 32 bits" wormhole 2 3 --vcs 6 --cycles 4294967296
 expect_reject "sf campaign horizon at 2^32" campaign 1 3 --cycles 4294967296
 expect_reject "wormhole campaign horizon wrapping 64 bits" campaign 1 3 --engine wormhole --cycles 18446744073709551615
 

@@ -2,7 +2,7 @@
 # Wormhole telemetry-plane contract, enforced end to end through the CLI:
 # two `hbnet_cli wormhole` runs must each write a metrics JSON and a links
 # CSV that are byte-identical across repeat runs AND to the committed golden
-# files. The golden files pin the full simulated-network telemetry
+# files, and a Chrome trace that is byte-identical across repeat runs. The golden files pin the full simulated-network telemetry
 # (counters, latency histogram, time series, per-link and per-VC
 # occupancy), so any change to routing, VC allocation, arbitration, fault
 # re-planning or channel numbering shows up here.
@@ -32,7 +32,7 @@ run_wormhole() {
   tag=$1
   shift
   "$cli" wormhole "$@" --metrics-out "$work/m$tag.json" \
-    --links-csv "$work/l$tag.csv" >/dev/null
+    --links-csv "$work/l$tag.csv" --trace-out "$work/t$tag.json" >/dev/null
 }
 
 for rep in 1 2; do
@@ -54,10 +54,12 @@ for run in faults segment; do
   same "$run repeat-run metrics JSON" "$work/m${run}1.json" \
     "$work/m${run}2.json"
   same "$run repeat-run links CSV" "$work/l${run}1.csv" "$work/l${run}2.csv"
+  same "$run repeat-run trace" "$work/t${run}1.json" "$work/t${run}2.json"
   same "$run metrics JSON vs golden" "$work/m${run}1.json" \
     "$golden/wormhole_${run}_metrics.json"
   same "$run links CSV vs golden" "$work/l${run}1.csv" \
     "$golden/wormhole_${run}_links.csv"
 done
 
-echo "wormhole telemetry is byte-identical across runs and to the goldens"
+echo "wormhole telemetry is byte-identical across runs and to the goldens;" \
+  "traces across runs"
