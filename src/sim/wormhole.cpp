@@ -1,7 +1,6 @@
 #include "sim/wormhole.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <limits>
 #include <numeric>
@@ -19,20 +18,23 @@
 // tests/test_wormhole_determinism.cpp):
 //
 //  * Packet records are recycled through free lists, so the engine's state
-//    is bounded by the packets it holds at once, not by the packets it
-//    ever created. A created packet waits in its source queue as a 40-byte
-//    Pending record (creation ordinal, injection cycle, destination, and
-//    its port word inline when it has at most kInlineHops hops). When its
-//    head starts streaming it moves into a slot (PktState): endpoints,
-//    stream cursor, flags, the count of VCs the worm holds, and its route
-//    -- per hop the channel id, the VC class, and the VC the worm holds
-//    there once its head has allocated one. A slot returns to the free list
-//    once its packet is delivered or killed and holds no VC; its route
-//    vector keeps its capacity, so a steady-state run allocates nothing.
-//    The trace's "pkt" argument is the stored creation ordinal.
-//  * Port words (SimTopology::route_word) are resolved to channel ids once,
-//    at injection, so the advance loop never looks a channel up; the node a
-//    hop enters is chan_ends[c].second.
+//    follows the packets it holds at once, not the packets it ever
+//    created. A created packet waits in its source queue as a 24-byte
+//    Pending record (creation ordinal, injection cycle, destination). Past
+//    saturation those queues, and so the Pending pool, still grow with the
+//    run: the packets exist, they only wait. When a packet's head starts
+//    streaming it moves into a slot (PktState): endpoints, stream cursor,
+//    flags, the count of VCs the worm holds, and its route -- per hop the
+//    channel id, the VC class, and the VC the worm holds there once its
+//    head has allocated one. A slot returns to the free list once its
+//    packet is delivered or killed and holds no VC; its route vector keeps
+//    its capacity, so a steady-state run allocates nothing. The trace's
+//    "pkt" argument is the stored creation ordinal.
+//  * Port words (SimTopology::route_word) are planned at creation, only to
+//    register their channels, and planned again (route_word is pure) when
+//    the head starts streaming, where they are resolved to channel ids
+//    once; the advance loop never looks a channel up, and the node a hop
+//    enters is chan_ends[c].second.
 //  * The online fault re-planner rewrites a route in place from hop `keep`
 //    on: the head flit sits at hop keep - 1, so no flit of the worm holds a
 //    VC at or beyond `keep`, and the kept hops (with their held VCs) and
@@ -140,19 +142,16 @@ struct PktState {
 
 /// A created packet waiting in its source queue behind the one streaming
 /// there. It gets a PktState slot, and its route hops, only when its head
-/// starts to stream. Until then its port word is kept inline when it fits;
-/// a longer one is planned again then (route_word is a pure function).
-constexpr std::size_t kInlineHops = 18;
+/// starts to stream; the route is planned again then (route_word is a pure
+/// function).
 struct Pending {
   std::uint64_t ordinal = 0;      // creation index
   std::uint32_t next = kFree;     // next record in the source queue
   std::uint32_t injected_at = 0;
   std::uint32_t dst = 0;
   bool measured = false;
-  std::uint8_t hops = 0;  // inline word length, 0 = not kept
-  std::array<std::uint8_t, kInlineHops> word;
 };
-static_assert(sizeof(Pending) == 40);
+static_assert(sizeof(Pending) == 24);
 
 /// Records recycled through a free list. size() grows only when every
 /// record is taken, so it is the peak number held at once.
@@ -539,8 +538,8 @@ WormholeStats run_wormhole(const SimTopology& topo,
     }
   };
   // Moves the first Pending record of src's queue into a packet slot with
-  // its route resolved (every channel of it was registered at creation),
-  // and makes it the streaming front.
+  // its route planned again and resolved (every channel of it was
+  // registered at creation), and makes it the streaming front.
   auto start_front = [&](std::uint32_t src) -> std::uint32_t {
     SourceQueue& sq = sources[src];
     const std::uint32_t qid = sq.head;
@@ -550,13 +549,9 @@ WormholeStats run_wormhole(const SimTopology& topo,
     const std::uint32_t pid = pkts.take();
     PktState& p = pkts[pid];
     p.route.clear();
-    if (q.hops != 0) {
-      append_channels(p, src, std::span(q.word.data(), q.hops), 0);
-    } else {
-      word.clear();
-      topo.route_word(src, q.dst, word);
-      append_channels(p, src, word, 0);
-    }
+    word.clear();
+    topo.route_word(src, q.dst, word);
+    append_channels(p, src, word, 0);
     assign_hop_classes(p.route, chans, config.policy);
     // Field by field, not a fresh PktState: the route keeps its capacity.
     p.ordinal = q.ordinal;
@@ -790,11 +785,6 @@ WormholeStats run_wormhole(const SimTopology& topo,
         q.injected_at = cycle;
         q.dst = dst;
         q.measured = measuring;
-        q.hops = 0;
-        if (word.size() <= kInlineHops) {
-          q.hops = static_cast<std::uint8_t>(word.size());
-          std::copy(word.begin(), word.end(), q.word.begin());
-        }
         SourceQueue& sq = sources[src];
         (sq.tail == kFree ? sq.head : pend[sq.tail].next) = qid;
         sq.tail = qid;

@@ -118,10 +118,14 @@ struct WormholeStats {
   std::uint64_t misroutes = 0;    // online re-plans around discovered faults
   std::uint64_t escape_hops = 0;  // hops assigned to the escape VC class
   std::uint64_t unroutable = 0;   // worms killed: no fault-free route left
-  // Packet records the run allocated: records of packets queued at their
-  // sources plus slots of packets in the network. Each is reused once its
-  // packet moves on (a slot once its packet is delivered, or killed and
-  // drained), so this follows the peak load, not the length of the run.
+  // Packet records the run allocated: the peak of the pool of records of
+  // packets queued at their sources plus the peak of the pool of slots of
+  // packets in the network. The two peaks may fall in different cycles, so
+  // this bounds the records held at once from above. Each record is reused
+  // once its packet moves on (a slot once its packet is delivered, or
+  // killed and drained), so below saturation this follows the peak load,
+  // not the length of the run; past saturation the source queues, and so
+  // the queued records, grow with the run.
   std::uint64_t packet_slots = 0;
   // Records still taken when the run ended: packets queued or in flight,
   // and killed worms whose buffered flits had not drained yet.

@@ -257,12 +257,11 @@ TEST(Wormhole, CccSegmentDatelineCompletes) {
   EXPECT_EQ(s.packets.delivered(), s.packets.injected());
 }
 
-TEST(Wormhole, RoutesLongerThanAQueuedRecordHoldsMatchPins) {
-  // A queued packet keeps its port word inline up to 18 hops and plans a
-  // longer one again when its head starts streaming. CCC(9) has routes of
-  // 19 and 20 hops (about 1 in 600 pairs, so a dozen or so of these
-  // packets): the stats must equal those of the engine that kept every
-  // route from injection on.
+TEST(Wormhole, LongCccRoutesMatchPins) {
+  // A queued packet's route is planned at creation and again when its head
+  // starts streaming. CCC(9) has routes of 19 and 20 hops (about 1 in 600
+  // pairs), longer than any HB(2,n) route with n <= 8: the stats must
+  // equal those of the engine that kept every route from injection on.
   auto topo = make_ccc_sim(9);
   WormholeConfig cfg = gentle();
   cfg.injection_rate = 0.01;

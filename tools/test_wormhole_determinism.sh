@@ -2,10 +2,11 @@
 # Wormhole telemetry-plane contract, enforced end to end through the CLI:
 # two `hbnet_cli wormhole` runs must each write a metrics JSON and a links
 # CSV that are byte-identical across repeat runs AND to the committed golden
-# files, and a Chrome trace that is byte-identical across repeat runs. The golden files pin the full simulated-network telemetry
-# (counters, latency histogram, time series, per-link and per-VC
-# occupancy), so any change to routing, VC allocation, arbitration, fault
-# re-planning or channel numbering shows up here.
+# files, and a Chrome trace that is byte-identical across repeat runs. The
+# golden files pin the full simulated-network telemetry (counters, latency
+# histogram, time series, per-link and per-VC occupancy), so any change to
+# routing, VC allocation, arbitration, fault re-planning or channel
+# numbering shows up here.
 #  * faults: fault-adaptive on HB(2,3) with node and link faults.
 #  * segment: fault-free segment dateline on HB(2,4) with two VCs per class
 #    and 6-flit worms that span several hops, under saturating load.
