@@ -12,7 +12,10 @@ namespace hbnet {
 namespace {
 
 /// Records the outcome of one routing attempt into the sink.
-void report(obs::Sink* sink, const HyperButterfly& hb, HbNode u, HbNode v,
+// `hb`, `u` and `v` feed only the trace event, which -DHBNET_TRACE=OFF
+// compiles out.
+void report(obs::Sink* sink, [[maybe_unused]] const HyperButterfly& hb,
+            [[maybe_unused]] HbNode u, [[maybe_unused]] HbNode v,
             const FaultRouteResult& r) {
   if (sink == nullptr) return;
   obs::MetricsRegistry& reg = sink->metrics();

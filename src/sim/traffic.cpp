@@ -89,35 +89,6 @@ std::uint32_t StatelessTraffic::destination_with_key(std::uint64_t key,
   return dst;
 }
 
-InjectionCoin::InjectionCoin(double rate) {
-  // An engine with mt19937_64's range that always returns one word.
-  struct ConstantEngine {
-    using result_type = std::uint64_t;
-    static constexpr result_type min() { return std::mt19937_64::min(); }
-    static constexpr result_type max() { return std::mt19937_64::max(); }
-    result_type word;
-    result_type operator()() const { return word; }
-  };
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  const auto reaches = [&](std::uint64_t word) {
-    ConstantEngine engine{word};
-    return coin(engine) >= rate;
-  };
-  std::uint64_t hi = ConstantEngine::max();
-  if (!reaches(hi)) {
-    always_ = true;
-    return;
-  }
-  if (reaches(0)) return;  // threshold_ = 0: never injects
-  // Invariant: reaches(lo) is false, reaches(hi) is true.
-  std::uint64_t lo = 0;
-  while (hi - lo > 1) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    (reaches(mid) ? hi : lo) = mid;
-  }
-  threshold_ = hi;
-}
-
 std::uint32_t TrafficGenerator::destination(std::uint32_t src) {
   std::uint32_t dst;
   switch (pattern_) {

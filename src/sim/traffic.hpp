@@ -40,11 +40,12 @@ enum class TrafficPattern {
 }
 
 /// Counter-based (stateless) traffic: every decision is a pure hash of
-/// (seed, cycle, node, stream), so the store-and-forward engine can
-/// evaluate nodes in any order -- across shards, threads, or reruns -- and
-/// draw identical traffic. Contrast TrafficGenerator below, whose
-/// mt19937_64 stream makes draws order-dependent (the wormhole simulator
-/// draws from it in one fixed order; sharding could not).
+/// (seed, cycle, node, stream), so an engine can evaluate nodes in any
+/// order -- across shards, threads, or reruns -- and draw identical
+/// traffic. Both simulators draw from it: the store-and-forward engine and
+/// the wormhole key it with config.seed ^ 0x9e3779b97f4a7c15, so one seed
+/// offers both the same packets. Contrast TrafficGenerator below, whose
+/// mt19937_64 stream makes draws order-dependent; no engine uses it.
 ///
 /// Random draws differ from TrafficGenerator's at equal seeds (different
 /// RNG); the bit-permutation patterns and the dst==src avoidance rule
@@ -127,33 +128,9 @@ class StatelessTraffic {
   std::uint64_t rate_bits_;  // rate as a 53-bit threshold (exact compare)
 };
 
-/// The Bernoulli injection coin
-/// `std::uniform_real_distribution<double>(0, 1)(rng) < rate` of a
-/// std::mt19937_64 `rng`, as one integer compare on the engine's word. The
-/// distribution maps one 64-bit word to a double monotonically, so the coin
-/// falls below `rate` exactly for the words below a threshold; that
-/// threshold is found once, by bisecting the same distribution on a
-/// constant engine. Feeding it rng() consumes the same single word the
-/// distribution would, so the engine's stream is unchanged.
-class InjectionCoin {
- public:
-  explicit InjectionCoin(double rate);
-
-  /// Equals !(distribution(word) >= rate) -- the coin says "inject".
-  [[nodiscard]] bool injects(std::uint64_t word) const {
-    return word < threshold_ || always_;
-  }
-  /// The first word whose coin is >= rate (meaningless when always()).
-  [[nodiscard]] std::uint64_t threshold() const { return threshold_; }
-  /// No word reaches `rate` (rate above every coin, or NaN).
-  [[nodiscard]] bool always() const { return always_; }
-
- private:
-  std::uint64_t threshold_ = 0;
-  bool always_ = false;
-};
-
-/// Destination generator over a dense id space [0, num_nodes).
+/// Destination generator over a dense id space [0, num_nodes), drawing
+/// from one order-dependent mt19937_64 stream. No simulator uses it; the
+/// hbbench probe traffic.generator_ns still times it.
 class TrafficGenerator {
  public:
   TrafficGenerator(TrafficPattern pattern, std::uint32_t num_nodes,

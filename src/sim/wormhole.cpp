@@ -3,52 +3,46 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <numeric>
-#include <random>
 #include <span>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "check/check.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 
-// Datapath layout (single-threaded; cycle-exact with the original
-// full-scan implementation -- same seed => same WormholeStats, pinned in
-// tests/test_wormhole_determinism.cpp):
+// Datapath layout (single-threaded; same seed => same WormholeStats, pinned
+// in tests/test_wormhole_determinism.cpp):
 //
+//  * Traffic is the store-and-forward engine's: StatelessTraffic keyed by
+//    seed ^ 0x9e3779b97f4a7c15, every draw a pure hash of (cycle, node), so
+//    one seed offers both engines the same packets. A dead source never
+//    injects; a packet to a dead destination, or to its own source (the
+//    one-node network), is skipped uncounted.
+//  * Channel c is port c % degree_hint() of node c / degree_hint(): the
+//    table holds every (node, port) and is built once before cycle 0, with
+//    each channel's far end, ring direction and wrap bit, and static fault.
+//    A port >= degree_hint() is a topology bug and throws std::logic_error.
+//    Words take the lowest port to each neighbor, so a link is one channel;
+//    the ports a word never takes (HD's self loops and merged shifts) stay
+//    empty and are not exported.
 //  * Packet records are recycled through free lists, so the engine's state
 //    follows the packets it holds at once, not the packets it ever
 //    created. A created packet waits in its source queue as a 24-byte
-//    Pending record (creation ordinal, injection cycle, destination). Past
+//    Pending record (creation ordinal, injection cycle, destination); past
 //    saturation those queues, and so the Pending pool, still grow with the
-//    run: the packets exist, they only wait. When a packet's head starts
-//    streaming it moves into a slot (PktState): endpoints, stream cursor,
-//    flags, the count of VCs the worm holds, and its route -- per hop the
-//    channel id, the VC class, and the VC the worm holds there once its
-//    head has allocated one. A slot returns to the free list once its
-//    packet is delivered or killed and holds no VC; its route vector keeps
-//    its capacity, so a steady-state run allocates nothing. The trace's
-//    "pkt" argument is the stored creation ordinal.
-//  * Port words (SimTopology::route_word) are planned at creation, only to
-//    register their channels, and planned again (route_word is pure) when
-//    the head starts streaming, where they are resolved to channel ids
-//    once; the advance loop never looks a channel up, and the node a hop
-//    enters is chan_ends[c].second.
+//    run. When its head starts streaming the packet moves into a slot
+//    (PktState): endpoints, stream cursor, flags, the count of VCs the worm
+//    holds, and its route -- per hop the channel id, the VC class, and the
+//    VC the worm holds there once its head has allocated one. That is the
+//    one place a native route is planned (SimTopology::route_word) and its
+//    VC classes computed. A slot returns to the free list once its packet
+//    is delivered or killed and holds no VC; its route vector keeps its
+//    capacity, so a steady-state run allocates nothing. The trace's "pkt"
+//    argument is the stored creation ordinal.
 //  * The online fault re-planner rewrites a route in place from hop `keep`
 //    on: the head flit sits at hop keep - 1, so no flit of the worm holds a
 //    VC at or beyond `keep`, and the kept hops (with their held VCs) and
 //    every buffered flit's (packet, hop) name stay valid.
-//  * Channel ids come from a dense (node, port) -> id table of
-//    degree_hint() entries per node, filled on first use: ids follow
-//    first-registration order (injection order, then re-plan order), which
-//    is also the advance loop's scan order. Words take the lowest port to
-//    each neighbor, so a link is one channel. A word with a port >=
-//    degree_hint() is a topology bug and throws std::logic_error. A
-//    channel's ring direction and wrap bit are fixed when it is registered,
-//    so assigning VC classes reads one byte per hop. The per-channel tables
-//    are reserved once for num_nodes * degree_hint channels, so none
-//    reallocates mid-run.
 //  * No flit is stored. A VC is held by one hop of one worm from head
 //    allocation to tail release, and that hop's flits enter it in index
 //    order, at most one per cycle; so a VC is a 16-byte record (VcState) of
@@ -59,18 +53,16 @@
 //  * Each channel keeps a 64-bit mask of its non-empty VCs; arbitration
 //    walks its set bits round-robin from rr, and each VC class owns a
 //    precomputed mask of its VCs, so no empty or foreign VC is probed.
-//  * The advance loop walks a bitmap of non-empty channels in ascending id
-//    order (the scan order of the original full sweep). A channel that
-//    gains its first flit mid-cycle holds only flits that arrived this
-//    cycle, so visiting it (or not) that cycle is a no-op. Source
-//    streaming walks a bitmap of sources with queued packets the same way.
-//  * The injection coin is an integer compare on the engine's raw word
-//    (InjectionCoin): same draws, same decisions as the double coin.
+//  * The advance loop walks a bitmap of non-empty channels in ascending
+//    (node, port) order. A channel that gains its first flit mid-cycle
+//    holds only flits that arrived this cycle, so visiting it (or not) that
+//    cycle is a no-op. Source streaming walks a bitmap of sources with
+//    queued packets the same way.
 //  * Per-link/per-VC occupancy telemetry integrates push/pop deltas
 //    (occupancy * cycles-held) instead of an O(channels * vcs) sweep per
 //    cycle, so a Sink-enabled run costs O(1) extra per flit movement plus
-//    O(1) per cycle -- the end-of-cycle sampling semantics of the original
-//    sweep are reproduced exactly (tested via the occupancy-sum invariant).
+//    O(1) per cycle -- the end-of-cycle sampling semantics of a full sweep
+//    are reproduced exactly (tested via the occupancy-sum invariant).
 //  * Conservation is checked at the end of every run, Release included:
 //    packets created = delivered + killed + still in flight.
 
@@ -109,13 +101,16 @@ std::uint8_t ring_bits(std::uint32_t u, std::uint32_t v, unsigned arity) {
   return 0;
 }
 
-/// One physical channel's arbitration state.
+/// One physical channel: its far end, static fault and ring bits, and its
+/// arbitration state.
 struct ChanState {
   std::uint64_t busy = 0;  // bit q set iff VC q buffers a flit
+  std::uint32_t to = 0;    // the node the channel enters
   std::uint8_t rr = 0;     // round-robin arbiter position
-  bool blocked = false;    // static fault on the link
-  std::uint8_t ring = 0;   // kRing* bits, fixed at registration
+  bool blocked = false;    // static fault on the link or its far node
+  std::uint8_t ring = 0;   // kRing* bits
 };
+static_assert(sizeof(ChanState) == 16);
 
 /// One hop of a route.
 struct Hop {
@@ -141,9 +136,8 @@ struct PktState {
 };
 
 /// A created packet waiting in its source queue behind the one streaming
-/// there. It gets a PktState slot, and its route hops, only when its head
-/// starts to stream; the route is planned again then (route_word is a pure
-/// function).
+/// there. It gets a PktState slot, and its route, only when its head starts
+/// to stream.
 struct Pending {
   std::uint64_t ordinal = 0;      // creation index
   std::uint32_t next = kFree;     // next record in the source queue
@@ -337,34 +331,18 @@ WormholeStats run_wormhole(const SimTopology& topo,
   const unsigned classes = vc_classes(config.policy);
   const std::uint32_t vcs = config.vcs;
   const std::uint32_t depth = config.buffer_depth;
-  // Fault lookups. Node faults index the mask; link faults live in a hash
-  // set keyed by the packed directed edge (lookup only -- never iterated).
   const std::vector<char> no_node_faults;
   const std::vector<char>& node_fault =
       have_faults ? faults->nodes : no_node_faults;
-  std::unordered_set<std::uint64_t> link_fault;
-  if (have_faults) {
-    for (const auto& [lu, lv] : faults->links) {
-      link_fault.insert((static_cast<std::uint64_t>(lu) << 32) | lv);
-    }
-  }
-  auto node_dead = [&](std::uint32_t v) {
-    return !node_fault.empty() && node_fault[v] != 0;
-  };
-  auto edge_blocked = [&](std::uint32_t u, std::uint32_t v) {
-    if (node_dead(v)) return true;
-    return !link_fault.empty() &&
-           link_fault.count((static_cast<std::uint64_t>(u) << 32) | v) != 0;
-  };
   // The reserved escape class is always the highest one (only meaningful
   // for kFaultAdaptive; unused otherwise).
   const std::uint8_t escape_cls = static_cast<std::uint8_t>(classes - 1);
 
   WormholeStats stats;
-  std::mt19937_64 rng(config.seed);
-  const InjectionCoin coin(config.injection_rate);
-  TrafficGenerator traffic(config.pattern, n,
-                           config.seed ^ 0x5bf03635dcd66425ull);
+  // The store-and-forward engine's traffic at the same seed.
+  const StatelessTraffic traffic(config.pattern, n,
+                                 config.seed ^ 0x9e3779b97f4a7c15ull,
+                                 config.injection_rate);
 
   // validate_wormhole_config holds the horizon below 2^32, so cycles fit
   // the 32-bit VC stamps.
@@ -379,35 +357,39 @@ WormholeStats run_wormhole(const SimTopology& topo,
   }
 
   // -- channel storage -----------------------------------------------------
-  // The channel table is consulted only when a route is resolved (injection
-  // and re-plan); the advance loop works off the routes' channel ids. All
-  // per-channel state is in flat arrays indexed by channel id (and
-  // vi = c*vcs + q per VC), reserved for every (node, port) up front so
-  // that registering a channel mid-run never reallocates them.
+  // Channel c = node * ports + port. All per-channel state is in flat
+  // arrays indexed by channel id (and vi = c*vcs + q per VC), built here
+  // once; the advance loop works off the routes' channel ids.
   const unsigned ports = topo.degree_hint();
-  const std::size_t max_chans = std::size_t{n} * ports;
-  // (node, port) -> channel id; kFree until the channel is registered.
-  std::vector<std::uint32_t> chan_id(max_chans, kFree);
-  std::uint32_t num_chans = 0;
-  std::vector<VcState> vc;  // num_chans * vcs
-  std::vector<ChanState> chans;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> chan_ends;
-  // Bit c set iff channel c buffers a flit: the advance loop's worklist.
-  std::vector<std::uint64_t> active;
-  // Telemetry state, grown/updated only under a sink.
-  std::vector<std::uint64_t> link_forwarded;       // per channel
-  std::vector<std::uint64_t> occ_integral;         // per VC (flit-cycles)
-  std::vector<std::uint64_t> occ_since;            // first cycle not yet
-                                                   // integrated, per VC
-  vc.reserve(max_chans * vcs);
-  chans.reserve(max_chans);
-  chan_ends.reserve(max_chans);
-  active.reserve((max_chans + 63) / 64);
-  if (sink != nullptr) {
-    link_forwarded.reserve(max_chans);
-    occ_integral.reserve(max_chans * vcs);
-    occ_since.reserve(max_chans * vcs);
+  const std::size_t num_chans = std::size_t{n} * ports;
+  HBNET_CHECK_MSG(num_chans < kFree,
+                  "run_wormhole: channel ids exceed 32 bits");
+  std::vector<ChanState> chans(num_chans);
+  for (std::size_t c = 0; c < num_chans; ++c) {
+    const auto u = static_cast<std::uint32_t>(c / ports);
+    const std::uint32_t v = topo.neighbor(u, static_cast<unsigned>(c % ports));
+    chans[c].to = v;
+    chans[c].ring = ring_bits(u, v, ring_arity);
+    chans[c].blocked = !node_fault.empty() && node_fault[v] != 0;
   }
+  if (have_faults) {
+    for (const auto& [lu, lv] : faults->links) {
+      for (unsigned port = 0; port < ports; ++port) {
+        ChanState& ch = chans[std::size_t{lu} * ports + port];
+        if (ch.to == lv) ch.blocked = true;
+      }
+    }
+  }
+  std::vector<VcState> vc(num_chans * vcs);
+  // Bit c set iff channel c buffers a flit: the advance loop's worklist.
+  std::vector<std::uint64_t> active((num_chans + 63) / 64, 0);
+  // Telemetry state, sized only under a sink: flits forwarded per channel,
+  // and per VC the occupancy integral (flit-cycles) and the first cycle not
+  // yet integrated.
+  const std::size_t tallied = sink != nullptr ? num_chans : 0;
+  std::vector<std::uint64_t> link_forwarded(tallied, 0);
+  std::vector<std::uint64_t> occ_integral(tallied * vcs, 0);
+  std::vector<std::uint64_t> occ_since(tallied * vcs, 0);
 
   auto channel = [&](std::uint32_t u, unsigned port) -> std::uint32_t {
     if (port >= ports) {
@@ -416,21 +398,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
                              std::to_string(port) + " >= degree_hint() = " +
                              std::to_string(ports));
     }
-    std::uint32_t& id = chan_id[std::size_t{u} * ports + port];
-    if (id != kFree) return id;
-    const std::uint32_t v = topo.neighbor(u, port);
-    id = num_chans++;
-    vc.resize(std::size_t{num_chans} * vcs);
-    chans.push_back(
-        {0, 0, have_faults && edge_blocked(u, v), ring_bits(u, v, ring_arity)});
-    chan_ends.emplace_back(u, v);
-    active.resize((num_chans + 63) / 64, 0);
-    if (sink != nullptr) {
-      link_forwarded.push_back(0);
-      occ_integral.resize(std::size_t{num_chans} * vcs, 0);
-      occ_since.resize(std::size_t{num_chans} * vcs, 0);
-    }
-    return id;
+    return u * ports + port;
   };
 
   // -- packet records --------------------------------------------------------
@@ -441,11 +409,6 @@ WormholeStats run_wormhole(const SimTopology& topo,
   // it holds no VC; a killed worm still draining keeps it until then.
   auto retire = [&](std::uint32_t pid) {
     if (pkts[pid].held == 0) pkts.give(pid);
-  };
-  // Registers the channels of `word`, walked from `u`, in hop order.
-  auto register_channels = [&](std::uint32_t u,
-                               std::span<const std::uint8_t> word) {
-    for (const std::uint8_t port : word) u = chan_ends[channel(u, port)].second;
   };
   // Appends the channels of `word`, walked from `u`, to p's route in VC
   // class `cls`.
@@ -462,7 +425,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
     for (const std::uint8_t port : word) {
       const std::uint32_t c = channel(u, port);
       p.route.push_back({c, cls, 0});
-      u = chan_ends[c].second;
+      u = chans[c].to;
     }
   };
   std::vector<std::uint8_t> word;  // scratch: the route being resolved
@@ -538,8 +501,8 @@ WormholeStats run_wormhole(const SimTopology& topo,
     }
   };
   // Moves the first Pending record of src's queue into a packet slot with
-  // its route planned again and resolved (every channel of it was
-  // registered at creation), and makes it the streaming front.
+  // its native route planned and its VC classes computed, and makes it the
+  // streaming front.
   auto start_front = [&](std::uint32_t src) -> std::uint32_t {
     SourceQueue& sq = sources[src];
     const std::uint32_t qid = sq.head;
@@ -551,6 +514,8 @@ WormholeStats run_wormhole(const SimTopology& topo,
     p.route.clear();
     word.clear();
     topo.route_word(src, q.dst, word);
+    HBNET_CHECK_MSG(!word.empty(), "run_wormhole: an empty route between "
+                                   "distinct nodes");
     append_channels(p, src, word, 0);
     assign_hop_classes(p.route, chans, config.policy);
     // Field by field, not a fresh PktState: the route keeps its capacity.
@@ -637,7 +602,7 @@ WormholeStats run_wormhole(const SimTopology& topo,
   auto replan = [&](PktState& p, std::size_t keep) -> bool {
     if (p.replans >= config.misroute_limit) return false;
     const std::uint32_t cur =
-        keep == 0 ? p.src : chan_ends[p.route[keep - 1].chan].second;
+        keep == 0 ? p.src : chans[p.route[keep - 1].chan].to;
     banned_scratch.clear();
     for (const auto& [lu, lv] : faults->links) {
       if (lu == cur) banned_scratch.push_back(lv);
@@ -763,21 +728,19 @@ WormholeStats run_wormhole(const SimTopology& topo,
     moves = 0;
 
     // 1. Packet creation, into a Pending record at the tail of the source's
-    // queue. Channels of the native route are registered here;
-    // the online re-planner (phases 2-3) is the only other channel creator.
-    // Faulty endpoints mirror the store-and-forward engine: a dead source
-    // never draws its injection coin, a packet to a dead destination is
-    // skipped after the destination draw, both uncounted.
+    // queue; its route is planned when its head starts (phase 2). Faulty
+    // endpoints mirror the store-and-forward engine: a dead source never
+    // injects, a packet to a dead destination is skipped, both uncounted.
     if (injecting) {
+      const StatelessTraffic::CycleView tv = traffic.at(cycle);
       for (std::uint32_t src = 0; src < n; ++src) {
-        if (have_faults && node_dead(src)) continue;
-        if (!coin.injects(rng())) continue;
-        std::uint32_t dst = traffic.destination(src);
-        if (have_faults && node_dead(dst)) continue;  // dead destination
-        word.clear();
-        topo.route_word(src, dst, word);
-        if (word.empty()) continue;
-        register_channels(src, word);
+        if (!tv.injects(src)) continue;
+        const std::uint32_t dst = tv.destination(src);
+        if (dst == src) continue;  // a one-node network has no traffic
+        if (!node_fault.empty() &&
+            (node_fault[src] != 0 || node_fault[dst] != 0)) {
+          continue;
+        }
         const std::uint32_t qid = pend.take();
         Pending& q = pend[qid];
         q.ordinal = created++;
@@ -883,22 +846,25 @@ WormholeStats run_wormhole(const SimTopology& topo,
                           (sampled_end - occ_since[vi]);
     }
     sink->set_run_cycles(stats.cycles);
-    // Channel ids are assigned in registration (= injection) order, which
-    // is deterministic but not meaningful to a reader. Export the link
-    // table sorted by (src, dst) so telemetry is canonical -- the same
-    // order the store-and-forward simulator emits.
-    std::vector<std::uint32_t> by_ends(num_chans);
-    std::iota(by_ends.begin(), by_ends.end(), 0u);
-    std::sort(by_ends.begin(), by_ends.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return chan_ends[a] < chan_ends[b];
-              });
+    // A channel is exported iff a flit crossed or waited in it, as the
+    // store-and-forward engine drops zero-count links, in (src, dst) order:
+    // the same table whatever the port numbering.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> by_ends;
+    for (std::uint32_t c = 0; c < num_chans; ++c) {
+      const auto occ = occ_integral.begin() + std::size_t{c} * vcs;
+      const bool idle = link_forwarded[c] == 0 &&
+                        std::all_of(occ, occ + vcs,
+                                    [](std::uint64_t x) { return x == 0; });
+      if (idle) continue;
+      by_ends.emplace_back((std::uint64_t{c / ports} << 32) | chans[c].to, c);
+    }
+    std::sort(by_ends.begin(), by_ends.end());
     std::uint64_t forwarded_total = 0;
-    sink->links().reserve(sink->links().size() + num_chans);
-    for (std::uint32_t c : by_ends) {
+    sink->links().reserve(sink->links().size() + by_ends.size());
+    for (const auto& [ends, c] : by_ends) {
       obs::LinkStats link;
-      link.src = chan_ends[c].first;
-      link.dst = chan_ends[c].second;
+      link.src = static_cast<std::uint32_t>(ends >> 32);
+      link.dst = static_cast<std::uint32_t>(ends);
       link.forwarded = link_forwarded[c];
       link.vc_occupancy.assign(occ_integral.begin() + std::size_t{c} * vcs,
                                occ_integral.begin() + std::size_t{c + 1} * vcs);

@@ -8,8 +8,19 @@
 // wormhole networks deadlock-prone exactly when the channel dependency
 // graph (analysis/deadlock.hpp) is cyclic.
 //
-// VC allocation policies (classes are computed per hop at injection from
-// the ring structure of the level/position coordinate, `ring_arity`):
+// Traffic is the store-and-forward engine's counter-based StatelessTraffic,
+// keyed by config.seed ^ 0x9e3779b97f4a7c15 with the same endpoint rules:
+// at equal seed, rate, pattern, warm-up and measure window (and static node
+// mask) run_wormhole and run_simulation count the same injected packets.
+//
+// Channel c is output port c % degree_hint() of node c / degree_hint(). The
+// channel and VC tables are built once before cycle 0, and every cycle
+// advances the non-empty channels in ascending (node, port) order. A
+// packet's native route (SimTopology::route_word) is planned, and its VC
+// classes computed, when its head starts to stream from its source queue.
+//
+// VC allocation policies (classes are computed per hop from the ring
+// structure of the level/position coordinate, `ring_arity`):
 //
 //  * kAnyFree -- grab any free VC; no protection. The level-ring CDG cycles
 //    materialize as real deadlocks under pressure (tests demonstrate it).
@@ -154,7 +165,7 @@ struct WormholeStats {
 ///
 /// A non-null `faults` with any() == true injects static faults into the
 /// datapath: faulty sources never inject, packets to faulty destinations
-/// are skipped uncounted (mirroring the store-and-forward engine), and a
+/// are skipped uncounted (as in the store-and-forward engine), and a
 /// head flit whose next hop is faulted re-plans online through
 /// topo.route_avoiding_word, escalating the replanned suffix to the escape
 /// VC class. Requires config.policy == VcPolicy::kFaultAdaptive (throws

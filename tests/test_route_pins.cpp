@@ -145,18 +145,20 @@ TEST(RoutePins, PathRouterArtifactsMatchParentDigests) {
 
 TEST(RoutePins, WormholeArtifactsMatchParentDigests) {
   // Channel numbering on every adapter: HD's merged de Bruijn edges and
-  // CCC's three ports included.
+  // CCC's three ports included. Re-pinned once when the wormhole moved to
+  // the store-and-forward engine's counter-based traffic, which changes
+  // every packet it offers.
   struct Case {
     std::unique_ptr<SimTopology> topo;
     unsigned arity;
     const char* want;
   };
   Case cases[] = {
-      {make_hypercube_sim(5), 0, "0xefaa23a23b22a884"},
-      {make_butterfly_sim(4), 4, "0x8084206f80ffa4ea"},
-      {make_ccc_sim(4), 4, "0x24e3fddaac1c35ff"},
-      {make_hyper_debruijn_sim(2, 3), 0, "0xb6879d66422ad74e"},
-      {make_hyper_butterfly_sim(1, 3), 3, "0x782208076e0630f2"},
+      {make_hypercube_sim(5), 0, "0x96a6cf18f26241a6"},
+      {make_butterfly_sim(4), 4, "0xa717bdbd0c11ccb6"},
+      {make_ccc_sim(4), 4, "0x069fb170ea0e092f"},
+      {make_hyper_debruijn_sim(2, 3), 0, "0x3094b7673bf2049c"},
+      {make_hyper_butterfly_sim(1, 3), 3, "0x5758164b6afe4b02"},
   };
   for (const Case& c : cases) {
     WormholeConfig cfg;

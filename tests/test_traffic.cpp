@@ -1,12 +1,9 @@
 // Traffic generators: pinned bit-permutation destinations, the dst == src
 // avoidance rule, seed determinism, and the stateless (counter-based)
-// generator's purity, rate quantization, and hotspot load; and the integer
-// injection coin of the wormhole datapath.
+// generator's purity, rate quantization, and hotspot load.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <random>
 
 #include "sim/traffic.hpp"
 
@@ -99,56 +96,6 @@ TEST(TrafficGenerator, SeedDeterminism) {
     differs = differs || da != c.destination(src);
   }
   EXPECT_TRUE(differs) << "different seeds produced identical streams";
-}
-
-/// A std::mt19937_64-ranged engine that always returns one word.
-struct OneWord {
-  using result_type = std::uint64_t;
-  static constexpr result_type min() { return std::mt19937_64::min(); }
-  static constexpr result_type max() { return std::mt19937_64::max(); }
-  result_type word;
-  result_type operator()() const { return word; }
-};
-
-TEST(InjectionCoin, MatchesTheDoubleCoinWordForWord) {
-  // InjectionCoin(rate).injects(rng()) must decide exactly as
-  // uniform_real_distribution<double>(0, 1)(rng) < rate, drawing the same
-  // single word: at the threshold's edge, and over a long stream.
-  for (double rate : {0.0, 0.02, 0.05, 0.3, 1.0, 1.5}) {
-    std::uniform_real_distribution<double> dist(0.0, 1.0);
-    auto coin_below = [&](std::uint64_t word) {
-      OneWord engine{word};
-      return dist(engine) < rate;
-    };
-    const InjectionCoin coin(rate);
-    EXPECT_EQ(coin.always(), rate >= 1.0) << rate;
-    if (coin.always()) {
-      EXPECT_TRUE(coin_below(OneWord::max())) << rate;
-    } else {
-      const std::uint64_t t = coin.threshold();
-      EXPECT_FALSE(coin_below(t)) << rate;
-      EXPECT_FALSE(coin.injects(t)) << rate;
-      if (t > 0) {
-        EXPECT_TRUE(coin_below(t - 1)) << rate;
-        EXPECT_TRUE(coin.injects(t - 1)) << rate;
-      }
-    }
-    std::mt19937_64 a(2024), b(2024);
-    std::uint64_t mismatches = 0, injected = 0;
-    for (int i = 0; i < 1000000; ++i) {
-      const bool expect = dist(b) < rate;
-      mismatches += coin.injects(a()) != expect;
-      injected += expect;
-    }
-    EXPECT_EQ(mismatches, 0u) << rate;
-    EXPECT_EQ(a, b) << rate;  // one word per draw on both sides
-    if (rate > 0.0 && rate < 1.0) {
-      EXPECT_GT(injected, 0u);
-      EXPECT_LT(injected, 1000000u);
-    }
-  }
-  // A NaN rate never reaches `coin >= rate`, so it always injects.
-  EXPECT_TRUE(InjectionCoin(std::nan("")).always());
 }
 
 TEST(StatelessTraffic, IsAPureFunction) {

@@ -7,10 +7,12 @@
 
 #include <cstdint>
 #include <iomanip>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "sim/simulator.hpp"
 #include "sim/wormhole.hpp"
 
 namespace hbnet {
@@ -258,10 +260,10 @@ TEST(Wormhole, CccSegmentDatelineCompletes) {
 }
 
 TEST(Wormhole, LongCccRoutesMatchPins) {
-  // A queued packet's route is planned at creation and again when its head
-  // starts streaming. CCC(9) has routes of 19 and 20 hops (about 1 in 600
-  // pairs), longer than any HB(2,n) route with n <= 8: the stats must
-  // equal those of the engine that kept every route from injection on.
+  // A packet's route is planned when its head starts streaming. CCC(9) has
+  // routes of 19 and 20 hops (about 1 in 600 pairs), longer than any HB(2,n)
+  // route with n <= 8. The pins were recorded when the wormhole moved to
+  // the counter-based traffic; every later datapath change must keep them.
   auto topo = make_ccc_sim(9);
   WormholeConfig cfg = gentle();
   cfg.injection_rate = 0.01;
@@ -269,14 +271,14 @@ TEST(Wormhole, LongCccRoutesMatchPins) {
   cfg.measure_cycles = 200;
   const WormholeStats s = run_wormhole(*topo, cfg, 9);
   EXPECT_FALSE(s.deadlocked);
-  EXPECT_EQ(s.packets.injected(), 9119u);
-  EXPECT_EQ(s.packets.delivered(), 9119u);
+  EXPECT_EQ(s.packets.injected(), 9233u);
+  EXPECT_EQ(s.packets.delivered(), 9233u);
   EXPECT_EQ(s.cycles, 250u);
   EXPECT_EQ(s.packets.latency_percentile(0.5), 20u);
   EXPECT_EQ(s.packets.latency_percentile(0.99), 36u);
-  EXPECT_EQ(s.packets.max_latency(), 54u);
-  EXPECT_EQ(s.packets.mean_latency(), 20.70479219212633);
-  EXPECT_EQ(s.packets.mean_hops(), 12.098037065467706);
+  EXPECT_EQ(s.packets.max_latency(), 62u);
+  EXPECT_EQ(s.packets.mean_latency(), 20.641503303368353);
+  EXPECT_EQ(s.packets.mean_hops(), 12.078306076031625);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,8 +423,8 @@ TEST(WormholeFaults, KilledWormsDrainAndReturnEveryRecord) {
   // Worms killed mid-network (misroute budget 1) and at the source (every
   // outgoing link of node 0 faulted), then drained. A killed worm's slot
   // returns to the free list only once its last VC is freed; the stats
-  // must equal those of the engine that kept every packet record for the
-  // whole run, and every record must be free again at the end.
+  // must equal the pins (recorded on the counter-based traffic), and every
+  // record must be free again at the end.
   auto check = [](const WormholeStats& s, const KillPin& pin,
                   const char* what) {
     EXPECT_FALSE(s.deadlocked) << what;
@@ -448,18 +450,18 @@ TEST(WormholeFaults, KilledWormsDrainAndReturnEveryRecord) {
     cfg.flits_per_packet = 6;
     cfg.misroute_limit = 1;
     check(run_wormhole(*topo, cfg, 3, &wf),
-          {1324, 1304, 20, 400, 75, 14.664110429447852, 294, 1017, 22},
+          {1345, 1326, 19, 371, 53, 14.061085972850679, 306, 1078, 21},
           "misroute budget 1, rate 0.05");
     cfg.injection_rate = 0.2;  // saturated: thousands of records at once
     check(run_wormhole(*topo, cfg, 3, &wf),
-          {5333, 5256, 77, 876, 530, 201.12823439878235, 1235, 4244, 87},
+          {5328, 5247, 81, 1007, 662, 211.10958643034115, 1246, 4359, 92},
           "misroute budget 1, rate 0.2");
     // Single-flit worms: the kill itself frees the worm's last VC.
     cfg.flits_per_packet = 1;
     cfg.buffer_depth = 1;
     cfg.injection_rate = 0.1;
     check(run_wormhole(*topo, cfg, 3, &wf),
-          {2653, 2608, 45, 353, 9, 4.4984662576687118, 629, 2190, 49},
+          {2647, 2609, 38, 355, 9, 4.5036412418551173, 612, 2155, 42},
           "misroute budget 1, single-flit worms");
   }
   {
@@ -467,7 +469,7 @@ TEST(WormholeFaults, KilledWormsDrainAndReturnEveryRecord) {
     WormholeFaults wf;
     for (std::uint32_t nb : topo->neighbors(0)) wf.links.emplace_back(0, nb);
     check(run_wormhole(*topo, adaptive(0.05), 3, &wf),
-          {718, 678, 40, 355, 20, 8.222713864306785, 0, 0, 48},
+          {703, 658, 45, 358, 32, 7.9392097264437691, 0, 0, 55},
           "fully blocked source");
   }
 }
@@ -572,6 +574,55 @@ TEST(Wormhole, SegmentDatelineHeavySweep) {
     WormholeStats s = run_wormhole(*topo, cfg, 3);
     EXPECT_FALSE(s.deadlocked) << "seed=" << seed;
     EXPECT_EQ(s.packets.delivered(), s.packets.injected()) << "seed=" << seed;
+  }
+}
+
+TEST(Wormhole, OffersTheStoreAndForwardTraffic) {
+  // One seed, one offered load: the wormhole draws the store-and-forward
+  // engine's counter-based traffic, with the same endpoint rules (a dead
+  // source never injects, a packet to a dead destination is skipped), so
+  // both engines count the same injections in the same window.
+  struct Net {
+    std::unique_ptr<SimTopology> topo;
+    unsigned arity;
+    std::vector<std::uint32_t> dead;
+  };
+  Net nets[] = {{make_hyper_butterfly_sim(2, 3), 3, {5, 18, 33, 60, 71}},
+                {make_butterfly_sim(4), 4, {3, 20, 41}}};
+  for (const Net& net : nets) {
+    for (const bool faulted : {false, true}) {
+      std::vector<char> mask;
+      if (faulted) {
+        mask.assign(net.topo->num_nodes(), 0);
+        for (const std::uint32_t v : net.dead) mask[v] = 1;
+      }
+      for (const TrafficPattern pattern :
+           {TrafficPattern::kUniform, TrafficPattern::kHotspot}) {
+        for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+          SimConfig sf;
+          sf.injection_rate = 0.05;
+          sf.warmup_cycles = 30;
+          sf.measure_cycles = 150;
+          sf.seed = seed;
+          sf.pattern = pattern;
+          WormholeConfig wh = adaptive(sf.injection_rate);
+          wh.warmup_cycles = sf.warmup_cycles;
+          wh.measure_cycles = sf.measure_cycles;
+          wh.seed = seed;
+          wh.pattern = pattern;
+          WormholeFaults wf;
+          wf.nodes = mask;
+          const std::uint64_t want =
+              run_simulation(*net.topo, sf, mask).injected();
+          const WormholeStats got = run_wormhole(
+              *net.topo, wh, net.arity, faulted ? &wf : nullptr);
+          EXPECT_GT(want, 0u);
+          EXPECT_EQ(got.packets.injected(), want)
+              << net.topo->name() << " " << to_string(pattern) << " seed "
+              << seed << (faulted ? " faulted" : "");
+        }
+      }
+    }
   }
 }
 

@@ -219,26 +219,24 @@ WormholeConfig adaptive_config(double rate) {
 }
 
 TEST(WormholeDeterminism, MatchesPinnedParentStats) {
-  // Cycle-exact contract of the flat datapath (POD packets, route arenas,
-  // dense channel table): each case reproduces, field for field, the stats
-  // the per-packet-vector datapath it replaced produced. Covers every VC
-  // policy, native and escape-class routes, node and link faults, and worm
-  // kills past the Theorem-5 guarantee. The three faulted HB cases were
-  // re-pinned once when fault routing moved to translated Theorem-5
-  // families (HyperButterfly::disjoint_paths); every fault-free pin is the
-  // parent's.
+  // Cycle-exact contract of the datapath: each case reproduces, field for
+  // field, the pinned stats. Covers every VC policy, native and
+  // escape-class routes, node and link faults, and worm kills past the
+  // Theorem-5 guarantee. Every case was re-pinned once when the wormhole
+  // moved to the store-and-forward engine's counter-based traffic and the
+  // static (node, port) channel table.
   {
     auto topo = make_butterfly_sim(4);
     const std::pair<VcPolicy, StatsSnapshot> pins[] = {
         {VcPolicy::kAnyFree,
-         {1535, 1535, 370, 11, 31, 51, 12.458631921824104,
-          3.3726384364820845, false, 0, 0, 0}},
+         {1506, 1506, 369, 11, 25, 36, 11.97011952191235,
+          3.3818061088977425, false, 0, 0, 0}},
         {VcPolicy::kDateline,
-         {1535, 1535, 370, 11, 31, 51, 12.348534201954397,
-          3.3726384364820845, false, 0, 0, 0}},
+         {1506, 1506, 367, 11, 24, 36, 11.858565737051793,
+          3.3818061088977425, false, 0, 0, 0}},
         {VcPolicy::kSegmentDateline,
-         {1535, 1535, 418, 13, 116, 164, 20.461237785016287,
-          3.3726384364820845, false, 0, 0, 0}},
+         {1506, 1506, 453, 12, 186, 258, 18.114209827357239,
+          3.3818061088977425, false, 0, 0, 0}},
     };
     for (const auto& [policy, pin] : pins) {
       WormholeConfig cfg = moderate_config(42);
@@ -249,8 +247,8 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
   }
   {
     auto topo = make_hyper_butterfly_sim(2, 3);
-    const StatsSnapshot pin{2305, 2305, 366, 10, 33, 67, 10.919739696312364,
-                            3.3084598698481562, false, 0, 0, 0};
+    const StatsSnapshot pin{2309, 2309, 371, 10, 30, 51, 10.769164140320486,
+                            3.3122563880467735, false, 0, 0, 0};
     EXPECT_EQ(snapshot(run_wormhole(*topo, moderate_config(42), 3)), pin)
         << "HB(2,3) segment";
   }
@@ -264,8 +262,8 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
     }
     WormholeConfig cfg = adaptive_config(0.03);
     cfg.measure_cycles = 200;
-    const StatsSnapshot pin{7620, 7620, 269, 11, 23, 38, 11.985301837270342,
-                            5.8532808398950129, false, 219, 1109, 0};
+    const StatsSnapshot pin{7550, 7550, 266, 11, 22, 51, 11.915496688741722,
+                            5.8286092715231792, false, 222, 1126, 0};
     EXPECT_EQ(snapshot(run_wormhole(*topo, cfg, 5, &wf)), pin)
         << "HB(3,5) adaptive, m+3 node faults";
   }
@@ -276,8 +274,8 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
       wf.links.emplace_back(src, topo->neighbors(src).front());
       wf.links.emplace_back(src, topo->neighbors(src).back());
     }
-    const StatsSnapshot pin{1145, 1145, 359, 8, 15, 21, 8.4043668122270745,
-                            3.3510917030567686, false, 96, 317, 0};
+    const StatsSnapshot pin{1160, 1160, 362, 8, 17, 23, 8.5370689655172409,
+                            3.3327586206896553, false, 74, 263, 0};
     EXPECT_EQ(snapshot(run_wormhole(*topo, adaptive_config(0.04), 3, &wf)),
               pin)
         << "HB(2,3) adaptive, link faults";
@@ -289,8 +287,8 @@ TEST(WormholeDeterminism, MatchesPinnedParentStats) {
     WormholeFaults wf;
     wf.nodes.assign(topo->num_nodes(), 0);
     for (std::uint32_t nb : topo->neighbors(0)) wf.nodes[nb] = 1;
-    const StatsSnapshot pin{580, 545, 355, 8, 16, 26, 8.0899082568807348,
-                            2.8201834862385322, false, 61, 212, 39};
+    const StatsSnapshot pin{567, 542, 358, 7, 17, 35, 8.0258302583025838,
+                            2.8154981549815496, false, 70, 241, 29};
     EXPECT_EQ(snapshot(run_wormhole(*topo, adaptive_config(0.05), 3, &wf)),
               pin)
         << "HB(1,3) adaptive, m+4 faults";
@@ -311,10 +309,10 @@ struct WidePin {
 };
 
 TEST(WormholeDeterminism, MatchesPinnedParentStatsWideMatrix) {
-  // Cycle-exact contract of the arena-free datapath (per-VC records, bit
-  // mask arbitration, channel bitmap, integer injection coin): every case
-  // reproduces the stats and sink counters of the ring-arena datapath it
-  // replaced. Covers buffer depths 1/2/4, single-flit worms and worms
+  // Cycle-exact contract of the datapath (per-VC records, bit mask
+  // arbitration, channel bitmap), re-pinned with MatchesPinnedParentStats
+  // on the counter-based traffic: every case reproduces the pinned stats
+  // and sink counters. Covers buffer depths 1/2/4, single-flit worms and worms
   // longer than a buffer, several VCs per class, the saturated
   // BM_WormholeHeavyLoad shape, a deadlocking any-free run, and faulted
   // runs whose misroute budget of 1 kills worms with flits in flight. Each
@@ -331,18 +329,18 @@ TEST(WormholeDeterminism, MatchesPinnedParentStatsWideMatrix) {
   const std::pair<unsigned, unsigned> shapes[] = {
       {1, 1}, {1, 9}, {2, 9}, {4, 9}};  // (buffer depth, flits per packet)
   const WidePin shape_pins[] = {
-      {{1194, 1194, 354, 4, 7, 8, 4.2470686767169177, 3.2227805695142377,
+      {{1156, 1156, 354, 4, 7, 7, 4.3295847750865049, 3.2984429065743943,
         false, 0, 0, 0},
-       4521, 4554},
-      {{1194, 1194, 455, 33, 128, 156, 40.527638190954775,
-        3.2227805695142377, false, 0, 0, 0},
-       40689, 46967},
-      {{1194, 1194, 392, 20, 54, 73, 21.799832495812396, 3.2227805695142377,
+       4485, 4525},
+      {{1156, 1156, 461, 35, 114, 133, 42.605536332179931,
+        3.2984429065743943, false, 0, 0, 0},
+       40365, 48283},
+      {{1156, 1156, 384, 20, 51, 74, 21.870242214532873, 3.2984429065743943,
         false, 0, 0, 0},
-       40689, 64357},
-      {{1194, 1194, 389, 19, 50, 68, 20.149078726968174, 3.2227805695142377,
+       40365, 65905},
+      {{1156, 1156, 384, 19, 45, 52, 20.183391003460208, 3.2984429065743943,
         false, 0, 0, 0},
-       40689, 72797}};
+       40365, 73468}};
   for (std::size_t i = 0; i < std::size(shapes); ++i) {
     const auto [depth, flits] = shapes[i];
     WormholeConfig cfg = moderate_config(11);
@@ -364,9 +362,9 @@ TEST(WormholeDeterminism, MatchesPinnedParentStatsWideMatrix) {
     cfg.measure_cycles = 400;
     cfg.drain_cycles = 120000;
     cases.push_back({"B(5) heavy load", make_butterfly_sim(5), 5, cfg, {},
-                     {{19355, 19355, 2454, 829, 1843, 1969, 848.85409454921205,
-                       4.3135107207439942, false, 0, 0, 0},
-                      415732, 1284269}});
+                     {{19201, 19201, 2374, 737, 1731, 1876, 794.72834748190201,
+                       4.3069631790010936, false, 0, 0, 0},
+                      413032, 1209907}});
   }
   {
     WormholeConfig cfg;
@@ -378,9 +376,9 @@ TEST(WormholeDeterminism, MatchesPinnedParentStatsWideMatrix) {
     cfg.measure_cycles = 300;
     cases.push_back({"B(4) dateline, 2 VCs per class", make_butterfly_sim(4),
                      4, cfg, {},
-                     {{1914, 1914, 600, 42, 235, 291, 55.825496342737722,
-                       3.3897596656217348, false, 0, 0, 0},
-                      43200, 96506}});
+                     {{1890, 1890, 554, 40, 198, 221, 53.814285714285717,
+                       3.4031746031746031, false, 0, 0, 0},
+                      43155, 95597}});
   }
   {
     WormholeConfig cfg;
@@ -395,9 +393,9 @@ TEST(WormholeDeterminism, MatchesPinnedParentStatsWideMatrix) {
     cfg.deadlock_patience = 500;
     cases.push_back({"B(4) any-free deadlock", make_butterfly_sim(4), 4, cfg,
                      {},
-                     {{14597, 120, 760, 63, 220, 231, 85.924999999999997,
-                       3.1333333333333333, true, 0, 0, 0},
-                      3056, 58128}});
+                     {{13129, 101, 683, 51, 157, 171, 57.079207920792079,
+                       3.0594059405940595, true, 0, 0, 0},
+                      2510, 59991}});
   }
   {
     // Node and link faults with a misroute budget of 1: a worm whose
@@ -416,9 +414,9 @@ TEST(WormholeDeterminism, MatchesPinnedParentStatsWideMatrix) {
     cfg.misroute_limit = 1;
     cases.push_back({"HB(2,3) adaptive, faults, misroute limit 1",
                      std::move(topo), 3, cfg, std::move(wf),
-                     {{1378, 1372, 363, 13, 33, 54, 14.03862973760933,
-                       3.3403790087463556, false, 184, 619, 6},
-                      31721, 45840}});
+                     {{1344, 1342, 371, 13, 32, 44, 13.805514157973175,
+                       3.3852459016393444, false, 175, 584, 2},
+                      32099, 45863}});
   }
   for (const Case& c : cases) {
     const WormholeFaults* wf = c.faults.any() ? &c.faults : nullptr;

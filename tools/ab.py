@@ -9,11 +9,14 @@ the side that runs first flipping from pair to pair, and one more pair on a
 held-out seed that the summary reports apart. Each side gets a discarded
 warm-up call first, which also builds it.
 
-For every end-to-end metric it prints each side's median and IQR over the
-pairs, the change in medians, and in how many pairs the head side was
-better (the direction comes from BENCHMARK.json). It exits 1 when a
-workload digest differs between the two sides on the same seed, or when any
-run reports failed checks.
+It runs every workload BENCHMARK.json lists, one after another, unless
+--workload names one. For every workload and end-to-end metric it prints
+each side's median and IQR over the pairs, the change in medians, in how
+many pairs the head side was better (the direction comes from
+BENCHMARK.json), and the median and IQR of the per-pair head/base ratio. A
+host stall slows both runs of a pair, so the ratio is steadier than either
+side's median. It exits 1 when a workload digest differs between the two
+sides on the same seed, or when any run reports failed checks.
 
     python3 tools/ab.py --base HEAD --head WORKTREE --workload campaign \\
         --seeds 11-20 --holdout 99 --scratch /tmp/ab \\
@@ -22,9 +25,9 @@ run reports failed checks.
 
 Each call runs for BENCHMARK.json's run_seconds, so both sides are
 measured at the benchmark's own run length; the warm-up call runs for
-WARMUP_SECONDS. --record keeps every run's stdout, and --replay analyses such a file again
-without building or running anything. In it, a line `### <side> <seed>
-<pair|holdout>` starts each run's output.
+WARMUP_SECONDS. --record keeps every run's stdout, and --replay analyses
+such a file again without building or running anything. In it, a line
+`### <side> <seed> <pair|holdout> <workload>` starts each run's output.
 """
 
 import argparse
@@ -100,6 +103,11 @@ def run_bench(tree, build_dir, log, workload, seed, seconds):
     return out.stdout
 
 
+def workload_names():
+    """The workloads BENCHMARK.json lists, in its order."""
+    return [w["name"] for w in benchmark_spec().get("workloads", [])]
+
+
 def parse_run(text):
     """hbbench stdout -> {'digests': {...}, 'failed': n, 'metrics': {...}}."""
     digests, result = {}, None
@@ -116,14 +124,14 @@ def parse_run(text):
 
 
 def read_record(path):
-    """A --record file -> list of (side, seed, role, stdout)."""
+    """A --record file -> list of (side, seed, role, workload, stdout)."""
     runs, head, lines = [], None, []
     for line in Path(path).read_text().splitlines():
         if line.startswith("### "):
             if head:
                 runs.append((*head, "\n".join(lines)))
-            side, seed, role = line.split()[1:4]
-            head, lines = (side, int(seed), role), []
+            side, seed, role, workload = line.split()[1:5]
+            head, lines = (side, int(seed), role, workload), []
         else:
             lines.append(line)
     if head:
@@ -139,32 +147,42 @@ def quartiles(xs):
 
 
 def analyse(runs, out=sys.stdout):
-    """Prints the comparison; returns the exit status."""
+    """Prints the comparison of every workload; returns the exit status."""
+    status = 0
+    for workload in dict.fromkeys(w for _, _, _, w, _ in runs):
+        status |= analyse_workload(
+            workload, [r for r in runs if r[3] == workload], out)
+    return status
+
+
+def analyse_workload(workload, runs, out):
+    """Prints one workload's comparison; returns the exit status."""
     by_key = {(side, seed, role): parse_run(text)
-              for side, seed, role, text in runs}
+              for side, seed, role, _, text in runs}
     status = 0
     for (side, seed, role), r in sorted(by_key.items()):
         if r["failed"] != 0:
-            print(f"FAIL {side} seed {seed}: failed = {r['failed']}", file=out)
+            print(f"FAIL {workload} {side} seed {seed}: failed = "
+                  f"{r['failed']}", file=out)
             status = 1
     pairs = sorted({(seed, role) for _, seed, role in by_key
                     if all((s, seed, role) in by_key for s in SIDES)})
     for seed, role in pairs:
         base, head = (by_key[(s, seed, role)]["digests"] for s in SIDES)
         if base != head:
-            print(f"FAIL seed {seed}: digest differs, base {base} head {head}",
-                  file=out)
+            print(f"FAIL {workload} seed {seed}: digest differs, base {base} "
+                  f"head {head}", file=out)
             status = 1
     paired = [seed for seed, role in pairs if role == "pair"]
     holdout = [seed for seed, role in pairs if role == "holdout"]
     if not paired:
-        print("ab: no complete pairs", file=out)
+        print(f"ab: {workload}: no complete pairs", file=out)
         return 1
     higher = metric_directions()
     names = sorted(by_key[("base", paired[0], "pair")]["metrics"])
-    print(f"{len(paired)} pairs (seeds {paired[0]}..{paired[-1]}); "
-          "median [IQR] per side; wins = pairs where head is better",
-          file=out)
+    print(f"{workload}: {len(paired)} pairs (seeds {paired[0]}..{paired[-1]}); "
+          "median [IQR] per side; wins = pairs where head is better; "
+          "ratio = per-pair head/base", file=out)
     for name in names:
         vals = {s: [by_key[(s, seed, "pair")]["metrics"][name]
                     for seed in paired] for s in SIDES}
@@ -174,9 +192,14 @@ def analyse(runs, out=sys.stdout):
         (b1, bm, b3), (h1, hm, h3) = (quartiles(vals[s]) for s in SIDES)
         change = (hm - bm) / bm * 100 if bm else 0.0
         beyond = "beyond" if abs(hm - bm) > b3 - b1 else "within"
+        ratios = [h / b for b, h in zip(vals["base"], vals["head"]) if b]
+        ratio = "ratio n/a"
+        if ratios:
+            r1, rm, r3 = quartiles(ratios)
+            ratio = f"ratio {rm:.4g} [{r3 - r1:.3g}]"
         print(f"  {name}: base {bm:.6g} [{b3 - b1:.3g}]  head {hm:.6g} "
               f"[{h3 - h1:.3g}]  {change:+.1f}%  head wins {wins}/"
-              f"{len(paired)}  change {beyond} base IQR", file=out)
+              f"{len(paired)}  change {beyond} base IQR  {ratio}", file=out)
         for seed in holdout:
             b, h = (by_key[(s, seed, "holdout")]["metrics"][name]
                     for s in SIDES)
@@ -190,7 +213,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", help="git revision or WORKTREE")
     ap.add_argument("--head", help="git revision or WORKTREE")
-    ap.add_argument("--workload")
+    ap.add_argument("--workload",
+                    help="one workload (default: every BENCHMARK.json one)")
     ap.add_argument("--seeds", default="11-20")
     ap.add_argument("--holdout", type=int)
     ap.add_argument("--scratch", type=Path)
@@ -199,11 +223,14 @@ def main():
     args = ap.parse_args()
     if args.replay:
         return analyse(read_record(args.replay))
-    if not (args.base and args.head and args.workload and args.scratch):
-        ap.error("--base, --head, --workload and --scratch are required")
+    if not (args.base and args.head and args.scratch):
+        ap.error("--base, --head and --scratch are required")
     seconds = benchmark_spec().get("run_seconds")
     if seconds is None:
         raise SystemExit("ab: BENCHMARK.json has no run_seconds")
+    workloads = [args.workload] if args.workload else workload_names()
+    if not workloads:
+        raise SystemExit("ab: BENCHMARK.json lists no workloads")
 
     scratch = args.scratch.resolve()
     scratch.mkdir(parents=True, exist_ok=True)
@@ -217,18 +244,23 @@ def main():
             tree = scratch / f"{side}-src"
             materialize(rev, tree)
             trees[side] = (tree, scratch / f"{side}-build")
-            print(f"ab: {side} = {rev}, warming up", file=sys.stderr)
-            run_bench(*trees[side], log, args.workload, 0, WARMUP_SECONDS)
-        for seed, role, head_first in schedule:
-            for side in (SIDES[::-1] if head_first else SIDES):
-                text = run_bench(*trees[side], log, args.workload, seed,
-                                 seconds)
-                runs.append((side, seed, role, text))
-                print(f"ab: {side} seed {seed} done", file=sys.stderr)
+            print(f"ab: {side} = {rev}", file=sys.stderr)
+        for workload in workloads:
+            for side in SIDES:
+                print(f"ab: {workload} {side} warming up", file=sys.stderr)
+                run_bench(*trees[side], log, workload, 0, WARMUP_SECONDS)
+            for seed, role, head_first in schedule:
+                for side in (SIDES[::-1] if head_first else SIDES):
+                    text = run_bench(*trees[side], log, workload, seed,
+                                     seconds)
+                    runs.append((side, seed, role, workload, text))
+                    print(f"ab: {workload} {side} seed {seed} done",
+                          file=sys.stderr)
     if args.record:
         with open(args.record, "w") as f:
-            for side, seed, role, text in runs:
-                f.write(f"### {side} {seed} {role}\n{text.rstrip()}\n")
+            for side, seed, role, workload, text in runs:
+                f.write(f"### {side} {seed} {role} {workload}\n"
+                        f"{text.rstrip()}\n")
     return analyse(runs)
 
 
