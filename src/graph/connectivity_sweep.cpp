@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "check/check.hpp"
+#include "graph/bfs.hpp"
 #include "graph/sparsify.hpp"
 #include "graph/validate.hpp"
 #include "obs/flight_recorder.hpp"
@@ -272,25 +273,31 @@ void ConnectivitySweep::init() {
     HBNET_DCHECK_MSG(min_deg == max_deg,
                      "single-source schedule on a non-regular graph");
   }
-  // Deterministic schedule: all vertices, (degree, id) ascending. Low
+  // Deterministic schedule: vertices in (degree, id) ascending order. Low
   // degree first both seeds the bound well and keeps the split networks'
-  // terminal widening cheap.
+  // terminal widening cheap. The bound starts at the minimum degree and
+  // only falls, so run() reads at most sources_needed() <= min_deg + 1
+  // entries: only that prefix is ordered and kept (the order is total, so
+  // the prefix is the one a full sort would give).
+  const NodeId prefix =
+      opts_.vertex_transitive ? 1 : std::min<NodeId>(n, min_deg + 1);
   source_order_.resize(n);
   std::iota(source_order_.begin(), source_order_.end(), NodeId{0});
-  std::sort(source_order_.begin(), source_order_.end(),
-            [&](NodeId a, NodeId b) {
-              return std::make_pair(adj_.degree(a), a) <
-                     std::make_pair(adj_.degree(b), b);
-            });
+  std::partial_sort(source_order_.begin(), source_order_.begin() + prefix,
+                    source_order_.end(), [&](NodeId a, NodeId b) {
+                      return std::make_pair(adj_.degree(a), a) <
+                             std::make_pair(adj_.degree(b), b);
+                    });
+  source_order_.resize(prefix);
+  source_order_.shrink_to_fit();
   if (state_.orbit) {
     const NodeId s = source_order_[0];
     HBNET_DCHECK_MSG(opts_.orbit_rep(s) == s,
                      "orbit_rep must fix the scanned source");
-    const std::vector<NodeId> targets =
-        targets_of(n, s, adjacency_of(adj_, s), opts_.orbit_rep);
-    state_.orbit_targets = targets.size();
+    orbit_targets_ = targets_of(n, s, adjacency_of(adj_, s), opts_.orbit_rep);
+    state_.orbit_targets = orbit_targets_.size();
     state_.orbit_digest = detail::kFnv1aBasis;
-    for (NodeId t : targets) detail::fnv1a_mix(state_.orbit_digest, t);
+    for (NodeId t : orbit_targets_) detail::fnv1a_mix(state_.orbit_digest, t);
   }
   if (!opts_.checkpoint_path.empty()) {
     if (std::optional<SweepState> loaded =
@@ -308,6 +315,11 @@ void ConnectivitySweep::init() {
       }
       if (err.empty() && loaded->block_size != state_.block_size) {
         err = "checkpoint block size mismatch";
+      }
+      // A sweep starts at the minimum degree and only lowers the bound;
+      // above it, the bound would also ask for sources past source_order_.
+      if (err.empty() && loaded->bound > min_deg) {
+        err = "checkpoint bound exceeds the minimum degree";
       }
       if (err.empty()) {
         state_ = *loaded;
@@ -394,19 +406,27 @@ ExactConnectivityResult ConnectivitySweep::run() {
     }
     return arcs;
   };
+  // BFS distances from the stage's source on the graph the kernels solve
+  // on: the seed of every solve's first phase, shared read-only by all
+  // workers. Empty until the block loop computes it, and cleared whenever
+  // the source or the flow graph changes.
+  std::vector<Dist> source_dist;
+  const Graph* flow_graph = nullptr;
   auto ensure_flows = [&](std::uint32_t block_bound) {
     if (!opts_.sparsify) {
       if (flows.empty()) {
         const auto* csr = dynamic_cast<const CsrAdjacency*>(&adj_);
-        const Graph& g = csr != nullptr ? csr->graph()
-                                        : materialized.emplace(to_graph(adj_));
-        publish_arena(g);
-        flows.assign(pool.size(), VertexFlow(g));
+        flow_graph = csr != nullptr ? &csr->graph()
+                                    : &materialized.emplace(to_graph(adj_));
+        publish_arena(*flow_graph);
+        flows.assign(pool.size(), VertexFlow(*flow_graph));
       }
       return;
     }
     if (cert.has_value() && cert->k == block_bound) return;
     cert.emplace(sparse_certificate(adj_, block_bound));
+    flow_graph = &cert->graph;
+    source_dist.clear();
     const std::uint64_t arcs = publish_arena(cert->graph);
     flows.assign(pool.size(), VertexFlow(cert->graph));
     obs::FlightRecorder::record("sweep_certificate", cert->k,
@@ -429,8 +449,13 @@ ExactConnectivityResult ConnectivitySweep::run() {
     // The source adjacency is read once per stage and shared by every
     // worker (pruning intersects against it).
     const std::vector<NodeId> s_adj = adjacency_of(adj_, s);
-    const std::vector<NodeId> targets =
-        targets_of(n, s, s_adj, opts_.orbit_rep);
+    // The orbit schedule scans only source_order_[0], whose targets init()
+    // already listed.
+    std::vector<NodeId> stage_targets;
+    if (!state_.orbit) stage_targets = targets_of(n, s, s_adj, nullptr);
+    const std::vector<NodeId>& targets =
+        state_.orbit ? orbit_targets_ : stage_targets;
+    source_dist.clear();
     const std::uint32_t num_blocks = static_cast<std::uint32_t>(
         (targets.size() + opts_.block_size - 1) / opts_.block_size);
     if (num_blocks == 0) {
@@ -459,6 +484,7 @@ ExactConnectivityResult ConnectivitySweep::run() {
       // the final level-graph phase of every saturated solve.
       const std::uint32_t block_bound = state_.bound;
       ensure_flows(block_bound);
+      if (source_dist.empty()) source_dist = bfs(*flow_graph, s).dist;
       const std::uint64_t begin = std::uint64_t{b} * opts_.block_size;
       const std::uint64_t end =
           std::min<std::uint64_t>(targets.size(), begin + opts_.block_size);
@@ -492,8 +518,8 @@ ExactConnectivityResult ConnectivitySweep::run() {
                 ++tally.pruned;
                 continue;
               }
-              const std::uint32_t flow =
-                  kernel.solve(s, t, std::min({ds, dt, block_bound}));
+              const std::uint32_t flow = kernel.solve(
+                  s, t, std::min({ds, dt, block_bound}), source_dist);
               ++tally.solves;
               tally.flows.record(flow);
               tally.min_flow = std::min(tally.min_flow, flow);

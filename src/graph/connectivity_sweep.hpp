@@ -29,7 +29,9 @@
 //    workspace per pool *worker* (on its own cache lines) that a solve
 //    resets only where its flow went. All workers read one shared CSR graph
 //    (the caller's, one materialized copy of an implicit provider, or the
-//    sparse certificate), so nothing is built or allocated inside a block;
+//    sparse certificate) and one BFS of the stage's source on it, which
+//    seeds the first phase of every solve, so nothing is built or allocated
+//    inside a block;
 //  * checkpoint/resume -- the schedule is a pure function of the graph
 //    (no RNG, no wall clock), split into fixed-size blocks of targets; the
 //    sweep state after every block is thread-count invariant and is
@@ -219,7 +221,10 @@ class ConnectivitySweep {
   const AdjacencyProvider& adj_;
   SweepOptions opts_;
   SweepState state_;
-  std::vector<NodeId> source_order_;  // all vertices, (degree, id) ascending
+  // The first sources in (degree, id) ascending order: as many as run()
+  // can scan.
+  std::vector<NodeId> source_order_;
+  std::vector<NodeId> orbit_targets_;  // orbit schedule: source_order_[0]'s
   bool resumed_ = false;
   std::string resume_note_;
 };

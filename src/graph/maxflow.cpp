@@ -113,12 +113,70 @@ VertexFlow::VertexFlow(const Graph& g)
       nodes_(g.num_nodes()),
       cursor_(g.num_nodes(), 0) {}
 
-bool VertexFlow::build_levels() {
+void VertexFlow::new_phase() {
   if (base_ > std::numeric_limits<std::uint32_t>::max() - 4 * span_) {
     for (Vertex& v : nodes_) v.level[0] = v.level[1] = 0;  // wrap-around
     base_ = 0;
   }
   base_ += 2 * span_;
+}
+
+std::uint32_t VertexFlow::seed_paths(std::span<const std::uint32_t> dist,
+                                     std::uint32_t limit) {
+  HBNET_DCHECK_MSG(dist.size() == nodes_.size(),
+                   "VertexFlow::solve seed needs one distance per vertex");
+  // A DFS back from t on the edges along which dist drops by exactly one.
+  // level[0] >= base_ marks a vertex the walk has entered: it lies on a
+  // claimed path or reaches no unused vertex one step closer to s, and the
+  // walk only ever uses up more vertices, so it stays dead. Each vertex is
+  // entered once and each arc tried once, and the paths claimed are
+  // internally disjoint whatever dist holds.
+  new_phase();
+  nodes_[t_].level[0] = base_;
+  stack_.assign(1, t_);
+  cursor_[t_] = 0;
+  std::uint32_t flow = 0;
+  while (flow < limit) {
+    const NodeId v = stack_.back();
+    const std::span<const NodeId> row = g_->neighbors(v);
+    const std::uint32_t deg = static_cast<std::uint32_t>(row.size());
+    const std::uint32_t dv = dist[v];
+    std::uint32_t next = dv == 0 ? deg : cursor_[v];
+    NodeId u = kInvalidNode;
+    while (next < deg) {
+      const NodeId w = row[next++];
+      if (dist[w] + 1 == dv && (w == s_ || nodes_[w].level[0] < base_)) {
+        u = w;
+        break;
+      }
+    }
+    cursor_[v] = next;
+    if (u == s_) {
+      // The stack t, w_k, ..., w_1 closes the path s, w_1, ..., w_k, t (the
+      // direct edge when the stack is t alone; t's cursor passes s once).
+      if (stack_.size() == 1) direct_ = true;
+      for (std::size_t i = 1; i < stack_.size(); ++i) {
+        Vertex& w = nodes_[stack_[i]];
+        w.succ = stack_[i - 1];
+        w.pred = i + 1 < stack_.size() ? stack_[i + 1] : s_;
+        touched_.push_back(stack_[i]);
+      }
+      ++flow;
+      stack_.resize(1);
+    } else if (u != kInvalidNode) {
+      nodes_[u].level[0] = base_;
+      cursor_[u] = 0;
+      stack_.push_back(u);
+    } else {
+      stack_.pop_back();
+      if (stack_.empty()) break;
+    }
+  }
+  return flow;
+}
+
+bool VertexFlow::build_levels() {
+  new_phase();
   level(2 * t_) = base_;
   level(2 * s_ + 1) = base_ + span_;
   bwd_.start(2 * t_);
@@ -289,13 +347,14 @@ void VertexFlow::push_path() {
   }
 }
 
-std::uint32_t VertexFlow::solve(NodeId s, NodeId t, std::uint32_t limit) {
+std::uint32_t VertexFlow::solve(NodeId s, NodeId t, std::uint32_t limit,
+                               std::span<const std::uint32_t> dist) {
   HBNET_DCHECK_MSG(s != t && s < g_->num_nodes() && t < g_->num_nodes(),
                    "VertexFlow::solve needs two distinct vertices");
   s_ = s;
   t_ = t;
   const std::uint32_t s_out = 2 * s + 1, t_in = 2 * t;
-  std::uint32_t flow = 0;
+  std::uint32_t flow = dist.empty() || limit == 0 ? 0 : seed_paths(dist, limit);
   while (flow < limit && build_levels()) {
     // Above every forward label, below the next phase's base.
     const std::uint32_t dead = base_ + 2 * span_ - 1;

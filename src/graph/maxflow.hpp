@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -122,6 +123,16 @@ class Dinic {
 /// blocking flow raises D. Dead ends now also lie in the forward ball, off
 /// every shortest path. Both searches are iterative.
 ///
+/// A caller that solves many targets from one source can pass the BFS
+/// distances from s (one value per vertex) as a seed. Phase 0 is then a
+/// walk back from t that steps only to an unused neighbour exactly one
+/// distance closer to s, and claims every path that reaches s: with true
+/// BFS distances, a blocking set of vertex-disjoint shortest paths, found
+/// without a level search. The seed is only a hint. Every step is a real
+/// edge along which the array strictly decreases, and a vertex is entered at
+/// most once per solve, so any array yields internally disjoint s-t paths,
+/// which the Dinic phases after it then augment to the maximum.
+///
 /// State is O(n) and reused across solves: a label is valid only above the
 /// current phase's base, so nothing is cleared between phases, and a solve
 /// resets only the vertices its flow touched. The graph is read-only, so
@@ -134,8 +145,11 @@ class alignas(64) VertexFlow {
 
   /// min(kappa(s, t), limit), where kappa(s, t) is the maximum number of
   /// internally vertex-disjoint s-t paths (the direct edge, if any, counts
-  /// once). Requires s != t.
-  std::uint32_t solve(NodeId s, NodeId t, std::uint32_t limit);
+  /// once). Requires s != t. `dist`, if not empty, has one entry per vertex
+  /// and seeds phase 0 (see above): the BFS distances from s on this graph
+  /// make it fast, and any other values still give the exact result.
+  std::uint32_t solve(NodeId s, NodeId t, std::uint32_t limit,
+                      std::span<const std::uint32_t> dist = {});
 
  private:
   // What the level search reads about one vertex, in 16 bytes: the labels
@@ -173,6 +187,10 @@ class alignas(64) VertexFlow {
   };
 
   std::uint32_t& level(std::uint32_t x) { return nodes_[x >> 1].level[x & 1]; }
+  // Moves base_ past every label, so each one reads as unlabelled.
+  void new_phase();
+  std::uint32_t seed_paths(std::span<const std::uint32_t> dist,
+                           std::uint32_t limit);
   bool build_levels();
   void expand_forward();
   void expand_backward();
@@ -196,7 +214,8 @@ class alignas(64) VertexFlow {
   std::vector<std::uint32_t> cursor_;   // DFS position in each v_out's arcs
   std::vector<NodeId> touched_;         // vertices whose pred/succ were set
   Side fwd_, bwd_;                      // search from s_out, search from t_in
-  std::vector<std::uint32_t> stack_;    // DFS path, s_out first
+  std::vector<std::uint32_t> stack_;    // DFS path, s_out first; in the
+                                        // seed walk, vertices, t first
 };
 
 }  // namespace hbnet

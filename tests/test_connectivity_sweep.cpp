@@ -298,6 +298,34 @@ TEST(ConnectivitySweep, IncompatibleCheckpointRestartsInsteadOfResuming) {
   std::remove(path.c_str());
 }
 
+TEST(ConnectivitySweep, CheckpointBoundAboveMinDegreeRestarts) {
+  // A sweep seeds its bound with the minimum degree and only lowers it, so
+  // a checkpoint of this very graph whose bound sits above it was not
+  // written by a sweep. Resuming it would scan sources past the min_deg + 1
+  // the engine orders; it restarts with a note instead.
+  Graph g = HyperButterfly(1, 3).to_graph();
+  const std::string path = temp_path("bound");
+  SweepState forged;
+  forged.num_nodes = g.num_nodes();
+  forged.num_edges = g.num_edges();
+  forged.fingerprint = graph_fingerprint(g);
+  forged.block_size = 256;
+  forged.bound = g.num_nodes() - 1;
+  forged.stages_done = 6;  // min degree 5, + 1
+  ASSERT_TRUE(check::validate(forged, g).empty());
+  ASSERT_TRUE(save_checkpoint(path, forged));
+
+  SweepOptions opts;
+  opts.checkpoint_path = path;
+  ConnectivitySweep sweep(g, opts);
+  EXPECT_FALSE(sweep.resumed());
+  EXPECT_EQ(sweep.resume_note(), "checkpoint bound exceeds the minimum degree");
+  const ExactConnectivityResult r = sweep.run();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.kappa, 5u);
+  std::remove(path.c_str());
+}
+
 TEST(ConnectivitySweep, MetricsAreRecorded) {
   Graph g = HyperButterfly(1, 3).to_graph();
   obs::MetricsRegistry metrics;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/connectivity_sweep.hpp"
@@ -48,24 +49,28 @@ Graph complete_graph(NodeId n) {
 
 /// Checks VertexFlow against the explicit vertex-split Dinic reference
 /// (detail::split_solve) on every ordered pair of `g`, at limits below, at
-/// and above the pair's connectivity. One VertexFlow and one Dinic network
-/// serve every solve, so the between-solve resets are exercised too.
+/// and above the pair's connectivity, unseeded and seeded with the BFS
+/// distances from s. One VertexFlow and one Dinic network serve every
+/// solve, so the between-solve resets are exercised too.
 void expect_matches_split_reference(const Graph& g, const std::string& name) {
   VertexFlow flow(g);
   Dinic ref = detail::make_split_prototype(g);
   const std::int64_t unbounded = g.num_nodes();
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    const std::vector<Dist> dist = bfs(g, s).dist;
     for (NodeId t = 0; t < g.num_nodes(); ++t) {
       if (s == t) continue;
       const std::int64_t kappa = detail::split_solve(ref, s, t, unbounded);
       for (std::int64_t limit :
            {std::int64_t{0}, kappa - 1, kappa, kappa + 1, unbounded}) {
         if (limit < 0) continue;
-        const std::uint32_t got =
-            flow.solve(s, t, static_cast<std::uint32_t>(limit));
+        const auto lim = static_cast<std::uint32_t>(limit);
+        const std::uint32_t got = flow.solve(s, t, lim);
         ASSERT_EQ(got, detail::split_solve(ref, s, t, limit))
             << name << " s=" << s << " t=" << t << " limit=" << limit;
         ASSERT_EQ(got, std::min(kappa, limit));
+        ASSERT_EQ(flow.solve(s, t, lim, dist), got)
+            << name << " seeded s=" << s << " t=" << t << " limit=" << limit;
       }
     }
   }
@@ -155,9 +160,12 @@ TEST(VertexFlow, MatchesSplitReferenceOnSparseRandomGraphs) {
         const std::uint32_t limit = 1 + pick(rng);
         for (auto [a, b] : {std::pair{s, t}, std::pair{t, s}}) {
           const std::int64_t kappa = detail::split_solve(ref, a, b, n);
-          ASSERT_EQ(flow.solve(a, b, limit),
-                    std::min<std::int64_t>(kappa, limit))
+          const std::int64_t want = std::min<std::int64_t>(kappa, limit);
+          ASSERT_EQ(flow.solve(a, b, limit), want)
               << "n=" << n << " p=" << p << " s=" << a << " t=" << b
+              << " limit=" << limit;
+          ASSERT_EQ(flow.solve(a, b, limit, bfs(g, a).dist), want)
+              << "seeded n=" << n << " p=" << p << " s=" << a << " t=" << b
               << " limit=" << limit;
         }
       }
@@ -231,6 +239,7 @@ TEST(VertexFlow, MatchesSplitReferenceOnHbCertificateOrbitTargets) {
     const SparseCertificate cert = sparse_certificate(adj, m + 4);
     VertexFlow flow(cert.graph);
     Dinic ref = detail::make_split_prototype(cert.graph);
+    const std::vector<Dist> dist = bfs(cert.graph, 0).dist;
     std::vector<NodeId> scratch(adj.max_degree());
     const std::span<const NodeId> nb = adj.neighbors(0, scratch.data());
     std::uint64_t solves = 0;
@@ -243,13 +252,80 @@ TEST(VertexFlow, MatchesSplitReferenceOnHbCertificateOrbitTargets) {
       // solve fixes the expected value at every lower limit.
       const std::int64_t capped = detail::split_solve(ref, 0, t, m + 4);
       for (std::uint32_t limit = 1; limit <= m + 4; ++limit) {
-        ASSERT_EQ(flow.solve(0, t, limit),
-                  std::min<std::int64_t>(capped, limit))
+        const std::int64_t want = std::min<std::int64_t>(capped, limit);
+        ASSERT_EQ(flow.solve(0, t, limit), want)
             << "HB(" << m << "," << n << ") t=" << t << " limit=" << limit;
+        ASSERT_EQ(flow.solve(0, t, limit, dist), want)
+            << "HB(" << m << "," << n << ") seeded t=" << t
+            << " limit=" << limit;
         ++solves;
       }
     }
     EXPECT_GT(solves, 0u);
+  }
+}
+
+TEST(VertexFlow, SeedIsOnlyAHint) {
+  // The seed may hold anything. BFS distances shifted up by n walk the
+  // shortest paths as the true ones do, and on graphs whose shortest paths
+  // funnel through a few vertices the walk keeps running into vertices an
+  // earlier path holds. A shuffled BFS array sends it along edges that are
+  // not shortest paths, an all-zero array leaves it nowhere to step, and a
+  // sentinel-filled one (kUnreachable, and one below it at even vertices,
+  // so the walk can take a step but never wraps) claims only the s-t edges
+  // the array happens to allow. Every solve must still return min(kappa,
+  // limit). The graphs have s-t edges (K7, dense random), cut vertices
+  // (two K5s sharing a vertex, sparse random) and disconnected pairs
+  // (sparse random).
+  std::mt19937_64 rng(1511);
+  std::vector<Graph> graphs;
+  graphs.push_back(complete_graph(7));
+  graphs.push_back(Hypercube(4).to_graph());
+  graphs.push_back(random_graph(14, 0.5, 77, true));
+  graphs.push_back(random_graph(18, 0.15, 78, false));
+  graphs.push_back(random_graph(30, 0.08, 79, false));
+  {
+    GraphBuilder bowtie(9);
+    for (NodeId base : {0u, 4u}) {
+      for (NodeId u = base; u < base + 5; ++u) {
+        for (NodeId v = u + 1; v < base + 5; ++v) bowtie.add_edge(u, v);
+      }
+    }
+    graphs.push_back(bowtie.build());
+  }
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    const NodeId n = g.num_nodes();
+    VertexFlow flow(g);
+    Dinic ref = detail::make_split_prototype(g);
+    const std::vector<Dist> zeros(n, 0);
+    std::vector<Dist> sentinel(n, kUnreachable);
+    for (NodeId v = 0; v < n; v += 2) sentinel[v] = kUnreachable - 1;
+    for (NodeId s = 0; s < n; ++s) {
+      std::vector<Dist> shifted = bfs(g, s).dist;
+      std::vector<Dist> shuffled = shifted;
+      std::shuffle(shuffled.begin(), shuffled.end(), rng);
+      for (Dist& d : shifted) d = d == kUnreachable ? d : d + n;
+      const std::vector<Dist>* const seeds[] = {&shifted, &shuffled, &zeros,
+                                                &sentinel};
+      const char* const names[] = {"shifted", "shuffled", "zeros",
+                                   "sentinel"};
+      for (NodeId t = 0; t < n; ++t) {
+        if (s == t) continue;
+        const std::int64_t kappa = detail::split_solve(ref, s, t, n);
+        for (std::int64_t limit : {kappa - 1, kappa, std::int64_t{n}}) {
+          if (limit < 1) continue;
+          const auto lim = static_cast<std::uint32_t>(limit);
+          const std::uint32_t want =
+              static_cast<std::uint32_t>(std::min(kappa, limit));
+          for (std::size_t k = 0; k < std::size(seeds); ++k) {
+            ASSERT_EQ(flow.solve(s, t, lim, *seeds[k]), want)
+                << "graph " << gi << " s=" << s << " t=" << t
+                << " limit=" << limit << " seed " << names[k];
+          }
+        }
+      }
+    }
   }
 }
 
