@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "check/check.hpp"
 #include "core/validate.hpp"
@@ -72,10 +73,15 @@ CayleySpec HyperButterfly::cayley_spec() const {
   CayleySpec spec;
   spec.num_nodes = static_cast<NodeId>(num_nodes());
   for (std::uint8_t g = 0; g < degree(); ++g) {
+    std::string name;
+    if (g < m_) {
+      name = "h";
+      name += std::to_string(g);
+    } else {
+      name = to_string(static_cast<BflyGen>(g - m_));
+    }
     spec.generators.push_back(
-        {g < m_ ? "h" + std::to_string(g)
-                : to_string(static_cast<BflyGen>(g - m_)),
-         [this, g](NodeId id) -> NodeId {
+        {std::move(name), [this, g](NodeId id) -> NodeId {
            return static_cast<NodeId>(neighbor(id, g));
          }});
   }

@@ -368,8 +368,11 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
   std::vector<std::uint64_t> node_occ(sink != nullptr ? n : 0, 0);
 
   // Last cycle's moves are read from `inbox` while this cycle's are pushed
-  // to `outbox`; the two swap at the end of every cycle.
-  sync::Exchange<Packet> inbox(plan.shards()), outbox(plan.shards());
+  // to `outbox`; the two swap at the end of every cycle. They share one set
+  // of segment lists, so the segments a shard drains carry its own pushes.
+  sync::Exchange<Packet> inbox(plan.shards());
+  sync::Exchange<Packet> outbox(inbox.lists());
+  std::uint64_t peak_moves = 0;
 
   obs::ProgressBoard::Slot* const prog_cycle =
       progress != nullptr ? &progress->slot("sim.cycle") : nullptr;
@@ -377,6 +380,12 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
       progress != nullptr ? &progress->slot("sim.in_flight_packets") : nullptr;
   obs::ProgressBoard::Slot* const prog_delivered =
       progress != nullptr ? &progress->slot("sim.delivered") : nullptr;
+  obs::ProgressBoard::Slot* const prog_segments =
+      progress != nullptr ? &progress->slot("sim.exchange_segments")
+                          : nullptr;
+  obs::ProgressBoard::Slot* const prog_peak_moves =
+      progress != nullptr ? &progress->slot("sim.exchange_peak_moves")
+                          : nullptr;
   const std::uint64_t ts_bucket = std::max<std::uint64_t>(1, inject_end / 64);
   obs::TimeSeries* const inject_ts =
       sink != nullptr ? &sink->time_series("sim.injected", ts_bucket) : nullptr;
@@ -546,9 +555,11 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
     // parallel_for_chunks returning IS the barrier: every shard has drained
     // its inbox column and pushed all of its moves.
     std::swap(inbox, outbox);
+    inbox.lists()->rebalance();
 
     const std::uint64_t was_created = created, was_delivered = delivered;
     in_flight = inbox.in_flight();  // this cycle's moves
+    peak_moves = std::max(peak_moves, in_flight);
     created = delivered = 0;
     for (const Shard<Router>& sh : shard) {
       in_flight += sh.cur.size();
@@ -563,6 +574,8 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
       prog_cycle->set(cycle);
       prog_in_flight->set(in_flight);
       prog_delivered->set(delivered);
+      prog_segments->set(inbox.lists()->segments());
+      prog_peak_moves->set(peak_moves);
     }
     if (tracing) {
       // A stable sort by node keeps each node's FIFO order, and shards are

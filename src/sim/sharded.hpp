@@ -32,7 +32,11 @@
 //    drains its column of the inbox (sender shards ascending) while it
 //    pushes its moves into its row of the outbox; the pool's return is the
 //    barrier, and the two exchanges swap. Arrivals are never copied into
-//    the arena only to be read back out.
+//    the arena only to be read back out. Both exchanges store their cells
+//    as chains of 2 KiB segments from one set of per-shard free lists
+//    (sync::SegmentLists): a shard's drained segments carry its own pushes
+//    in the same phase, so about one cycle of moves is stored, not two,
+//    and the lists are leveled at every barrier so they stay bounded.
 //
 // Determinism contract: traffic is counter-based (StatelessTraffic -- a
 // pure hash of seed/cycle/node), shards are contiguous, and delivery order

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace hbnet {
 
@@ -103,10 +104,11 @@ CayleySpec Hypercube::cayley_spec() const {
   CayleySpec spec;
   spec.num_nodes = num_nodes();
   for (unsigned i = 0; i < m_; ++i) {
-    spec.generators.push_back(
-        {"h" + std::to_string(i), [i](NodeId v) -> NodeId {
-           return v ^ (NodeId{1} << i);
-         }});
+    std::string name = "h";
+    name += std::to_string(i);
+    spec.generators.push_back({std::move(name), [i](NodeId v) -> NodeId {
+                                 return v ^ (NodeId{1} << i);
+                               }});
   }
   return spec;
 }

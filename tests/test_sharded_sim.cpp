@@ -6,16 +6,20 @@
 // exchange and its occupancy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/hyper_butterfly.hpp"
 #include "cycle_walk_reference.hpp"
 #include "distsim/sync_engine.hpp"
+#include "obs/progress.hpp"
 #include "obs/sink.hpp"
 #include "sim/hb_route.hpp"
 #include "sim/sharded.hpp"
@@ -325,6 +329,221 @@ TEST(SyncExchange, EraseIfKeepsSurvivorsInOrder) {
   EXPECT_EQ(drained(2), (std::vector<int>{20, 21, 22, 23, 120, 121, 122,
                                           123, 220, 221, 222, 223}));
   EXPECT_EQ(ex.in_flight(), 0u);
+}
+
+// Drains column `to` into a vector.
+template <typename Msg>
+std::vector<Msg> drain_all(sync::Exchange<Msg>& ex, unsigned to) {
+  std::vector<Msg> got;
+  ex.drain(to, [&got](const Msg& m) { got.push_back(m); });
+  return got;
+}
+
+TEST(SyncExchange, CellsSpanningSegmentsKeepOrder) {
+  using Ex = sync::Exchange<int>;
+  constexpr int kSeg = static_cast<int>(Ex::kSegment);
+  Ex ex(2);
+  // Interleaved pushes into cells (0,1) and (1,1), 3 segments + 5 each.
+  for (int k = 0; k < 3 * kSeg + 5; ++k) {
+    ex.push(1, 1, 100000 + k);
+    ex.push(0, 1, k);
+  }
+  EXPECT_EQ(ex.in_flight(), 2u * (3 * kSeg + 5));
+  EXPECT_EQ(ex.lists()->segments(), 8u);
+  EXPECT_TRUE(drain_all(ex, 0).empty());
+  std::vector<int> want;
+  for (int k = 0; k < 3 * kSeg + 5; ++k) want.push_back(k);
+  for (int k = 0; k < 3 * kSeg + 5; ++k) want.push_back(100000 + k);
+  EXPECT_EQ(drain_all(ex, 1), want);
+  EXPECT_EQ(ex.in_flight(), 0u);
+  // Every segment went back to the receiver's list, not the senders'.
+  EXPECT_EQ(ex.lists()->free_segments(0), 0u);
+  EXPECT_EQ(ex.lists()->free_segments(1), 8u);
+  // Shard 1 pushes from its own list without allocating.
+  for (int k = 0; k < 8 * kSeg; ++k) ex.push(1, 0, k);
+  EXPECT_EQ(ex.lists()->segments(), 8u);
+  EXPECT_EQ(ex.lists()->free_segments(1), 0u);
+  const std::vector<int> back = drain_all(ex, 0);
+  ASSERT_EQ(back.size(), 8u * kSeg);
+  for (int k = 0; k < 8 * kSeg; ++k) ASSERT_EQ(back[k], k);
+}
+
+TEST(SyncExchange, EraseIfAcrossSegmentBoundaries) {
+  using Ex = sync::Exchange<int>;
+  constexpr int kSeg = static_cast<int>(Ex::kSegment);
+  const int total = 4 * kSeg + 7;
+  const auto fill = [&](Ex& ex) {
+    for (int k = 0; k < total; ++k) ex.push(0, 0, k);
+  };
+  // Each case: what to erase; the survivors must keep their order, and the
+  // emptied tail segments must go back to the list.
+  struct Case {
+    const char* what;
+    bool (*erase)(int);
+  };
+  const Case cases[] = {
+      {"none", [](int) { return false; }},
+      {"all", [](int) { return true; }},
+      {"odd", [](int m) { return m % 2 != 0; }},
+      // Straddles the first boundary and empties a whole segment's worth.
+      {"middle",
+       [](int m) {
+         return m >= static_cast<int>(Ex::kSegment) - 3 &&
+                m < 2 * static_cast<int>(Ex::kSegment) + 2;
+       }},
+      // Leaves exactly two full segments.
+      {"tail", [](int m) { return m >= 2 * static_cast<int>(Ex::kSegment); }},
+      {"head", [](int m) { return m < static_cast<int>(Ex::kSegment); }},
+  };
+  for (const Case& c : cases) {
+    Ex ex(1);
+    fill(ex);
+    EXPECT_EQ(ex.lists()->segments(), 5u) << c.what;
+    std::vector<int> want;
+    for (int k = 0; k < total; ++k) {
+      if (!c.erase(k)) want.push_back(k);
+    }
+    const std::uint64_t erased = ex.erase_if(0, [&c](int m) {
+      return c.erase(m);
+    });
+    EXPECT_EQ(erased, static_cast<std::uint64_t>(total) - want.size())
+        << c.what;
+    EXPECT_EQ(ex.in_flight(), want.size()) << c.what;
+    const std::uint64_t used = (want.size() + kSeg - 1) / kSeg;
+    EXPECT_EQ(ex.lists()->free_segments(0), 5u - used) << c.what;
+    // The cell keeps taking pushes behind the survivors.
+    ex.push(0, 0, -1);
+    want.push_back(-1);
+    EXPECT_EQ(drain_all(ex, 0), want) << c.what;
+    EXPECT_EQ(ex.lists()->segments(), 5u) << c.what;
+    EXPECT_EQ(ex.lists()->free_segments(0), 5u) << c.what;
+  }
+}
+
+// An inbox and an outbox on one set of lists, driven like the packet
+// engine: each shard drains its inbox column, then pushes its row of the
+// outbox, and the two swap at the barrier. The flow is skewed (every shard
+// sends most of its messages to shard 0), so shard 0's list gains segments
+// every cycle and the others' lose them until rebalance() levels them.
+TEST(SyncExchange, SharedListsAlternatePushAndDrain) {
+  using Ex = sync::Exchange<std::uint32_t>;
+  constexpr unsigned kShards = 3;
+  constexpr auto kSeg = static_cast<std::uint32_t>(Ex::kSegment);
+  Ex inbox(kShards);
+  Ex outbox(inbox.lists());
+  ASSERT_EQ(outbox.lists(), inbox.lists());
+  // Message id = (cycle, from, to, k), pushed k-ascending per cell.
+  const auto id = [](std::uint32_t cycle, unsigned from, unsigned to,
+                     std::uint32_t k) {
+    return (cycle << 24) | (from << 20) | (to << 16) | k;
+  };
+  const auto count = [&](std::uint32_t cycle, unsigned from, unsigned to) {
+    const std::uint32_t base = to == 0 ? 3 * kSeg : kSeg / 2;
+    return base + (cycle + from + to) % 3 * (kSeg / 2);
+  };
+  std::uint64_t after_warmup = 0;
+  for (std::uint32_t cycle = 0; cycle < 40; ++cycle) {
+    for (unsigned s = 0; s < kShards; ++s) {
+      std::vector<std::uint32_t> want;
+      if (cycle > 0) {
+        for (unsigned from = 0; from < kShards; ++from) {
+          for (std::uint32_t k = 0; k < count(cycle - 1, from, s); ++k) {
+            want.push_back(id(cycle - 1, from, s, k));
+          }
+        }
+      }
+      ASSERT_EQ(drain_all(inbox, s), want) << "cycle " << cycle;
+      for (unsigned to = 0; to < kShards; ++to) {
+        for (std::uint32_t k = 0; k < count(cycle, s, to); ++k) {
+          outbox.push(s, to, id(cycle, s, to, k));
+        }
+      }
+    }
+    std::swap(inbox, outbox);
+    ASSERT_EQ(outbox.in_flight(), 0u);
+    inbox.lists()->rebalance();
+    std::uint64_t free_total = 0, free_min = ~0ull, free_max = 0;
+    for (unsigned s = 0; s < kShards; ++s) {
+      const std::uint64_t f = inbox.lists()->free_segments(s);
+      free_total += f;
+      free_min = std::min(free_min, f);
+      free_max = std::max(free_max, f);
+    }
+    EXPECT_LE(free_max - free_min, 1u) << "cycle " << cycle;
+    std::uint64_t live = 0;  // segments holding this cycle's messages
+    for (unsigned from = 0; from < kShards; ++from) {
+      for (unsigned to = 0; to < kShards; ++to) {
+        live += (count(cycle, from, to) + kSeg - 1) / kSeg;
+      }
+    }
+    EXPECT_EQ(inbox.lists()->segments(), free_total + live)
+        << "cycle " << cycle;
+    if (cycle == 19) after_warmup = inbox.lists()->segments();
+  }
+  // The skew is periodic, so once the lists have leveled nothing more is
+  // allocated.
+  EXPECT_EQ(inbox.lists()->segments(), after_warmup);
+}
+
+// Hotspot traffic sends a tenth of all packets to node 0, so shard 0 drains
+// far more segments than it pushes, every cycle. Without the rebalance at
+// the barrier the other shards allocate what shard 0 hoards and the count
+// climbs for the whole run. With it, the count is flat over the second half
+// and below the bound the leveling guarantees: with S shards, N messages
+// per segment and at most P moves in flight, a shard takes at most
+// C = P/N + S segments in a cycle, so after the last cycle that allocates
+// the total is at most the live segments (P/N + S^2) plus the free ones
+// (< S*C) plus that cycle's allocations (<= S*C).
+TEST(ShardedSim, ExchangeSegmentsStayBoundedUnderHotspot) {
+  const HyperButterfly hb(2, 10);
+  constexpr unsigned kShards = 4;
+  SimConfig cfg;
+  cfg.pattern = TrafficPattern::kHotspot;
+  cfg.injection_rate = 0.0005;
+  cfg.warmup_cycles = 0;
+  cfg.drain_cycles = 0;
+  const auto footprint = [&](std::uint64_t cycles) {
+    SimConfig c = cfg;
+    c.measure_cycles = cycles;
+    obs::ProgressBoard board;
+    (void)run_simulation_sharded(hb, c, kShards, 4, nullptr, &board);
+    return std::pair{board.slot("sim.exchange_segments").value(),
+                     board.slot("sim.exchange_peak_moves").value()};
+  };
+  const auto [half, half_peak] = footprint(10000);
+  const auto [full, peak] = footprint(20000);
+  ASSERT_GT(half, 0u);
+  ASSERT_GT(peak, 0u);
+  EXPECT_GE(peak, half_peak);
+  // The engine's packets are 32 bytes.
+  constexpr std::uint64_t kSeg =
+      sync::SegmentLists<std::array<std::uint32_t, 8>>::kSegment;
+  const std::uint64_t per_shard = (peak + kSeg - 1) / kSeg + kShards;
+  const std::uint64_t bound = (peak + kSeg - 1) / kSeg + kShards * kShards +
+                              2 * kShards * per_shard;
+  EXPECT_EQ(full, half) << "segments grew over the second half";
+  EXPECT_LE(full, bound) << "peak moves in flight " << peak;
+}
+
+TEST(ShardedSim, HotspotResultsInvariantAcrossThreadsAndShards) {
+  const HyperButterfly hb(2, 5);
+  SimConfig cfg = sharded_config();
+  cfg.pattern = TrafficPattern::kHotspot;
+  cfg.injection_rate = 0.05;
+  const ShardedRun base = run_sharded(hb, cfg, 1, 1);
+  ASSERT_GT(base.stats.delivered(), 0u);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    for (const unsigned shards : {1u, 4u, 0u}) {
+      const ShardedRun run = run_sharded(hb, cfg, shards, threads);
+      const std::string what = "shards=" + std::to_string(shards) +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(run.stats.injected(), base.stats.injected()) << what;
+      EXPECT_EQ(run.stats.delivered(), base.stats.delivered()) << what;
+      EXPECT_EQ(run.metrics_json, base.metrics_json) << what;
+      EXPECT_EQ(run.links_csv, base.links_csv) << what;
+      EXPECT_EQ(run.trace_json, base.trace_json) << what;
+    }
+  }
 }
 
 #if HBNET_TRACE
