@@ -106,8 +106,8 @@ class Exchange;
 template <typename Msg>
 class SegmentLists {
  public:
-  /// Messages per segment: a power of two filling about 2 KiB (64 of the
-  /// packet engine's 32-byte packets).
+  /// Messages per segment: the largest power of two that fits in 2 KiB
+  /// (64 of the packet engine's 24-byte HB packets, 1.5 KiB).
   static constexpr std::size_t kSegment =
       std::bit_floor(std::max<std::size_t>(1, 2048 / sizeof(Msg)));
 

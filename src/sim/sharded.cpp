@@ -16,6 +16,7 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
+#include "sim/hb_packet.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 #include "sim/traffic.hpp"
@@ -45,39 +46,22 @@ using LinkCount = std::pair<std::uint64_t, std::uint64_t>;
 //   node / inject / advance / release, as used below; release(p) ends
 //                 the route inject(p) planned (delivered, dropped, lost).
 
-/// A packet on an HB implicit route: one 32-byte arena slot, no owned
-/// memory. The current node is stored pre-split as (wc = (cube << n) |
-/// word, level), so the sweep derives its dense id with one multiply and
-/// never divides.
-struct HbPacket {
-  std::uint32_t wc = 0;
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-  std::uint32_t injected_at = 0;
-  HbRouteState route;
-  std::uint16_t hops = 0;
-  std::uint8_t level = 0;
-  std::uint8_t flags = 0;
-};
-static_assert(sizeof(HbPacket) == 32, "arena slots should stay compact");
-
-/// HB(m,n) routes in closed form: each hop is O(1) bit math on the 12-byte
-/// HbRouteState. Stateless, so it runs at any shard count. Fault free.
+/// HB(m,n) routes in closed form: each hop is O(1) bit math on the route
+/// packed into the 24-byte HbPacket (sim/hb_packet.hpp). Stateless, so it
+/// runs at any shard count. Fault free.
 class HbRouter {
  public:
-  using Packet = HbPacket;
+  using Packet = detail::HbPacket;
   static constexpr bool kFaults = false;
 
   HbRouter(const HyperButterfly& hb, RoutingMode routing)
       : hb_(hb),
-        router_(hb),
-        bdim_(hb.butterfly_dimension()),
-        word_mask_((std::uint32_t{1} << bdim_) - 1),
+        route_(hb),
         degree_(hb.degree()),
         valiant_(routing == RoutingMode::kValiant) {}
 
   [[nodiscard]] std::uint32_t node(const Packet& p) const {
-    return p.wc * bdim_ + p.level;
+    return route_.node(p);
   }
   [[nodiscard]] unsigned degree() const { return degree_; }
   [[nodiscard]] std::uint32_t neighbor(std::uint32_t u, unsigned gen) const {
@@ -86,50 +70,36 @@ class HbRouter {
   }
 
   Hop inject(const StatelessTraffic::CycleView& tv, Packet& pkt) const {
-    pkt.wc = pkt.src / bdim_;
-    pkt.level = static_cast<std::uint8_t>(pkt.src % bdim_);
+    route_.place(pkt, pkt.src);
     // Valiant aims at the intermediate w first, unless w is an endpoint.
     const std::uint32_t w = valiant_ ? tv.intermediate(pkt.src) : pkt.dst;
     const bool two_phase = w != pkt.src && w != pkt.dst;
     if (two_phase) pkt.flags |= kRevisit;
-    pkt.route = router_.plan(hb_node(pkt.wc, pkt.level),
-                             hb_.node_at(two_phase ? w : pkt.dst));
+    route_.plan(pkt, hb_.node_at(two_phase ? w : pkt.dst));
     return Hop::kMoved;
   }
 
   Hop advance(Packet& pkt, std::uint32_t at, std::uint64_t* links) const {
-    const HbNode cur = hb_node(pkt.wc, pkt.level);
-    if (pkt.route.done()) {
+    if (route_.done(pkt)) {
       // Valiant intermediate reached last cycle: aim at the destination.
       HBNET_DCHECK_MSG((pkt.flags & kRevisit) != 0, "stuck packet");
       pkt.flags &= static_cast<std::uint8_t>(~kRevisit);
-      pkt.route = router_.plan(cur, hb_.node_at(pkt.dst));
+      route_.plan(pkt, hb_.node_at(pkt.dst));
     }
-    const HbHop hop = router_.next_hop(cur, pkt.route);
+    const std::uint8_t gen = route_.step(pkt);
     ++pkt.hops;
     if (links != nullptr) {
-      ++links[static_cast<std::size_t>(at) * degree_ + hop.gen];
+      ++links[static_cast<std::size_t>(at) * degree_ + gen];
     }
-    if (pkt.route.done() && (pkt.flags & kRevisit) == 0) {
-      return Hop::kDelivered;
-    }
-    pkt.wc = static_cast<std::uint32_t>((hop.next.cube << bdim_) |
-                                        hop.next.bfly.word);
-    pkt.level = static_cast<std::uint8_t>(hop.next.bfly.level);
-    return Hop::kMoved;
+    return route_.done(pkt) && (pkt.flags & kRevisit) == 0 ? Hop::kDelivered
+                                                            : Hop::kMoved;
   }
 
   void release(const Packet&) const {}
 
  private:
-  [[nodiscard]] HbNode hb_node(std::uint32_t wc, std::uint32_t level) const {
-    return {static_cast<CubeWord>(wc >> bdim_), {wc & word_mask_, level}};
-  }
-
   const HyperButterfly& hb_;
-  HbImplicitRouter router_;
-  unsigned bdim_;
-  std::uint32_t word_mask_;
+  detail::HbPacketRoute route_;
   unsigned degree_;
   bool valiant_;
 };

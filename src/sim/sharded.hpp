@@ -4,9 +4,10 @@
 //
 // The cycle loop is generic over a router, and is built around three ideas:
 //
-//  * Routers. The HB router walks HB routes in closed form with core's
-//    HbImplicitRouter (core/hyper_butterfly.hpp): a packet carries a
-//    12-byte HbRouteState instead of a vector of node ids, each hop is one
+//  * Routers. The HB router walks HB routes in closed form, the hops of
+//    core's HbImplicitRouter (core/hyper_butterfly.hpp): a 24-byte packet
+//    (sim/hb_packet.hpp) carries its remaining route packed beside its
+//    position instead of a vector of node ids, each hop is one
 //    Butterfly::step or cube-bit flip, and the per-link tally is keyed by
 //    the hop's generator byte -- no per-packet allocation, ever. The path
 //    router serves any SimTopology: it source-routes at injection with the
@@ -33,10 +34,11 @@
 //    pushes its moves into its row of the outbox; the pool's return is the
 //    barrier, and the two exchanges swap. Arrivals are never copied into
 //    the arena only to be read back out. Both exchanges store their cells
-//    as chains of 2 KiB segments from one set of per-shard free lists
-//    (sync::SegmentLists): a shard's drained segments carry its own pushes
-//    in the same phase, so about one cycle of moves is stored, not two,
-//    and the lists are leveled at every barrier so they stay bounded.
+//    as chains of 64-packet segments (1.5 KiB of HB packets) from one set
+//    of per-shard free lists (sync::SegmentLists): a shard's drained
+//    segments carry its own pushes in the same phase, so about one cycle
+//    of moves is stored, not two, and the lists are leveled at every
+//    barrier so they stay bounded.
 //
 // Determinism contract: traffic is counter-based (StatelessTraffic -- a
 // pure hash of seed/cycle/node), shards are contiguous, and delivery order

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -21,6 +21,7 @@
 #include "distsim/sync_engine.hpp"
 #include "obs/progress.hpp"
 #include "obs/sink.hpp"
+#include "sim/hb_packet.hpp"
 #include "sim/hb_route.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -116,6 +117,93 @@ TEST(HbImplicitRouter, ReplaysRouteGeneratorsExactly) {
         ASSERT_EQ(hop_count, want.size());
         ASSERT_EQ(hop_count, hb.distance(src, dst));
       }
+    }
+  }
+}
+
+// The engine's 24-byte packet carries its route packed (sim/hb_packet.hpp).
+// Plans `p` and HbImplicitRouter from `cur` to `to` and steps them side by
+// side: equal generators, positions and routes left, every packed field in
+// range, the engine's flag bits untouched. Moves `cur` to `to` and counts
+// the hops in p.hops.
+constexpr std::uint8_t kEngineFlags = 3;  // measured | Valiant revisit
+
+void step_side_by_side(const HyperButterfly& hb,
+                       const detail::HbPacketRoute& route,
+                       const HbImplicitRouter& router, detail::HbPacket& p,
+                       HbNode& cur, HbNode to) {
+  const unsigned m = hb.cube_dimension(), n = hb.butterfly_dimension();
+  const std::uint32_t route_bits = std::uint32_t{1}
+                                   << detail::HbPacketRoute::kLevelShift;
+  HbRouteState st = router.plan(cur, to);
+  route.plan(p, to);
+  for (;;) {
+    const HbRouteState packed = route.route(p);
+    ASSERT_EQ(packed.cube_diff, st.cube_diff);
+    ASSERT_EQ(packed.walk.word_diff, st.walk.word_diff);
+    for (unsigned i = 0; i < 3; ++i) {
+      ASSERT_EQ(packed.walk.run[i], st.walk.run[i]) << "run " << i;
+    }
+    ASSERT_EQ(packed.walk.dir0, st.walk.dir0);
+    ASSERT_EQ(route.position(p), cur);
+    ASSERT_EQ(route.node(p), hb.index_of(cur));
+    ASSERT_LT(p.diff >> detail::HbPacketRoute::kLevelShift, n);
+    ASSERT_LT(p.diff % route_bits, std::uint32_t{1} << (m + n));
+    ASSERT_LT(p.wc, std::uint32_t{1} << (m + n));
+    ASSERT_EQ(p.flags & kEngineFlags, kEngineFlags);
+    ASSERT_EQ(route.done(p), st.done());
+    if (st.done()) break;
+    const HbHop hop = router.next_hop(cur, st);
+    ASSERT_EQ(route.step(p), hop.gen);
+    ASSERT_LT(p.hops, 255) << "hop count overflows its byte";
+    ++p.hops;
+    cur = hop.next;
+  }
+  ASSERT_EQ(cur, to);
+}
+
+TEST(HbPacketRoute, MatchesImplicitRouterFromIdentity) {
+  for (unsigned n = 3; n <= 10; ++n) {
+    const HyperButterfly hb(2, n);
+    const detail::HbPacketRoute route(hb);
+    const HbImplicitRouter router(hb);
+    for (HbIndex t = 0; t < hb.num_nodes(); ++t) {
+      detail::HbPacket p;
+      p.flags = kEngineFlags;
+      route.place(p, 0);
+      HbNode cur = hb.node_at(0);
+      const HbNode to = hb.node_at(t);
+      ASSERT_NO_FATAL_FAILURE(step_side_by_side(hb, route, router, p, cur, to))
+          << "HB(2," << n << ") e -> " << t;
+      ASSERT_EQ(p.hops, hb.distance(hb.node_at(0), to));
+    }
+  }
+}
+
+// Valiant routes: src -> w, a re-plan at w, then w -> dst, on sampled
+// triples. The two domain extremes, HB(6,20) (the longest walks: runs up
+// to 30 steps) and HB(23,3) (the most cube bits), bound every packed field.
+TEST(HbPacketRoute, MatchesImplicitRouterOnValiantRoutes) {
+  for (const auto& [m, n] : {std::pair{2u, 5u}, std::pair{3u, 8u},
+                             std::pair{6u, 20u}, std::pair{23u, 3u}}) {
+    const HyperButterfly hb(m, n);
+    const detail::HbPacketRoute route(hb);
+    const HbImplicitRouter router(hb);
+    std::mt19937_64 rng(m * 100 + n);
+    std::uniform_int_distribution<HbIndex> pick(0, hb.num_nodes() - 1);
+    for (int trial = 0; trial < 2000; ++trial) {
+      const HbIndex src = pick(rng), w = pick(rng), dst = pick(rng);
+      detail::HbPacket p;
+      p.flags = kEngineFlags;
+      route.place(p, static_cast<std::uint32_t>(src));
+      HbNode cur = hb.node_at(src);
+      ASSERT_NO_FATAL_FAILURE(
+          step_side_by_side(hb, route, router, p, cur, hb.node_at(w)))
+          << "HB(" << m << "," << n << ") " << src << " -> " << w;
+      ASSERT_NO_FATAL_FAILURE(
+          step_side_by_side(hb, route, router, p, cur, hb.node_at(dst)))
+          << "HB(" << m << "," << n << ") " << w << " -> " << dst;
+      ASSERT_LE(p.hops, 2 * hb.diameter_formula());
     }
   }
 }
@@ -515,9 +603,7 @@ TEST(ShardedSim, ExchangeSegmentsStayBoundedUnderHotspot) {
   ASSERT_GT(half, 0u);
   ASSERT_GT(peak, 0u);
   EXPECT_GE(peak, half_peak);
-  // The engine's packets are 32 bytes.
-  constexpr std::uint64_t kSeg =
-      sync::SegmentLists<std::array<std::uint32_t, 8>>::kSegment;
+  constexpr std::uint64_t kSeg = sync::SegmentLists<detail::HbPacket>::kSegment;
   const std::uint64_t per_shard = (peak + kSeg - 1) / kSeg + kShards;
   const std::uint64_t bound = (peak + kSeg - 1) / kSeg + kShards * kShards +
                               2 * kShards * per_shard;

@@ -5,9 +5,10 @@ Builds each side into its own tree under --scratch: a git revision is
 exported with `git archive`, and WORKTREE copies the working tree (tracked
 and untracked, non-ignored files). No network is used. It then runs
 `hbbench/run.py --trace 0` in alternating pairs, one pair per seed, with
-the side that runs first flipping from pair to pair, and one more pair on a
-held-out seed that the summary reports apart. Each side gets a discarded
-warm-up call first, which also builds it.
+the side that runs first flipping from pair to pair, and two more pairs on
+a held-out seed, one base first and one head first, that the summary
+reports apart. Each side gets a discarded warm-up call first, which also
+builds it.
 
 It runs every workload BENCHMARK.json lists, one after another, unless
 --workload names one. For every workload and end-to-end metric it prints
@@ -27,7 +28,9 @@ Each call runs for BENCHMARK.json's run_seconds, so both sides are
 measured at the benchmark's own run length; the warm-up call runs for
 WARMUP_SECONDS. --record keeps every run's stdout, and --replay analyses
 such a file again without building or running anything. In it, a line
-`### <side> <seed> <pair|holdout> <workload>` starts each run's output.
+`### <side> <seed> <role> <workload>` starts each run's output; the role
+is `pair`, `holdout` (the held-out pair that ran base first) or
+`holdout-rev` (the one that ran head first).
 """
 
 import argparse
@@ -44,6 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "WORKTREE"
 SIDES = ("base", "head")
 WARMUP_SECONDS = 1
+# Held-out role -> the order its pair ran in.
+HOLDOUT_ROLES = {"holdout": "base first", "holdout-rev": "head first"}
 
 
 def parse_seeds(text):
@@ -174,7 +179,7 @@ def analyse_workload(workload, runs, out):
                   f"head {head}", file=out)
             status = 1
     paired = [seed for seed, role in pairs if role == "pair"]
-    holdout = [seed for seed, role in pairs if role == "holdout"]
+    holdout = [(seed, role) for seed, role in pairs if role in HOLDOUT_ROLES]
     if not paired:
         print(f"ab: {workload}: no complete pairs", file=out)
         return 1
@@ -200,12 +205,12 @@ def analyse_workload(workload, runs, out):
         print(f"  {name}: base {bm:.6g} [{b3 - b1:.3g}]  head {hm:.6g} "
               f"[{h3 - h1:.3g}]  {change:+.1f}%  head wins {wins}/"
               f"{len(paired)}  change {beyond} base IQR  {ratio}", file=out)
-        for seed in holdout:
-            b, h = (by_key[(s, seed, "holdout")]["metrics"][name]
-                    for s in SIDES)
+        for seed, role in holdout:
+            b, h = (by_key[(s, seed, role)]["metrics"][name] for s in SIDES)
             ch = (h - b) / b * 100 if b else 0.0
-            print(f"    held-out seed {seed}: base {b:.6g} head {h:.6g} "
-                  f"{ch:+.1f}%", file=out)
+            r = f"ratio {h / b:.4g}" if b else "ratio n/a"
+            print(f"    held-out seed {seed}, {HOLDOUT_ROLES[role]}: base "
+                  f"{b:.6g} head {h:.6g} {ch:+.1f}%  {r}", file=out)
     return status
 
 
@@ -237,7 +242,8 @@ def main():
     schedule = [(seed, "pair", i % 2 == 1)
                 for i, seed in enumerate(parse_seeds(args.seeds))]
     if args.holdout is not None:
-        schedule.append((args.holdout, "holdout", False))
+        schedule += [(args.holdout, "holdout", False),
+                     (args.holdout, "holdout-rev", True)]
     trees, runs = {}, []
     with open(scratch / "ab-build.log", "a") as log:
         for side, rev in zip(SIDES, (args.base, args.head)):

@@ -19,6 +19,9 @@ Rules:
     benchmark name present on only one side, are WARNINGS, not failures --
     new benchmarks land without a baseline until the next re-baseline.
   * Improvements are reported but never gate.
+  * A baseline from a non-release build, or from a host with another
+    ``context.num_cpus`` than the fresh run, is a WARNING: the timings
+    then compare builds or hosts, not code.
   * User counters (``state.counters`` -- every numeric key that is not one
     of the standard benchmark fields, e.g. the wormhole fault columns
     delivered/misroutes/unroutable) are tracked: a counter that drifts,
@@ -105,7 +108,20 @@ def load_iterations(path, warnings):
     return out
 
 
-def check_build_type(path, side, warnings):
+def load_context(path):
+    """The file's ``context`` object, or {} when the file is unreadable or
+    has none (load_iterations reports the file itself)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return {}
+    if not isinstance(doc, dict) or not isinstance(doc.get("context"), dict):
+        return {}
+    return doc["context"]
+
+
+def check_build_type(context, name, side, warnings):
     """Warn when a benchmark file was produced by a non-release build.
 
     ``context.hbnet_build_type`` (stamped by tools/bench_json.sh from the
@@ -117,21 +133,27 @@ def check_build_type(path, side, warnings):
     gate nothing real), so the mismatch is surfaced loudly -- but stays a
     warning: the gate still runs on what it has.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return  # load_iterations already reported the file itself
-    if not isinstance(doc, dict):
-        return
-    context = doc.get("context", {})
     build_type = context.get("hbnet_build_type",
                              context.get("library_build_type"))
     if build_type is not None and build_type != "release":
         warnings.append(
-            f"{path.name}: {side} was produced by a '{build_type}' build, "
+            f"{name}: {side} was produced by a '{build_type}' build, "
             "not 'release' -- regenerate with tools/bench_json.sh from a "
             "-DCMAKE_BUILD_TYPE=Release tree")
+
+
+def check_num_cpus(base_context, fresh_context, name, warnings):
+    """Warn when the baseline and the fresh run saw different CPU counts.
+
+    Multi-threaded benchmarks scale with the cores, so such timings compare
+    hosts, not code. A warning, like the build type: the gate still runs.
+    """
+    base = base_context.get("num_cpus")
+    fresh = fresh_context.get("num_cpus")
+    if base is not None and fresh is not None and base != fresh:
+        warnings.append(
+            f"{name}: baseline ran on {base} CPU(s), fresh run on {fresh} "
+            "-- timings compare hosts; re-baseline on the gating host")
 
 
 def fmt_ns(ns):
@@ -204,8 +226,11 @@ def main(argv):
         if not fresh_path.is_file():
             warnings.append(f"{base_path.name}: no fresh run to compare")
             continue
-        check_build_type(base_path, "baseline", warnings)
-        check_build_type(fresh_path, "fresh run", warnings)
+        base_context = load_context(base_path)
+        fresh_context = load_context(fresh_path)
+        check_build_type(base_context, base_path.name, "baseline", warnings)
+        check_build_type(fresh_context, base_path.name, "fresh run", warnings)
+        check_num_cpus(base_context, fresh_context, base_path.name, warnings)
         base = load_iterations(base_path, warnings)
         fresh = load_iterations(fresh_path, warnings)
         for name in sorted(set(base) - set(fresh)):

@@ -25,7 +25,8 @@ run() {
 }
 
 # campaign: three pairs, the head side faster in each, plus a held-out
-# seed. kappa: three pairs, the head side slower in each.
+# seed run in both orders. kappa: three pairs, the head side slower in
+# each.
 {
   run base 11 pair 0.042 6c6143adafb8b1ca 0 campaign
   run head 11 pair 0.030 6c6143adafb8b1ca 0 campaign
@@ -35,6 +36,8 @@ run() {
   run head 13 pair 0.029 6c6143adafb8b1ca 0 campaign
   run base 99 holdout 0.044 6c6143adafb8b1ca 0 campaign
   run head 99 holdout 0.032 6c6143adafb8b1ca 0 campaign
+  run head 99 holdout-rev 0.031 6c6143adafb8b1ca 0 campaign
+  run base 99 holdout-rev 0.043 6c6143adafb8b1ca 0 campaign
   run base 11 pair 0.060 0123456789abcdef 0 kappa
   run head 11 pair 0.066 0123456789abcdef 0 kappa
   run head 12 pair 0.063 0123456789abcdef 0 kappa
@@ -49,7 +52,8 @@ if ! python3 "$ab" --replay "$tmp/clean.txt" >"$tmp/clean.out"; then
 fi
 for want in "campaign: 3 pairs (seeds 11..13)" \
             "run_s: base 0.042 [0.001]  head 0.03 [0.001]  -28.6%  head wins 3/3  change beyond base IQR  ratio 0.7143 [0.00681]" \
-            "held-out seed 99: base 0.044 head 0.032 -27.3%" \
+            "held-out seed 99, base first: base 0.044 head 0.032 -27.3%  ratio 0.7273" \
+            "held-out seed 99, head first: base 0.043 head 0.031 -27.9%  ratio 0.7209" \
             "peak_rss_mib: base 9.8 [0]  head 9.8 [0]  +0.0%  head wins 0/3  change within base IQR  ratio 1 [0]" \
             "kappa: 3 pairs (seeds 11..13)" \
             "run_s: base 0.06 [0.0005]  head 0.063 [0.0025]  +5.0%  head wins 0/3  change beyond base IQR  ratio 1.05 [0.05]"; do
