@@ -17,7 +17,8 @@
 // parallel phase each shard drains its column of last cycle's Exchange (the
 // inbox) while it pushes this cycle's moves into the other (the outbox),
 // and the two swap at the barrier. The two share one SegmentLists, which
-// it levels at the barrier with rebalance().
+// it levels at the barrier with rebalance(), and each shard keeps the
+// packets waiting in its node queues in a SegmentChain on the same lists.
 //
 // Determinism contract: shards are CONTIGUOUS id ranges and drain() visits
 // sender shards in ascending order, so the delivery order at any node is
@@ -80,20 +81,23 @@ class ShardPlan {
 };
 
 template <typename Msg>
-class Exchange;
+class SegmentChain;
 
 /// Per-shard free lists of fixed-size message segments, the storage behind
-/// one or more Exchanges over the same shards (the packet engine's inbox and
-/// outbox share one set).
+/// every SegmentChain over the same shards: the cells of one or more
+/// Exchanges (the packet engine's inbox and outbox share one set) and the
+/// packet engine's per-shard keeper queues.
 ///
-/// Who touches what: Exchange::push(from, ...) takes segments from list
-/// `from`, and drain(to, ...) and erase_if(to, ...) give every emptied
-/// segment back to list `to`. In a parallel phase list `s` is therefore only
-/// touched by the thread running shard `s` (it pushes as `from` and drains as
-/// `to`), so the lists need no lock. Segments drained from last cycle's
-/// moves carry the same shard's pushes in the same phase, while they are
-/// still in that core's cache, so only about one cycle of messages is ever
-/// stored, not two.
+/// Who touches what: a chain that takes or frees segments for shard `s`
+/// names list `s`. Exchange::push(from, ...) takes segments from list
+/// `from`, drain(to, ...) and erase_if(to, ...) give every emptied segment
+/// back to list `to`, and the packet engine's keepers of shard `s` take from
+/// and give to list `s`. In a parallel phase list `s` is therefore only
+/// touched by the thread running shard `s`, so the lists need no lock.
+/// Segments drained from last cycle's moves carry the same shard's pushes
+/// and waiting packets in the same phase, while they are still in that
+/// core's cache, so only about one cycle of moves is ever stored, not two,
+/// beside the packets that wait.
 ///
 /// How the lists stay bounded: a shard that receives more than it sends
 /// gains segments every phase and one that sends more must allocate, so
@@ -152,7 +156,7 @@ class SegmentLists {
   }
 
  private:
-  friend class Exchange<Msg>;
+  friend class SegmentChain<Msg>;
 
   struct Segment {
     Segment* next = nullptr;
@@ -203,12 +207,123 @@ class SegmentLists {
   std::vector<List> lists_;
 };
 
+/// A FIFO of messages in a chain of segments from a SegmentLists, full but
+/// for the last: one Exchange cell, or one shard's keepers in the packet
+/// engine. The chain holds no pointer to its lists; every call that takes
+/// or frees a segment names the lists and the list `s` to use, and in a
+/// parallel phase only the thread running shard `s` may make it. A chain
+/// dropped without clear() leaves its segments to the lists, which free
+/// them.
+template <typename Msg>
+class SegmentChain {
+ public:
+  using Lists = SegmentLists<Msg>;
+  static constexpr std::size_t kSegment = Lists::kSegment;
+
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+
+  /// Appends `msg`, taking a segment from list `s` when the last is full.
+  void push(Lists& lists, unsigned s, Msg msg) {
+    const std::size_t at = size_ % kSegment;
+    if (at == 0) {
+      Segment* seg = lists.take(s);
+      (tail_ != nullptr ? tail_->next : head_) = seg;
+      tail_ = seg;
+    }
+    tail_->items[at] = std::move(msg);
+    ++size_;
+  }
+
+  /// Visits every message in order and empties the chain. Each segment goes
+  /// back to list `s` as soon as it has been visited, so a push that `fn`
+  /// makes to another chain from list `s` reuses it.
+  template <typename Fn>
+  void drain(Lists& lists, unsigned s, Fn&& fn) {
+    std::uint64_t left = size_;
+    Segment* seg = head_;
+    *this = SegmentChain{};
+    while (seg != nullptr) {
+      const std::size_t count = std::min<std::uint64_t>(left, kSegment);
+      const char* const ahead = next_or_self(seg);
+      for (std::size_t i = 0; i < count; ++i) {
+        __builtin_prefetch(ahead + i * sizeof(Msg));
+        fn(seg->items[i]);
+      }
+      left -= count;
+      Segment* const next = seg->next;
+      lists.lists_[s].push(seg);  // overwrites seg->next
+      seg = next;
+    }
+  }
+
+  /// Visits every message in order; the ones `keep` accepts stay, in their
+  /// order, and the rest are gone. Survivors slide down behind a write
+  /// cursor that never passes the read position, and the segments emptied
+  /// at the tail go back to list `s`. Returns the number removed.
+  template <typename Keep>
+  std::uint64_t keep_if(Lists& lists, unsigned s, Keep&& keep) {
+    if (size_ == 0) return 0;
+    Segment* out = head_;
+    std::size_t at = 0;
+    std::uint64_t kept = 0;
+    std::uint64_t left = size_;
+    for (Segment* seg = head_; seg != nullptr; seg = seg->next) {
+      const std::size_t count = std::min<std::uint64_t>(left, kSegment);
+      left -= count;
+      const char* const ahead = next_or_self(seg);
+      for (std::size_t i = 0; i < count; ++i) {
+        __builtin_prefetch(ahead + i * sizeof(Msg));
+        Msg& m = seg->items[i];
+        if (!keep(m)) continue;
+        if (at == kSegment) {
+          out = out->next;
+          at = 0;
+        }
+        if (&out->items[at] != &m) out->items[at] = std::move(m);
+        ++at;
+        ++kept;
+      }
+    }
+    const std::uint64_t removed = size_ - kept;
+    if (kept == 0) {
+      clear(lists, s);
+    } else {
+      lists.give(s, out->next);
+      out->next = nullptr;
+      tail_ = out;
+      size_ = kept;
+    }
+    return removed;
+  }
+
+  /// Gives every segment back to list `s`; the chain is then empty.
+  void clear(Lists& lists, unsigned s) {
+    lists.give(s, head_);
+    *this = SegmentChain{};
+  }
+
+ private:
+  using Segment = typename Lists::Segment;
+
+  /// The segment after `seg`, or `seg` itself at the end of the chain. The
+  /// loops above prefetch it at the offset they read, so its lines arrive
+  /// a segment ahead: recycled segments lie scattered, and the hardware
+  /// prefetcher, which cannot follow the chain, would start over at each.
+  static const char* next_or_self(const Segment* seg) {
+    return reinterpret_cast<const char*>(seg->next != nullptr ? seg->next
+                                                              : seg);
+  }
+
+  Segment* head_ = nullptr;
+  Segment* tail_ = nullptr;
+  std::uint64_t size_ = 0;
+};
+
 /// Batched shard-to-shard message buffers: one cell per (from, to) pair,
 /// laid out from-major so each compute-phase writer owns a contiguous row.
-/// A cell is a chain of segments from a SegmentLists, full but for the
-/// last. push() is only safe from the thread running shard `from`; drain()
-/// and erase_if() are only safe after the barrier, from the thread running
-/// shard `to`. Callers with more than one shard call
+/// A cell is a SegmentChain. push() is only safe from the thread running
+/// shard `from`; drain() and erase_if() are only safe after the barrier,
+/// from the thread running shard `to`. Callers with more than one shard call
 /// lists().rebalance() at the barrier to keep the free lists bounded.
 template <typename Msg>
 class Exchange {
@@ -250,15 +365,7 @@ class Exchange {
   [[nodiscard]] const std::shared_ptr<Lists>& lists() const { return lists_; }
 
   void push(unsigned from, unsigned to, Msg msg) {
-    Cell& c = cell(from, to);
-    const std::size_t at = c.size % kSegment;
-    if (at == 0) {
-      Segment* seg = lists_->take(from);
-      (c.tail != nullptr ? c.tail->next : c.head) = seg;
-      c.tail = seg;
-    }
-    c.tail->items[at] = std::move(msg);
-    ++c.size;
+    cell(from, to).push(*lists_, from, std::move(msg));
   }
 
   /// Visits every message bound for shard `to`, sender shards in ascending
@@ -266,15 +373,7 @@ class Exchange {
   template <typename Fn>
   void drain(unsigned to, Fn&& fn) {
     for (unsigned from = 0; from < shards_; ++from) {
-      Cell& c = cell(from, to);
-      std::uint64_t left = c.size;
-      for (Segment* seg = c.head; seg != nullptr; seg = seg->next) {
-        const std::size_t count = std::min<std::uint64_t>(left, kSegment);
-        for (std::size_t i = 0; i < count; ++i) fn(seg->items[i]);
-        left -= count;
-      }
-      lists_->give(to, c.head);
-      c = Cell{};
+      cell(from, to).drain(*lists_, to, fn);
     }
   }
 
@@ -284,41 +383,8 @@ class Exchange {
   std::uint64_t erase_if(unsigned to, Pred&& pred) {
     std::uint64_t erased = 0;
     for (unsigned from = 0; from < shards_; ++from) {
-      Cell& c = cell(from, to);
-      if (c.size == 0) continue;
-      // Survivors slide down behind the write cursor (keep, at); the cursor
-      // never passes the read position.
-      Segment* keep = c.head;
-      std::size_t at = 0;
-      std::uint64_t kept = 0;
-      std::uint64_t left = c.size;
-      for (Segment* seg = c.head; seg != nullptr; seg = seg->next) {
-        const std::size_t count = std::min<std::uint64_t>(left, kSegment);
-        left -= count;
-        for (std::size_t i = 0; i < count; ++i) {
-          Msg& m = seg->items[i];
-          if (pred(m)) {
-            ++erased;
-            continue;
-          }
-          if (at == kSegment) {
-            keep = keep->next;
-            at = 0;
-          }
-          if (&keep->items[at] != &m) keep->items[at] = std::move(m);
-          ++at;
-          ++kept;
-        }
-      }
-      if (kept == 0) {
-        lists_->give(to, c.head);
-        c = Cell{};
-      } else {
-        lists_->give(to, keep->next);
-        keep->next = nullptr;
-        c.tail = keep;
-        c.size = kept;
-      }
+      erased += cell(from, to).keep_if(*lists_, to,
+                                       [&](Msg& m) { return !pred(m); });
     }
     return erased;
   }
@@ -326,18 +392,12 @@ class Exchange {
   /// Total queued messages (post-barrier use only).
   [[nodiscard]] std::uint64_t in_flight() const {
     std::uint64_t total = 0;
-    for (const Cell& c : cells_) total += c.size;
+    for (const Cell& c : cells_) total += c.size();
     return total;
   }
 
  private:
-  using Segment = typename Lists::Segment;
-
-  struct Cell {
-    Segment* head = nullptr;
-    Segment* tail = nullptr;
-    std::uint64_t size = 0;
-  };
+  using Cell = SegmentChain<Msg>;
 
   [[nodiscard]] Cell& cell(unsigned from, unsigned to) {
     return cells_[static_cast<std::size_t>(from) * shards_ + to];
@@ -346,8 +406,7 @@ class Exchange {
   /// Returns every queued segment to its receiver's list.
   void release() {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
-      lists_->give(static_cast<unsigned>(i % shards_), cells_[i].head);
-      cells_[i] = Cell{};
+      cells_[i].clear(*lists_, static_cast<unsigned>(i % shards_));
     }
   }
 

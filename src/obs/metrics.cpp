@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iomanip>
 #include <sstream>
@@ -9,10 +10,20 @@
 
 namespace hbnet::obs {
 
+void Histogram::grow_to(std::size_t index) {
+  if (index < buckets_.size()) return;
+  // Power-of-two steps keep the reallocations to a handful, and the exact
+  // reserve keeps vector growth from doubling past that.
+  const std::size_t size = std::min(kNumBuckets, std::bit_ceil(index + 1));
+  buckets_.reserve(size);
+  buckets_.resize(size, 0);
+}
+
 void Histogram::record_n(std::uint64_t value, std::uint64_t n) {
   if (n == 0) return;
-  if (buckets_.empty()) buckets_.assign(kNumBuckets, 0);
-  buckets_[bucket_index(value)] += n;
+  const std::size_t index = bucket_index(value);
+  grow_to(index);
+  buckets_[index] += n;
   if (count_ == 0 || value < min_) min_ = value;
   if (count_ == 0 || value > max_) max_ = value;
   count_ += n;
@@ -54,10 +65,10 @@ std::uint64_t Histogram::percentile(double q) const {
 
 void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
-  if (buckets_.empty()) buckets_.assign(kNumBuckets, 0);
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
+  // Nothing above the bucket of other.max_ is non-zero.
+  const std::size_t top = bucket_index(other.max_);
+  grow_to(top);
+  for (std::size_t i = 0; i <= top; ++i) buckets_[i] += other.buckets_[i];
   if (count_ == 0 || other.min_ < min_) min_ = other.min_;
   if (count_ == 0 || other.max_ > max_) max_ = other.max_;
   count_ += other.count_;

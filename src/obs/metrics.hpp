@@ -9,7 +9,8 @@
 //  * Histogram -- HDR-style fixed-bucket value histogram: exact below
 //    2^kLinearBits, then kSubBuckets log-spaced buckets per octave, so any
 //    percentile query is answered in O(buckets) with relative error at most
-//    1/kSubBuckets and memory independent of the sample count.
+//    1/kSubBuckets and memory independent of the sample count; the bucket
+//    array covers only the range recorded so far.
 //
 // Instruments are owned by a MetricsRegistry and addressed by name plus an
 // optional label set (node/link/VC-class, simulator, ...). Lookups take the
@@ -58,6 +59,12 @@ class Gauge {
 /// used (rank = floor(q * (count-1))) and returns the bucket midpoint
 /// clamped to the observed [min, max], so it is exact for values in the
 /// linear range and within 1/kSubBuckets relative error elsewhere.
+///
+/// The bucket array grows with the largest value recorded or merged, to the
+/// next power of two of its bucket index (at most kNumBuckets), so a
+/// histogram of values below 2^kLinearBits holds at most 2^kLinearBits
+/// counts. Buckets past the array are zero; no reader can tell the two
+/// apart.
 class Histogram {
  public:
   static constexpr unsigned kLinearBits = 8;  // exact for values < 256
@@ -80,6 +87,11 @@ class Histogram {
   [[nodiscard]] std::uint64_t percentile(double q) const;
 
   void merge(const Histogram& other);
+
+  /// Bucket counts the histogram holds memory for (its footprint).
+  [[nodiscard]] std::size_t allocated_buckets() const {
+    return buckets_.capacity();
+  }
 
   /// Visits every non-empty bucket in increasing value order as
   /// fn(lower, upper, count) -- the exporter for heatmaps/summaries.
@@ -106,7 +118,10 @@ class Histogram {
   [[nodiscard]] static std::uint64_t bucket_upper(std::size_t index);
 
  private:
-  std::vector<std::uint64_t> buckets_;  // allocated on first record
+  /// Sizes buckets_ to hold bucket `index`.
+  void grow_to(std::size_t index);
+
+  std::vector<std::uint64_t> buckets_;  // up to the largest bucket recorded
   std::uint64_t count_ = 0;
   std::uint64_t min_ = 0;
   std::uint64_t max_ = 0;

@@ -14,7 +14,7 @@
 
 namespace hbnet::detail {
 
-/// A packet on an HB implicit route: one 24-byte arena slot, no owned
+/// A packet on an HB implicit route: one 24-byte segment slot, no owned
 /// memory. The current node is stored pre-split as wc = (cube << n) | word
 /// plus the level, so the sweep derives its dense id with one multiply and
 /// never divides. The rest of the route (an HbRouteState) is packed:
@@ -39,7 +39,7 @@ struct HbPacket {
 };
 static_assert(std::is_trivially_copyable_v<HbPacket> &&
                   sizeof(HbPacket) == 24,
-              "arena slots should stay compact");
+              "segment slots should stay compact");
 
 /// flags bit owned by the packed route: run 0 of the butterfly walk goes
 /// down (g^-1 / f^-1). Bits 0 and 1 are the engine's.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -226,21 +227,24 @@ struct Span {
 /// barriers.
 ///
 /// Queues are not linked lists. A node's FIFO is the subsequence of its
-/// packets in one sweep order -- the shard's keepers in `cur` (oldest
-/// first), then last cycle's arrivals straight out of the inbox Exchange
-/// (ascending sender), then this cycle's injections (ascending node) -- so
-/// one sequential sweep services every queue: the first service_rate
-/// packets seen for a node are forwarded, the rest are keepers. Keepers
-/// already in `cur` are compacted in place behind a write cursor; waiting
-/// arrivals and injections are appended behind them. Idle nodes cost
-/// nothing -- the sweep touches packets, not nodes.
+/// packets in one sweep order -- the shard's `keepers` (oldest first), then
+/// last cycle's arrivals straight out of the inbox Exchange (ascending
+/// sender), then this cycle's injections (ascending node) -- so one
+/// sequential sweep services every queue: the first service_rate packets
+/// seen for a node are forwarded, the rest are keepers. Keepers already in
+/// the chain are compacted in place behind a write cursor and the emptied
+/// tail segments go back to the shard's free list; waiting arrivals and
+/// injections are appended behind them. The keepers take their segments
+/// from the exchange's lists, so the engine's packet memory follows the
+/// packets it holds, waiting or moving. Idle nodes cost nothing -- the
+/// sweep touches packets, not nodes.
 template <class Router>
 struct Shard {
   using Packet = typename Router::Packet;
 
   std::uint32_t begin = 0, end = 0;  // global node range [begin, end)
 
-  std::vector<Packet> cur;  // keepers, in FIFO order
+  sync::SegmentChain<Packet> keepers;  // in FIFO order
 
   SimStats stats;  // measured packets
   // Every packet, measured or not: conservation and progress.
@@ -338,10 +342,13 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
   std::vector<std::uint64_t> node_occ(sink != nullptr ? n : 0, 0);
 
   // Last cycle's moves are read from `inbox` while this cycle's are pushed
-  // to `outbox`; the two swap at the end of every cycle. They share one set
-  // of segment lists, so the segments a shard drains carry its own pushes.
-  sync::Exchange<Packet> inbox(plan.shards());
-  sync::Exchange<Packet> outbox(inbox.lists());
+  // to `outbox`; the two swap at the end of every cycle. They and the
+  // keepers share one set of segment lists, so the segments a shard drains
+  // carry its own pushes and its waiting packets.
+  const auto lists =
+      std::make_shared<sync::SegmentLists<Packet>>(plan.shards());
+  sync::Exchange<Packet> inbox(lists);
+  sync::Exchange<Packet> outbox(lists);
   std::uint64_t peak_moves = 0;
 
   obs::ProgressBoard::Slot* const prog_cycle =
@@ -350,6 +357,8 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
       progress != nullptr ? &progress->slot("sim.in_flight_packets") : nullptr;
   obs::ProgressBoard::Slot* const prog_delivered =
       progress != nullptr ? &progress->slot("sim.delivered") : nullptr;
+  obs::ProgressBoard::Slot* const prog_keepers =
+      progress != nullptr ? &progress->slot("sim.keepers") : nullptr;
   obs::ProgressBoard::Slot* const prog_segments =
       progress != nullptr ? &progress->slot("sim.exchange_segments")
                           : nullptr;
@@ -387,8 +396,8 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
           router.release(p);
           return true;
         };
-        [[maybe_unused]] const std::uint64_t keepers =
-            std::erase_if(sh.cur, lose);
+        [[maybe_unused]] const std::uint64_t keepers = sh.keepers.keep_if(
+            *lists, s, [&](const Packet& p) { return !lose(p); });
         const std::uint64_t arrivals = inbox.erase_if(s, lose);
         if (!node_occ.empty()) node_occ[dead] += arrivals;
         HBNET_TRACE_INSTANT(
@@ -446,17 +455,13 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
           return true;
         };
 
-        // Keepers: serviced or moved down to the write cursor `kept` (never
-        // past their read index).
-        std::size_t kept = 0;
-        for (Packet& pkt : sh.cur) {
+        // Keepers: serviced, or kept in FIFO order.
+        sh.keepers.keep_if(*lists, s, [&](Packet& pkt) {
           const std::uint32_t node = router.node(pkt);
-          if (serve(pkt, node)) continue;
+          if (serve(pkt, node)) return false;
           if (!node_occ.empty()) ++node_occ[node];
-          Packet& to = sh.cur[kept++];
-          if (&to != &pkt) to = std::move(pkt);
-        }
-        sh.cur.resize(kept);
+          return true;
+        });
 
         // Arrivals, sender shards ascending: each held its node at the end
         // of the last cycle.
@@ -465,7 +470,7 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
           if (!node_occ.empty()) ++node_occ[node];
           if (serve(pkt, node)) return;
           if (!node_occ.empty()) ++node_occ[node];
-          sh.cur.push_back(std::move(pkt));
+          sh.keepers.push(*lists, s, std::move(pkt));
         });
 
         // Injections, in ascending node order.
@@ -491,7 +496,7 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
             }
             if (serve(pkt, id)) continue;
             if (!node_occ.empty()) ++node_occ[id];
-            sh.cur.push_back(pkt);
+            sh.keepers.push(*lists, s, pkt);
           }
         }
 
@@ -525,17 +530,19 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
     // parallel_for_chunks returning IS the barrier: every shard has drained
     // its inbox column and pushed all of its moves.
     std::swap(inbox, outbox);
-    inbox.lists()->rebalance();
+    lists->rebalance();
 
     const std::uint64_t was_created = created, was_delivered = delivered;
-    in_flight = inbox.in_flight();  // this cycle's moves
-    peak_moves = std::max(peak_moves, in_flight);
+    const std::uint64_t moves = inbox.in_flight();  // this cycle's moves
+    peak_moves = std::max(peak_moves, moves);
+    std::uint64_t keepers = 0;
     created = delivered = 0;
     for (const Shard<Router>& sh : shard) {
-      in_flight += sh.cur.size();
+      keepers += sh.keepers.size();
       created += sh.created;
       delivered += sh.delivered;
     }
+    in_flight = moves + keepers;
     if (sink != nullptr) {
       inject_ts->bump(cycle, created - was_created);
       deliver_ts->bump(cycle, delivered - was_delivered);
@@ -544,7 +551,8 @@ SimStats run_store_forward(Router& router, std::uint32_t n,
       prog_cycle->set(cycle);
       prog_in_flight->set(in_flight);
       prog_delivered->set(delivered);
-      prog_segments->set(inbox.lists()->segments());
+      prog_keepers->set(keepers);
+      prog_segments->set(lists->segments());
       prog_peak_moves->set(peak_moves);
     }
     if (tracing) {

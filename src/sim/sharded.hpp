@@ -15,14 +15,16 @@
 //    a slot recycled through a free list, so route memory is bounded by
 //    the packets in flight and a steady-state run allocates nothing; its
 //    link tally is a flat node x port array.
-//  * Per-shard dense arenas: nodes are partitioned into contiguous shards
+//  * Per-shard keeper chains: nodes are partitioned into contiguous shards
 //    (sync::ShardPlan). A shard keeps only its keepers (packets whose node
-//    used its service budget) in one dense vector. Each cycle one
-//    sequential sweep visits the keepers, then last cycle's arrivals
-//    straight out of the inbox exchange, then this cycle's injections --
-//    per-node FIFO order is the subsequence order, so there are no queue
-//    structures at all. Keepers are compacted in place behind a write
-//    cursor; waiting arrivals and injections are appended behind them.
+//    used its service budget) in one sync::SegmentChain, segments drawn
+//    from the exchange's free lists. Each cycle one sequential sweep visits
+//    the keepers, then last cycle's arrivals straight out of the inbox
+//    exchange, then this cycle's injections -- per-node FIFO order is the
+//    subsequence order, so there are no per-node queue structures. Keepers
+//    are compacted in place behind a write cursor and emptied tail
+//    segments go back to the shard's list; waiting arrivals and injections
+//    are appended behind them.
 //    Serviced moves are appended to a sequential buffer, their 4-byte
 //    indices parked in per-node slots, and a second pass over a bitset
 //    frontier emits them in ascending node order (the canonical order that
@@ -33,12 +35,13 @@
 //    drains its column of the inbox (sender shards ascending) while it
 //    pushes its moves into its row of the outbox; the pool's return is the
 //    barrier, and the two exchanges swap. Arrivals are never copied into
-//    the arena only to be read back out. Both exchanges store their cells
-//    as chains of 64-packet segments (1.5 KiB of HB packets) from one set
-//    of per-shard free lists (sync::SegmentLists): a shard's drained
-//    segments carry its own pushes in the same phase, so about one cycle
-//    of moves is stored, not two, and the lists are leveled at every
-//    barrier so they stay bounded.
+//    a second store only to be read back out. Both exchanges store their
+//    cells as chains of 64-packet segments (1.5 KiB of HB packets) from
+//    the one set of per-shard free lists (sync::SegmentLists) the keepers
+//    use: a shard's drained segments carry its own pushes and waiting
+//    packets in the same phase, so the engine stores about the packets it
+//    holds, and the lists are leveled at every barrier so they stay
+//    bounded.
 //
 // Determinism contract: traffic is counter-based (StatelessTraffic -- a
 // pure hash of seed/cycle/node), shards are contiguous, and delivery order

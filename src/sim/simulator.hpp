@@ -73,8 +73,9 @@ struct SimConfig {
 /// work.
 ///
 /// A non-null `progress` receives live sim.cycle / sim.in_flight_packets /
-/// sim.delivered slot updates each cycle (relaxed atomic stores on a
-/// dedicated channel; results are unaffected).
+/// sim.delivered / sim.keepers slot updates each cycle, plus the packet
+/// store's sim.exchange_segments / sim.exchange_peak_moves (relaxed atomic
+/// stores on a dedicated channel; results are unaffected).
 [[nodiscard]] SimStats run_simulation(const SimTopology& topo,
                                       const SimConfig& config,
                                       const std::vector<char>& faulty = {},

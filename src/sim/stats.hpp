@@ -1,6 +1,7 @@
 // Latency / throughput statistics for the packet simulator.
 //
-// Backed by an obs::Histogram: memory is fixed regardless of how many
+// Backed by an obs::Histogram: memory follows the range of latencies seen
+// (at most 2 KiB while every latency is below 256 cycles), not how many
 // packets a run delivers, and percentile queries are O(buckets) instead of
 // the former sort-the-sample-vector O(n log n). Values in the histogram's
 // linear range (< 256 cycles) keep exact percentiles; above that the error

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <map>
@@ -13,6 +14,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -371,6 +373,182 @@ TEST(ObsHistogram, PercentileClampsQOutsideUnitInterval) {
   EXPECT_EQ(h.percentile(-0.5), h.percentile(0.0));
   EXPECT_EQ(h.percentile(2.0), h.percentile(1.0));
   EXPECT_EQ(h.percentile(2.0), h.max());
+}
+
+// The histogram before its bucket array followed its range: every bucket
+// allocated up front. The range-sized one must read the same through every
+// reader.
+struct DenseHistogram {
+  std::vector<std::uint64_t> buckets =
+      std::vector<std::uint64_t>(obs::Histogram::kNumBuckets, 0);
+  std::uint64_t count = 0, min = 0, max = 0;
+  double sum = 0.0;
+
+  void record_n(std::uint64_t v, std::uint64_t n) {
+    buckets[obs::Histogram::bucket_index(v)] += n;
+    if (count == 0 || v < min) min = v;
+    if (count == 0 || v > max) max = v;
+    count += n;
+    sum += static_cast<double>(v) * static_cast<double>(n);
+  }
+  void merge(const DenseHistogram& o) {
+    if (o.count == 0) return;
+    for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];
+    if (count == 0 || o.min < min) min = o.min;
+    if (count == 0 || o.max > max) max = o.max;
+    count += o.count;
+    sum += o.sum;
+  }
+  [[nodiscard]] std::uint64_t percentile(double q) const {
+    if (count == 0) return 0;
+    q = std::clamp(q, 0.0, 1.0);
+    const auto rank =
+        static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
+    std::uint64_t cum = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      cum += buckets[i];
+      if (cum > rank) {
+        const std::uint64_t lo = obs::Histogram::bucket_lower(i);
+        const std::uint64_t hi = obs::Histogram::bucket_upper(i);
+        return std::clamp(lo + (hi - lo) / 2, min, max);
+      }
+    }
+    return max;
+  }
+};
+
+using BucketList =
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>>;
+
+BucketList buckets_of(const obs::Histogram& h) {
+  BucketList out;
+  h.for_each_bucket([&out](std::uint64_t lo, std::uint64_t hi,
+                           std::uint64_t n) { out.emplace_back(lo, hi, n); });
+  return out;
+}
+
+BucketList buckets_of(const DenseHistogram& d) {
+  BucketList out;
+  for (std::size_t i = 0; i < d.buckets.size(); ++i) {
+    if (d.buckets[i] == 0) continue;
+    out.emplace_back(obs::Histogram::bucket_lower(i),
+                     obs::Histogram::bucket_upper(i), d.buckets[i]);
+  }
+  return out;
+}
+
+void expect_same_reads(const obs::Histogram& h, const DenseHistogram& d,
+                       const std::string& what) {
+  EXPECT_EQ(h.count(), d.count) << what;
+  EXPECT_EQ(h.min(), d.count ? d.min : 0) << what;
+  EXPECT_EQ(h.max(), d.count ? d.max : 0) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(h.sum()),
+            std::bit_cast<std::uint64_t>(d.sum))
+      << what;
+  const double dense_mean = d.count ? d.sum / static_cast<double>(d.count) : 0;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(h.mean()),
+            std::bit_cast<std::uint64_t>(dense_mean))
+      << what;
+  for (const double q : {-1.0, 0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99,
+                         0.999, 1.0, 2.0}) {
+    EXPECT_EQ(h.percentile(q), d.percentile(q)) << what << " q=" << q;
+  }
+  EXPECT_EQ(buckets_of(h), buckets_of(d)) << what;
+}
+
+TEST(ObsHistogram, RangeSizedMatchesDenseReferenceInEveryOctave) {
+  // Values in every octave up to 2^64 - 1: each octave's first and last
+  // value and a random one between, with random multiplicities. Even
+  // octaves go to `a` and odd ones to `b`, so each merge adds buckets both
+  // below and above the target's own.
+  std::mt19937_64 rng(41);
+  obs::Histogram a, b;
+  DenseHistogram da, db;
+  for (unsigned exp = 0; exp < 64; ++exp) {
+    const std::uint64_t first = std::uint64_t{1} << exp;
+    const std::uint64_t last = first + (first - 1);
+    for (const std::uint64_t v :
+         {first, last, first + (exp == 0 ? 0 : rng() % first)}) {
+      const std::uint64_t n = 1 + rng() % 5;
+      obs::Histogram& h = exp % 2 == 0 ? a : b;
+      DenseHistogram& d = exp % 2 == 0 ? da : db;
+      h.record_n(v, n);
+      d.record_n(v, n);
+    }
+  }
+  a.record(0);
+  da.record_n(0, 1);
+  expect_same_reads(a, da, "even octaves");
+  expect_same_reads(b, db, "odd octaves");
+  EXPECT_EQ(b.allocated_buckets(), obs::Histogram::kNumBuckets);
+
+  DenseHistogram both = da;
+  both.merge(db);
+  obs::Histogram ab = a, ba = b;
+  ab.merge(b);
+  ba.merge(a);
+  expect_same_reads(ab, both, "a.merge(b)");
+  expect_same_reads(ba, both, "b.merge(a)");
+
+  // A wide histogram merged into a narrow one, and the other way round.
+  obs::Histogram narrow, wide;
+  DenseHistogram dnarrow, dwide;
+  for (std::uint64_t v = 0; v < 40; ++v) {
+    narrow.record(v * 3);
+    dnarrow.record_n(v * 3, 1);
+  }
+  wide.record_n(~std::uint64_t{0}, 2);
+  dwide.record_n(~std::uint64_t{0}, 2);
+  wide.record(1000);
+  dwide.record_n(1000, 1);
+  DenseHistogram dnw = dnarrow;
+  dnw.merge(dwide);
+  obs::Histogram nw = narrow, wn = wide;
+  nw.merge(wide);
+  wn.merge(narrow);
+  expect_same_reads(nw, dnw, "narrow.merge(wide)");
+  expect_same_reads(wn, dnw, "wide.merge(narrow)");
+
+  // Merging into an empty histogram, and merging an empty one.
+  obs::Histogram empty, into;
+  into.merge(narrow);
+  into.merge(empty);
+  expect_same_reads(into, dnarrow, "empty.merge(narrow)");
+  EXPECT_EQ(into.allocated_buckets(), narrow.allocated_buckets());
+  expect_same_reads(empty, DenseHistogram{}, "empty");
+}
+
+TEST(ObsHistogram, FootprintFollowsTheRangeRecorded) {
+  obs::Histogram empty;
+  EXPECT_EQ(empty.allocated_buckets(), 0u);
+  obs::Histogram noop;
+  noop.record_n(1u << 30, 0);
+  EXPECT_EQ(noop.allocated_buckets(), 0u);
+
+  // Latency-like values below 256, recorded in rising order so every step
+  // grows the array: it never holds more than the 256 linear buckets.
+  constexpr std::size_t kLinear = std::size_t{1}
+                                  << obs::Histogram::kLinearBits;
+  obs::Histogram rising, shuffled, merged;
+  for (std::uint64_t v = 0; v < kLinear; ++v) {
+    rising.record(v);
+    EXPECT_LE(rising.allocated_buckets(), kLinear) << v;
+    EXPECT_GT(rising.allocated_buckets(), v) << v;
+  }
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 2000; ++i) shuffled.record(rng() % 200);
+  EXPECT_LE(shuffled.allocated_buckets(), kLinear);
+  for (std::uint64_t v = 0; v < 40; ++v) merged.record(v);
+  EXPECT_LE(merged.allocated_buckets(), 64u);
+  merged.merge(shuffled);
+  merged.merge(rising);
+  EXPECT_LE(merged.allocated_buckets(), kLinear);
+  const obs::Histogram copy = merged;
+  EXPECT_LE(copy.allocated_buckets(), kLinear);
+
+  // One value in the top octave needs the whole layout.
+  merged.record(~std::uint64_t{0});
+  EXPECT_EQ(merged.allocated_buckets(), obs::Histogram::kNumBuckets);
 }
 
 // ---------------------------------------------------------------------------

@@ -393,6 +393,52 @@ TEST(ShardedSim, MatchesPinnedParentStatsUnderCongestion) {
       "fault events");
 }
 
+/// FNV-1a over the bytes of `s`.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+SimConfig hotspot_fault_config() {
+  SimConfig cfg = congested_config();
+  cfg.pattern = TrafficPattern::kHotspot;
+  cfg.measure_cycles = 300;
+  cfg.seed = 5;
+  return cfg;
+}
+
+// Two deaths next to the hotspot on HB(2,4), when thousands of packets wait
+// in the one shard's keeper chain: node 3 holds 154 of them and node 5 holds
+// 120 a cycle later, so each death erases keepers from three or more
+// segments and compacts the survivors across their boundaries. Stats and
+// the metrics JSON (links, node occupancy, time series, histograms) were
+// recorded from the engine that kept its keepers in a vector.
+TEST(ShardedSim, FaultEventsOnKeeperChainMatchPinnedParent) {
+  const auto topo = make_hyper_butterfly_sim(2, 4);
+  const std::vector<FaultEvent> events{{250, 3}, {251, 5}};
+  obs::Sink sink;
+  const SimStats stats = run_simulation_with_fault_events(
+      *topo, hotspot_fault_config(), events, &sink);
+  expect_pinned(stats,
+                {11550, 11265, 285, 252, 8, 134, 0x40303fd5d269c36aull,
+                 0x40119699ab0d9125ull},
+                "hotspot deaths");
+  std::ostringstream metrics;
+  sink.write_metrics_json(metrics);
+  EXPECT_EQ(metrics.str().size(), 122872u);
+  EXPECT_EQ(fnv1a(metrics.str()), 0x0a8e0492aa9c1474ull);
+  // The same run without a sink.
+  expect_pinned(run_simulation_with_fault_events(
+                    *topo, hotspot_fault_config(), events),
+                {11550, 11265, 285, 252, 8, 134, 0x40303fd5d269c36aull,
+                 0x40119699ab0d9125ull},
+                "hotspot deaths, no sink");
+}
+
 TEST(SyncExchange, EraseIfKeepsSurvivorsInOrder) {
   sync::Exchange<int> ex(3);
   for (unsigned from = 0; from < 3; ++from) {
@@ -506,6 +552,102 @@ TEST(SyncExchange, EraseIfAcrossSegmentBoundaries) {
     EXPECT_EQ(ex.lists()->segments(), 5u) << c.what;
     EXPECT_EQ(ex.lists()->free_segments(0), 5u) << c.what;
   }
+}
+
+// The packet engine's keepers: one chain per shard on the exchange's lists,
+// compacted in place by keep_if. Each case keeps a different subset of
+// 4 segments + 7; the survivors must keep their order, the emptied tail
+// segments must go back to the list, and later pushes land behind the
+// survivors without allocating.
+TEST(SyncExchange, KeeperChainCompactsAcrossSegmentBoundaries) {
+  using Chain = sync::SegmentChain<int>;
+  constexpr int kSeg = static_cast<int>(Chain::kSegment);
+  const int total = 4 * kSeg + 7;
+  struct Case {
+    const char* what;
+    bool (*keep)(int);
+  };
+  const Case cases[] = {
+      {"none", [](int) { return false; }},
+      {"all", [](int) { return true; }},
+      {"odd", [](int m) { return m % 2 != 0; }},
+      // Straddles the second boundary: the tail of segment 1 and the head
+      // of segment 2.
+      {"straddling",
+       [](int m) {
+         return m >= 2 * static_cast<int>(Chain::kSegment) - 5 &&
+                m < 2 * static_cast<int>(Chain::kSegment) + 3;
+       }},
+      // Exactly one segment's worth, from inside two segments.
+      {"one segment",
+       [](int m) {
+         return m >= static_cast<int>(Chain::kSegment) / 2 &&
+                m < 3 * static_cast<int>(Chain::kSegment) / 2;
+       }},
+  };
+  for (const Case& c : cases) {
+    sync::SegmentLists<int> lists(2);
+    Chain chain;
+    for (int k = 0; k < total; ++k) chain.push(lists, 1, k);
+    EXPECT_EQ(lists.segments(), 5u) << c.what;
+    std::vector<int> want, seen;
+    for (int k = 0; k < total; ++k) {
+      if (c.keep(k)) want.push_back(k);
+    }
+    const std::uint64_t removed = chain.keep_if(lists, 1, [&](int m) {
+      seen.push_back(m);
+      return c.keep(m);
+    });
+    ASSERT_EQ(seen.size(), static_cast<std::size_t>(total)) << c.what;
+    for (int k = 0; k < total; ++k) ASSERT_EQ(seen[k], k) << c.what;
+    EXPECT_EQ(removed, static_cast<std::uint64_t>(total) - want.size())
+        << c.what;
+    EXPECT_EQ(chain.size(), want.size()) << c.what;
+    const std::uint64_t used = (want.size() + kSeg - 1) / kSeg;
+    EXPECT_EQ(lists.free_segments(1), 5u - used) << c.what;
+    EXPECT_EQ(lists.free_segments(0), 0u) << c.what;
+    // A second pass that keeps everything moves nothing.
+    EXPECT_EQ(chain.keep_if(lists, 1, [](int) { return true; }), 0u)
+        << c.what;
+    // Pushes go on behind the survivors, from the freed segments.
+    for (int k = 0; k < kSeg + 1; ++k) {
+      chain.push(lists, 1, -k);
+      want.push_back(-k);
+    }
+    std::vector<int> got;
+    chain.drain(lists, 1, [&got](int m) { got.push_back(m); });
+    EXPECT_EQ(got, want) << c.what;
+    EXPECT_EQ(chain.size(), 0u) << c.what;
+    const std::uint64_t needed = (want.size() + kSeg - 1) / kSeg;
+    EXPECT_EQ(lists.segments(), std::max<std::uint64_t>(5u, needed))
+        << c.what;
+    EXPECT_EQ(lists.free_segments(1), lists.segments()) << c.what;
+  }
+}
+
+// drain() gives each segment back once it has been visited, so a chain
+// refilled from the one being drained (arrivals that become keepers) runs on
+// the same segments: one more than the drained chain held, not twice as
+// many.
+TEST(SyncExchange, DrainedSegmentsFeedPushesFromTheSameList) {
+  using Chain = sync::SegmentChain<std::uint32_t>;
+  constexpr auto kSeg = static_cast<std::uint32_t>(Chain::kSegment);
+  sync::SegmentLists<std::uint32_t> lists(1);
+  Chain from, to;
+  for (std::uint32_t k = 0; k < 6 * kSeg; ++k) from.push(lists, 0, k);
+  ASSERT_EQ(lists.segments(), 6u);
+  std::vector<std::uint32_t> got;
+  from.drain(lists, 0, [&](std::uint32_t m) {
+    to.push(lists, 0, m);
+    got.push_back(m);
+  });
+  EXPECT_EQ(lists.segments(), 7u);
+  EXPECT_EQ(lists.free_segments(0), 1u);
+  EXPECT_EQ(from.size(), 0u);
+  ASSERT_EQ(to.size(), 6u * kSeg);
+  for (std::uint32_t k = 0; k < 6 * kSeg; ++k) ASSERT_EQ(got[k], k);
+  to.clear(lists, 0);
+  EXPECT_EQ(lists.free_segments(0), 7u);
 }
 
 // An inbox and an outbox on one set of lists, driven like the packet
@@ -637,6 +779,7 @@ struct OccupancyTally {
   std::uint64_t occupancy = 0;     // sum over nodes of node_occupancy
   std::uint64_t counter_sum = 0;   // sum over cycles of in_flight_packets
   std::uint64_t last_in_flight = 0;
+  std::uint64_t peak_in_flight = 0;
   std::uint64_t lost = 0;          // node_death lost_packets, summed
 };
 
@@ -648,6 +791,7 @@ OccupancyTally tally_occupancy(const obs::Sink& sink) {
       if (ev.name == "in_flight_packets" && key == "value") {
         t.counter_sum += value;
         t.last_in_flight = value;
+        t.peak_in_flight = std::max<std::uint64_t>(t.peak_in_flight, value);
       }
       if (ev.name == "node_death" && key == "lost_packets") t.lost += value;
     }
@@ -713,6 +857,63 @@ TEST(ShardedSim, NodeOccupancyIntegratesInFlightCounter) {
       EXPECT_GT(ev.lost, 0u) << what;
       EXPECT_EQ(ev.last_in_flight > 0, c.drain_cycles == 2) << what;
     }
+  }
+}
+
+// Hotspot traffic past what node 0's neighbours can forward: their queues
+// grow for the whole run, so keepers outnumber the moves in flight many
+// times over. The keepers draw on the exchange's segment lists, so
+// sim.exchange_segments counts them too, and it stays within the leveling
+// slack of the packets held: with S shards, N messages per segment, at most
+// H packets held and P moves in flight at a barrier, the live segments are
+// at most H/N + S^2 + S (a partial segment per cell and per keeper chain),
+// and a shard takes at most C = P/N + S + 2 segments in a cycle (its outbox
+// row, a keeper tail and the cycle's injections, under a segment per shard
+// here), so the total stays below the live segments plus 2 S C. The slack
+// does not grow with H.
+TEST(ShardedSim, KeeperSegmentsFollowPacketsHeldUnderHotspot) {
+  const HyperButterfly hb(2, 8);
+  constexpr unsigned kShards = 4;
+  constexpr std::uint64_t kSeg =
+      sync::SegmentLists<detail::HbPacket>::kSegment;
+  SimConfig cfg;
+  cfg.pattern = TrafficPattern::kHotspot;
+  cfg.injection_rate = 0.008;
+  cfg.warmup_cycles = 0;
+  cfg.drain_cycles = 0;
+  std::uint64_t last_held = 0;
+  for (const std::uint64_t cycles : {800u, 1600u}) {
+    cfg.measure_cycles = cycles;
+    obs::ProgressBoard board;
+    obs::Sink sink;
+    sink.enable_trace();
+    (void)run_simulation_sharded(hb, cfg, kShards, 4, &sink, &board);
+    const OccupancyTally t = tally_occupancy(sink);
+    const std::uint64_t held = t.peak_in_flight;
+    const std::uint64_t keepers = board.slot("sim.keepers").value();
+    const std::uint64_t moves = board.slot("sim.exchange_peak_moves").value();
+    const std::uint64_t segments =
+        board.slot("sim.exchange_segments").value();
+    const std::string what = "cycles=" + std::to_string(cycles) +
+                             " held=" + std::to_string(held) +
+                             " keepers=" + std::to_string(keepers) +
+                             " moves=" + std::to_string(moves);
+    // Keeper-heavy: some node queued more than four segments of packets on
+    // average over the run, and the keepers at the end outnumber the most
+    // moves ever in flight.
+    const std::uint64_t busiest = *std::max_element(
+        sink.node_occupancy().begin(), sink.node_occupancy().end());
+    EXPECT_GT(busiest, 4 * kSeg * cycles) << what;
+    EXPECT_GT(keepers, 3 * moves) << what;
+    EXPECT_GT(held, last_held) << what;
+    last_held = held;
+    EXPECT_EQ(board.slot("sim.in_flight_packets").value(), t.last_in_flight)
+        << what;
+    EXPECT_GE(segments, (keepers + kSeg - 1) / kSeg) << what;
+    const std::uint64_t live = (held + kSeg - 1) / kSeg + kShards * kShards +
+                               kShards;
+    const std::uint64_t per_shard = (moves + kSeg - 1) / kSeg + kShards + 2;
+    EXPECT_LE(segments, live + 2 * kShards * per_shard) << what;
   }
 }
 #endif
