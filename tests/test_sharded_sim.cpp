@@ -411,12 +411,12 @@ SimConfig hotspot_fault_config() {
   return cfg;
 }
 
-// Two deaths next to the hotspot on HB(2,4), when thousands of packets wait
-// in the one shard's keeper chain: node 3 holds 154 of them and node 5 holds
-// 120 a cycle later, so each death erases keepers from three or more
-// segments and compacts the survivors across their boundaries. Stats and
-// the metrics JSON (links, node occupancy, time series, histograms) were
-// recorded from the engine that kept its keepers in a vector.
+// Two deaths next to the hotspot on HB(2,4), in the one shard's keeper
+// chain: node 3 holds 154 packets and node 5 holds 120 a cycle later, so
+// each death erases keepers from three or more segments and compacts the
+// survivors across their boundaries. Stats and the metrics JSON (links,
+// node occupancy, time series, histograms) were recorded from the engine
+// that kept its keepers in a vector.
 TEST(ShardedSim, FaultEventsOnKeeperChainMatchPinnedParent) {
   const auto topo = make_hyper_butterfly_sim(2, 4);
   const std::vector<FaultEvent> events{{250, 3}, {251, 5}};
